@@ -1,6 +1,8 @@
-//! Rank-scaling bench: NPB FT at `p = 1024` on the simrt event engine —
-//! the run the thread runtime cannot do at all (it would need 1024 OS
-//! threads and ~2 MB of stack each).
+//! Rank-scaling bench: NPB FT and CG at `p = 1024` on the simrt event
+//! engine — runs the thread runtime cannot do at all (they would need
+//! 1024 OS threads and ~2 MB of stack each). FT's cost is per-message
+//! all-to-all work; CG takes twice FT's steps for about the same number
+//! of sends, so its case weights cursor stepping and per-step accounting.
 //!
 //! Run with `cargo bench -p bench --bench rank_scaling`.
 //!
@@ -42,27 +44,28 @@ fn peak_rss_bytes() -> u64 {
 fn main() {
     let world = mps::World::new(simcluster::system_g(), 2.8e9);
     let ft = npb::ft_plan(&npb::FtConfig::class(npb::Class::S));
+    let cg = npb::cg_plan(&npb::CgConfig::class(npb::Class::S));
     let step_hist = obs::global().log_histogram("bench.rank_scaling.step_latency_s", "s");
 
-    println!("rank_scaling/ft_p{P}: NPB FT class S on the simrt event engine");
+    println!("rank_scaling/p{P}: NPB FT and CG class S on the simrt event engine");
     let mut cases: Vec<CaseStats> = Vec::new();
     let mut engine_stats: Vec<(&str, simrt::EngineStats)> = Vec::new();
+    let sequential = EngineConfig::default().with_detail(Detail::Off);
     let configs = [
-        (
-            "ft_p1024_seq",
-            EngineConfig::default().with_detail(Detail::Off),
-        ),
+        ("ft_p1024_seq", &ft, sequential.clone()),
         (
             "ft_p1024_pool4",
-            EngineConfig::default()
-                .with_detail(Detail::Off)
+            &ft,
+            sequential
+                .clone()
                 .with_pool(pool::PoolConfig::with_threads(4)),
         ),
+        ("cg_p1024_seq", &cg, sequential),
     ];
-    for (name, cfg) in &configs {
+    for (name, plan, cfg) in &configs {
         let mut last_stats = simrt::EngineStats::default();
         let case = time_case(name, ITERS, || {
-            let out = simrt::try_run_plan_with(cfg, &world, P, &ft).expect("ft completes");
+            let out = simrt::try_run_plan_with(cfg, &world, P, plan).expect("run completes");
             // Mean per-step engine latency, weighted by step count: the
             // engine executes millions of steps per run, so the histogram
             // is fed the per-run mean at full weight.

@@ -573,6 +573,9 @@ impl<'p> Checker<'p> {
 #[must_use]
 pub fn analyze_plan(plan: &CommPlan, p: usize) -> PlanAnalysis {
     assert!(p >= 1, "need at least one rank");
+    // Fold the `p`-only subtrees once instead of on every rank's every
+    // step; the specialized plan streams identically at this `p`.
+    let plan = &plan.specialize(p);
     let mut checker = Checker {
         p,
         cursors: (0..p).map(|r| RankCursor::new(plan, p, r)).collect(),

@@ -180,6 +180,65 @@ impl Expr {
         }
     }
 
+    /// Specialize to world size `p`: replace [`Expr::P`] with `Const(p)`,
+    /// then collapse every node whose children are all constants into its
+    /// value — but only when that evaluation succeeds. A failing subtree
+    /// (division by zero, overflow, log/pow2 domain) stays verbatim, so
+    /// the folded expression evaluates to exactly the same `Ok` value or
+    /// [`EvalError`] as `self` in every environment with `env.p == p`.
+    /// `Rank`, `Peer` and `Var` are left alone.
+    #[must_use]
+    pub fn fold(&self, p: i64) -> Expr {
+        let bin = |mk: fn(Box<Expr>, Box<Expr>) -> Expr, a: &Expr, b: &Expr| {
+            mk(Box::new(a.fold(p)), Box::new(b.fold(p)))
+        };
+        let folded = match self {
+            Self::P => return Self::Const(p),
+            Self::Const(_) | Self::Rank | Self::Peer | Self::Var(_) => return self.clone(),
+            Self::Add(a, b) => bin(Self::Add, a, b),
+            Self::Sub(a, b) => bin(Self::Sub, a, b),
+            Self::Mul(a, b) => bin(Self::Mul, a, b),
+            Self::Div(a, b) => bin(Self::Div, a, b),
+            Self::Mod(a, b) => bin(Self::Mod, a, b),
+            Self::Min(a, b) => bin(Self::Min, a, b),
+            Self::Max(a, b) => bin(Self::Max, a, b),
+            Self::Xor(a, b) => bin(Self::Xor, a, b),
+            Self::Pow2(e) => e.fold(p).pow2(),
+            Self::Log2(e) => e.fold(p).log2(),
+            Self::BlockLen { total, parts, idx } => {
+                Self::block_len(total.fold(p), parts.fold(p), idx.fold(p))
+            }
+        };
+        let is_const = |e: &Expr| matches!(e, Self::Const(_));
+        let children_const = match &folded {
+            Self::Add(a, b)
+            | Self::Sub(a, b)
+            | Self::Mul(a, b)
+            | Self::Div(a, b)
+            | Self::Mod(a, b)
+            | Self::Min(a, b)
+            | Self::Max(a, b)
+            | Self::Xor(a, b) => is_const(a) && is_const(b),
+            Self::Pow2(e) | Self::Log2(e) => is_const(e),
+            Self::BlockLen { total, parts, idx } => {
+                is_const(total) && is_const(parts) && is_const(idx)
+            }
+            Self::Const(_) | Self::P | Self::Rank | Self::Peer | Self::Var(_) => false,
+        };
+        // With constant children the node reads nothing from the
+        // environment, so any `Env` gives the value every rank would see.
+        let env = Env {
+            p,
+            rank: 0,
+            peer: None,
+            vars: &[],
+        };
+        match children_const.then(|| folded.eval(&env)) {
+            Some(Ok(v)) => Self::Const(v),
+            _ => folded,
+        }
+    }
+
     /// `min(self, other)`.
     #[must_use]
     pub fn min_of(self, other: Expr) -> Expr {
@@ -276,6 +335,21 @@ impl Cond {
             Self::Not(c) => Ok(!c.eval(env)?),
         }
     }
+
+    /// [`Expr::fold`] applied to every operand: evaluates exactly like
+    /// `self` in every environment with `env.p == p`.
+    #[must_use]
+    pub fn fold(&self, p: i64) -> Cond {
+        match self {
+            Self::Eq(a, b) => Self::Eq(a.fold(p), b.fold(p)),
+            Self::Ne(a, b) => Self::Ne(a.fold(p), b.fold(p)),
+            Self::Lt(a, b) => Self::Lt(a.fold(p), b.fold(p)),
+            Self::Le(a, b) => Self::Le(a.fold(p), b.fold(p)),
+            Self::And(a, b) => Self::And(Box::new(a.fold(p)), Box::new(b.fold(p))),
+            Self::Or(a, b) => Self::Or(Box::new(a.fold(p)), Box::new(b.fold(p))),
+            Self::Not(c) => Self::Not(Box::new(c.fold(p))),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -357,6 +431,24 @@ mod tests {
         );
         assert_eq!(Expr::Peer.eval(&env(4, 0)), Err(EvalError::PeerUnavailable));
         assert_eq!(Expr::Var(0).eval(&env(4, 0)), Err(EvalError::UnboundVar(0)));
+    }
+
+    #[test]
+    fn fold_collapses_p_only_subtrees_and_keeps_failing_ones() {
+        let nprow = (Expr::P.log2() / Expr::Const(2)).pow2();
+        assert_eq!(nprow.fold(256), Expr::Const(16));
+        let row = Expr::Rank / (Expr::P / nprow);
+        assert_eq!(row.fold(256), Expr::Rank / Expr::Const(16));
+        let bad = Expr::Const(1) / (Expr::P - Expr::Const(4));
+        assert_eq!(bad.fold(8), Expr::Const(0));
+        assert_eq!(
+            bad.fold(4),
+            Expr::Const(1) / Expr::Const(0),
+            "a failing subtree stays verbatim"
+        );
+        assert_eq!(bad.fold(4).eval(&env(4, 0)), Err(EvalError::DivByZero));
+        let c = Cond::Lt(Expr::Rank, Expr::P * Expr::Const(2));
+        assert_eq!(c.fold(3), Cond::Lt(Expr::Rank, Expr::Const(6)));
     }
 
     #[test]

@@ -181,6 +181,22 @@ impl CommPlan {
         }
     }
 
+    /// This plan specialized to world size `p`: every expression and
+    /// condition is [`Expr::fold`]ed, so `p`-only subtrees (process-grid
+    /// shapes, block lengths) become constants that the per-rank cursors
+    /// no longer re-evaluate on every step. The result streams exactly
+    /// like `self` at this `p` — same ops, same costs, and the same
+    /// [`crate::EvalError`] on the same rank at the same op — and is
+    /// meaningless at any other `p`. Cost: one pass over the plan.
+    #[must_use]
+    pub fn specialize(&self, p: usize) -> CommPlan {
+        let p = i64::try_from(p).expect("world size fits in i64");
+        CommPlan {
+            name: self.name.clone(),
+            body: fold_ops(&self.body, p),
+        }
+    }
+
     /// Number of IR nodes (ops, transitively through loops and branches) —
     /// a size metric for reports, not an execution count.
     #[must_use]
@@ -210,6 +226,90 @@ impl CommPlan {
             })
         }
         scan(&self.body)
+    }
+}
+
+fn fold_ops(ops: &[Op], p: i64) -> Vec<Op> {
+    ops.iter().map(|op| fold_op(op, p)).collect()
+}
+
+fn fold_tag(tag: &TagExpr, p: i64) -> TagExpr {
+    match tag {
+        TagExpr::Expr(e) => TagExpr::Expr(e.fold(p)),
+        TagExpr::Auto { .. } | TagExpr::Last { .. } => tag.clone(),
+    }
+}
+
+fn fold_op(op: &Op, p: i64) -> Op {
+    match op {
+        Op::Compute { units, scale } => Op::Compute {
+            units: units.fold(p),
+            scale: *scale,
+        },
+        Op::MemStream { elems, scale, ws } => Op::MemStream {
+            elems: elems.fold(p),
+            scale: *scale,
+            ws: ws.fold(p),
+        },
+        Op::MemAccess {
+            accesses,
+            scale,
+            ws,
+        } => Op::MemAccess {
+            accesses: accesses.fold(p),
+            scale: *scale,
+            ws: ws.fold(p),
+        },
+        Op::Phase(_) | Op::BumpTag | Op::Barrier => op.clone(),
+        Op::Send { to, tag, bytes } => Op::Send {
+            to: to.fold(p),
+            tag: fold_tag(tag, p),
+            bytes: bytes.fold(p),
+        },
+        Op::Recv { from, tag } => Op::Recv {
+            from: from.fold(p),
+            tag: fold_tag(tag, p),
+        },
+        Op::RecvAny { tag } => Op::RecvAny {
+            tag: fold_tag(tag, p),
+        },
+        Op::Exchange {
+            partner,
+            tag,
+            bytes,
+        } => Op::Exchange {
+            partner: partner.fold(p),
+            tag: fold_tag(tag, p),
+            bytes: bytes.fold(p),
+        },
+        Op::Loop { count, body } => Op::Loop {
+            count: count.fold(p),
+            body: fold_ops(body, p),
+        },
+        Op::IfElse { cond, then, els } => Op::IfElse {
+            cond: cond.fold(p),
+            then: fold_ops(then, p),
+            els: fold_ops(els, p),
+        },
+        Op::Bcast { root, bytes } => Op::Bcast {
+            root: root.fold(p),
+            bytes: bytes.fold(p),
+        },
+        Op::Reduce { root, elems, op } => Op::Reduce {
+            root: root.fold(p),
+            elems: elems.fold(p),
+            op: *op,
+        },
+        Op::AllReduce { elems, op } => Op::AllReduce {
+            elems: elems.fold(p),
+            op: *op,
+        },
+        Op::AllGather { bytes } => Op::AllGather {
+            bytes: bytes.fold(p),
+        },
+        Op::AllToAll { bytes } => Op::AllToAll {
+            bytes: bytes.fold(p),
+        },
     }
 }
 

@@ -1,0 +1,263 @@
+//! Soundness of per-`p` specialization: [`Expr::fold`] at a concrete `p`
+//! must evaluate exactly like the original expression — the same `Ok`
+//! value or the same [`EvalError`] — in every environment at that `p`,
+//! and [`CommPlan::specialize`] must leave both concrete interpreters'
+//! streams ([`RankCursor`] and [`TimedCursor`]) unchanged: same ops and
+//! steps, same shape issue at the same op, same cost totals.
+
+mod common;
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use common::{draw_domain, draw_plan, Stream};
+use npb::{cg_plan, ep_plan, ft_plan, CgConfig, Class, EpConfig, FtConfig};
+use plan::{
+    analyze_plan, AOp, CollStats, CommPlan, Cond, Env, EvalError, Expr, Op, PlanFinding, RankCost,
+    RankCursor, ReduceOp, ShapeIssue, Step, TimedCursor, COLL_KINDS,
+};
+use proptest::prelude::*;
+
+/// World sizes the stream comparisons run at: both parities, powers of
+/// two and not, and the degenerate single rank.
+const PS: [usize; 6] = [1, 2, 3, 5, 8, 16];
+
+/// Constants on the edges of `eval`'s domain (zero divisors, `Pow2`
+/// bounds, overflow).
+const EDGE_CONSTS: [i64; 10] = [0, 1, -1, 2, 3, 62, 63, 64, i64::MAX, i64::MIN];
+
+fn draw_leaf(s: &mut Stream) -> Expr {
+    match s.pick(6) {
+        0 => Expr::Const(EDGE_CONSTS[usize::try_from(s.pick(10)).expect("small")]),
+        1 => s.const_in(-8, 40),
+        2 => Expr::P,
+        3 => Expr::Rank,
+        4 => Expr::Peer,
+        _ => Expr::Var(usize::try_from(s.pick(3)).expect("small")),
+    }
+}
+
+/// A random expression over every variant, mixed with shapes that fail
+/// at some `p` only.
+fn draw_expr(s: &mut Stream, depth: u32) -> Expr {
+    if depth == 0 || s.pick(5) == 0 {
+        return draw_leaf(s);
+    }
+    let d = depth - 1;
+    match s.pick(16) {
+        0 => draw_expr(s, d) + draw_expr(s, d),
+        1 => draw_expr(s, d) - draw_expr(s, d),
+        2 => draw_expr(s, d) * draw_expr(s, d),
+        3 => draw_expr(s, d) / draw_expr(s, d),
+        4 => draw_expr(s, d) % draw_expr(s, d),
+        5 => draw_expr(s, d).min_of(draw_expr(s, d)),
+        6 => draw_expr(s, d).max_of(draw_expr(s, d)),
+        7 => draw_expr(s, d).xor(draw_expr(s, d)),
+        8 => draw_expr(s, d).pow2(),
+        9 => draw_expr(s, d).log2(),
+        10 => Expr::block_len(draw_expr(s, d), draw_expr(s, d), draw_expr(s, d)),
+        11 => Expr::Const(1) / (Expr::P - s.const_in(1, 17)),
+        12 => Expr::Sub(Box::new(Expr::P), Box::new(Expr::P)).log2(),
+        13 => Expr::Const(63).pow2(),
+        14 => Expr::P * Expr::Const(i64::MAX),
+        _ => (Expr::P - s.const_in(0, 17)).log2(),
+    }
+}
+
+/// Every environment the properties quantify over at world size `p`.
+fn for_each_env(p: usize, mut f: impl FnMut(&Env)) {
+    let var_stacks: [&[i64]; 4] = [&[], &[4], &[1, 7], &[0, 2, 9]];
+    let pi = i64::try_from(p).expect("small p");
+    for rank in 0..pi {
+        for peer in [None, Some(0), Some(pi - 1)] {
+            for vars in var_stacks {
+                f(&Env {
+                    p: pi,
+                    rank,
+                    peer,
+                    vars,
+                });
+            }
+        }
+    }
+}
+
+/// Everything a [`RankCursor`] reports for one rank: its op stream up to
+/// the end or the first shape issue, and its accumulated accounting.
+#[derive(Debug, PartialEq)]
+struct AbstractRun {
+    ops: Vec<AOp>,
+    end: Result<(), ShapeIssue>,
+    cost: RankCost,
+    colls: [CollStats; COLL_KINDS],
+    saw_wildcard: bool,
+    emitted: u64,
+    first_wildcard_op: Option<u64>,
+}
+
+fn abstract_run(plan: &CommPlan, p: usize, rank: usize) -> AbstractRun {
+    let mut c = RankCursor::new(plan, p, rank);
+    let mut ops = Vec::new();
+    let end = loop {
+        match c.next_comm() {
+            Ok(Some(a)) => ops.push(a),
+            Ok(None) => break Ok(()),
+            Err(e) => break Err(e),
+        }
+    };
+    AbstractRun {
+        ops,
+        end,
+        cost: c.cost,
+        colls: c.colls,
+        saw_wildcard: c.saw_wildcard,
+        emitted: c.emitted,
+        first_wildcard_op: c.first_wildcard_op,
+    }
+}
+
+/// A [`TimedCursor`] drain: the steps yielded, and the panic message if
+/// the cursor stopped on a shape violation.
+fn timed_run(plan: &CommPlan, p: usize, rank: usize) -> (Vec<Step>, Option<String>) {
+    let mut steps = Vec::new();
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let mut c = TimedCursor::new(plan, p, rank);
+        while let Some(step) = c.next_step() {
+            steps.push(step);
+        }
+    }));
+    let panic = outcome.err().map(|e| {
+        e.downcast_ref::<String>()
+            .cloned()
+            .or_else(|| e.downcast_ref::<&str>().map(ToString::to_string))
+            .unwrap_or_default()
+    });
+    (steps, panic)
+}
+
+fn assert_streams_agree(plan: &CommPlan, p: usize) {
+    let spec = plan.specialize(p);
+    for rank in 0..p {
+        assert_eq!(
+            abstract_run(&spec, p, rank),
+            abstract_run(plan, p, rank),
+            "{} p={p} rank={rank}: RankCursor stream",
+            plan.name
+        );
+        assert_eq!(
+            timed_run(&spec, p, rank),
+            timed_run(plan, p, rank),
+            "{} p={p} rank={rank}: TimedCursor stream",
+            plan.name
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn fold_evaluates_like_the_original_in_every_env(
+        words in proptest::collection::vec(any::<u64>(), 48),
+        p_index in 0usize..6,
+    ) {
+        let mut s = Stream { words: &words, at: 0 };
+        let e = draw_expr(&mut s, 5);
+        let p = PS[p_index];
+        let folded = e.fold(i64::try_from(p).expect("small p"));
+        for_each_env(p, |env| {
+            prop_assert_eq!(folded.eval(env), e.eval(env), "{:?} folded to {:?} at {:?}", e, folded, env);
+        });
+        let c = Cond::And(
+            Box::new(Cond::Le(e.clone(), Expr::Rank)),
+            Box::new(Cond::Not(Box::new(Cond::Eq(e.clone(), Expr::P)))),
+        );
+        let folded_c = c.fold(i64::try_from(p).expect("small p"));
+        for_each_env(p, |env| {
+            prop_assert_eq!(folded_c.eval(env), c.eval(env), "{:?} at {:?}", c, env);
+        });
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn specialized_random_plans_stream_identically(
+        words in proptest::collection::vec(any::<u64>(), 32),
+    ) {
+        let mut s = Stream { words: &words, at: 0 };
+        let (_, pow2) = draw_domain(&mut s);
+        let plan = draw_plan(&mut s, pow2);
+        for p in PS {
+            assert_streams_agree(&plan, p);
+        }
+    }
+}
+
+#[test]
+fn specialized_npb_plans_stream_identically() {
+    let plans = [
+        ft_plan(&FtConfig::class(Class::S)),
+        ep_plan(&EpConfig::class(Class::S)),
+        cg_plan(&CgConfig::class(Class::S)),
+    ];
+    for plan in &plans {
+        for p in PS {
+            assert_streams_agree(plan, p);
+        }
+    }
+    // Non-vacuity: the process-grid expressions really do fold away.
+    assert_ne!(plans[2].specialize(8), plans[2], "cg has p-only subtrees");
+}
+
+#[test]
+fn a_subtree_failing_at_one_p_keeps_its_shape_finding() {
+    // `64 / (p - 4)²` evaluates everywhere except at p = 4, and only
+    // rank 2 evaluates it, after all communication is done.
+    let plan = CommPlan::new(
+        "fails-at-4",
+        vec![
+            Op::AllReduce {
+                elems: Expr::Const(8),
+                op: ReduceOp::Sum,
+            },
+            Op::IfElse {
+                cond: Cond::Eq(Expr::Rank, Expr::Const(2)),
+                then: vec![Op::Compute {
+                    units: Expr::Const(64)
+                        / ((Expr::P - Expr::Const(4)) * (Expr::P - Expr::Const(4))),
+                    scale: 1.0,
+                }],
+                els: vec![],
+            },
+        ],
+    );
+    let Op::IfElse { then, .. } = &plan.specialize(4).body[1] else {
+        panic!("the branch survives specialization");
+    };
+    assert_eq!(
+        then[0],
+        Op::Compute {
+            units: Expr::Const(64) / Expr::Const(0),
+            scale: 1.0,
+        },
+        "the failing division stays unfolded"
+    );
+    let a = analyze_plan(&plan, 4);
+    assert_eq!(
+        a.findings,
+        vec![PlanFinding::Shape {
+            rank: 2,
+            issue: ShapeIssue::Eval(EvalError::DivByZero),
+        }]
+    );
+    assert_eq!(
+        abstract_run(&plan, 4, 2).end,
+        Err(ShapeIssue::Eval(EvalError::DivByZero)),
+        "the unspecialized plan fails on the same rank"
+    );
+    for p in [3, 5, 8] {
+        assert!(analyze_plan(&plan, p).clean(), "p={p}");
+    }
+    assert_streams_agree(&plan, 4);
+}

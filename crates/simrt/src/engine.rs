@@ -114,17 +114,22 @@ fn sequential(
     let mut executed: u64 = 0;
     let mut next_sample = cfg.timeline_every;
     let mut t_hi = 0.0f64;
+    // The one send buffer: lent to the running task for its slice, then
+    // taken back and drained. It keeps its capacity, so sends stop
+    // reallocating after every slice, and idle tasks hold no capacity.
+    let mut outbox = Vec::new();
 
     while let Some(Reverse((_, r))) = heap.pop() {
         let before = tasks[r].steps;
+        std::mem::swap(&mut outbox, &mut tasks[r].outbox);
         let paused = tasks[r].advance(world, hockney);
+        std::mem::swap(&mut outbox, &mut tasks[r].outbox);
         executed += tasks[r].steps - before;
         t_hi = t_hi.max(tasks[r].core.now());
         if paused == Paused::Finished {
             live -= 1;
         }
-        let outbox = std::mem::take(&mut tasks[r].outbox);
-        for (dst, env) in outbox {
+        for (dst, env) in outbox.drain(..) {
             let dst_task = &mut tasks[dst];
             if dst_task.wants(&env) {
                 dst_task.blocked = Blocked::No;

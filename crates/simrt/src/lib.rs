@@ -232,6 +232,9 @@ pub fn try_run_plan_with(
     plan: &CommPlan,
 ) -> Result<EngineReport, RunError> {
     assert!(p > 0, "need at least one rank");
+    // Fold the `p`-only subtrees once instead of on every rank's every
+    // step; the specialized plan streams identically at this `p`.
+    let plan = &plan.specialize(p);
     if world.sched.is_some() {
         return controlled::run(cfg, world, p, plan);
     }

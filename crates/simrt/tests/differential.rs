@@ -219,6 +219,8 @@ fn aggregate_detail_preserves_energy_and_counters() {
 /// counts (debug-build-sized `p`; the `large_p` suite covers 1024+).
 #[test]
 fn engine_matches_static_analysis_at_p_256() {
+    // Its metrics-on world bumps the global collective counters too.
+    let _guard = registry_lock().lock().unwrap();
     let plan = ft_plan(&FtConfig::class(Class::S));
     let p = 256;
     let analysis = analyze_plan(&plan, p);
