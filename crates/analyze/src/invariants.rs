@@ -213,70 +213,6 @@ pub fn check_model(m: &MachineParams, a: &AppParams, p: usize) -> Vec<Finding> {
     findings
 }
 
-/// Differential cross-check of the batched columnar kernel against the
-/// scalar model at one `(Mach, Appl, p)` point: every Eq. 5–15 term and
-/// both ratios must be **bit-identical** (`f64::to_bits`) across the two
-/// paths — the analyzer-side mirror of `tests/batch_equivalence.rs`,
-/// runnable on any parameter vector the other passes visit.
-#[must_use]
-pub fn check_batch_kernel(m: &MachineParams, a: &AppParams, p: usize) -> Vec<Finding> {
-    fn bit_mismatch(invariant: &'static str, p: usize, batch: f64, scalar: f64) -> Option<Finding> {
-        (batch.to_bits() != scalar.to_bits()).then(|| Finding::BrokenInvariant {
-            invariant,
-            details: format!(
-                "batch kernel diverged from the scalar model at p = {p}: \
-                 {batch:?} vs {scalar:?} ({:#018x} vs {:#018x})",
-                batch.to_bits(),
-                scalar.to_bits()
-            ),
-        })
-    }
-    let mut findings = Vec::new();
-    let ev = isoee::batch::evaluate(m, a, p);
-    let terms = [
-        (
-            "batch T1 == model T1",
-            ev.terms.t1.raw(),
-            model::t1(m, a).raw(),
-        ),
-        (
-            "batch Tp == model Tp",
-            ev.terms.tp.raw(),
-            model::tp(m, a, p).raw(),
-        ),
-        (
-            "batch E1 == model E1",
-            ev.terms.e1.raw(),
-            model::e1(m, a).raw(),
-        ),
-        (
-            "batch Ep == model Ep",
-            ev.terms.ep.raw(),
-            model::ep(m, a, p).raw(),
-        ),
-    ];
-    for (invariant, batch, scalar) in terms {
-        findings.extend(bit_mismatch(invariant, p, batch, scalar));
-    }
-    match (ev.ee, model::ee(m, a, p)) {
-        (Ok(b), Ok(s)) => findings.extend(bit_mismatch("batch EE == model EE", p, b, s)),
-        (Err(_), Err(_)) => {}
-        (b, s) => findings.push(Finding::BrokenInvariant {
-            invariant: "batch EE degenerate iff model EE degenerate",
-            details: format!("batch {b:?} vs scalar {s:?} at p = {p}"),
-        }),
-    }
-    match (ev.eef, model::eef(m, a, p)) {
-        (Ok(b), Ok(s)) => findings.extend(bit_mismatch("batch EEF == model EEF", p, b, s)),
-        (Err(_), Err(_)) => {}
-        (b, s) => findings.push(Finding::BrokenInvariant {
-            invariant: "batch EEF degenerate iff model EEF degenerate",
-            details: format!("batch {b:?} vs scalar {s:?} at p = {p}"),
-        }),
-    }
-    findings
-}
-
 /// Accounting cross-check for one pooled surface sweep of `rows × cols`
 /// points: the pool must report exactly one executed task per row (the
 /// sweep's unit of parallelism), and the model-eval counter must have

@@ -24,9 +24,7 @@ pub mod invariants;
 pub mod trace;
 
 pub use comm::{check_comm_logs, check_deadlock, check_report, check_run};
-pub use invariants::{
-    check_app, check_batch_kernel, check_machine, check_model, check_sweep_accounting,
-};
+pub use invariants::{check_app, check_machine, check_model, check_sweep_accounting};
 pub use trace::check_trace;
 
 use mps::WaitEdge;

@@ -62,8 +62,7 @@
 #![forbid(unsafe_code)]
 
 use analyze::{
-    check_batch_kernel, check_deadlock, check_model, check_report, check_sweep_accounting,
-    check_trace, Finding,
+    check_deadlock, check_model, check_report, check_sweep_accounting, check_trace, Finding,
 };
 use isoee::apps::{AppModel, CgModel, EpModel, FtModel};
 use isoee::interval::{certify_pf_grid, certify_pn_grid, GridCertification, Interval};
@@ -418,10 +417,7 @@ fn model_pass(report: &mut Report) {
                 for p in [1usize, 4, 16, 64] {
                     let a = app.app_params(n, p);
                     points += 1;
-                    for finding in check_model(m, &a, p)
-                        .into_iter()
-                        .chain(check_batch_kernel(m, &a, p))
-                    {
+                    for finding in check_model(m, &a, p) {
                         let ctx = format!("{mname}/{} n={n} p={p}", app.name());
                         report.finding("model", &ctx, finding.to_string(), false);
                     }
@@ -430,8 +426,7 @@ fn model_pass(report: &mut Report) {
         }
     }
     report.progress(&format!(
-        "model pass: {points} (machine, app, n, p) points checked \
-         (structural + batch-kernel differential)"
+        "model pass: {points} (machine, app, n, p) points checked"
     ));
 }
 

@@ -1,20 +1,16 @@
 //! Batched columnar evaluation of the Eq. 13/15 sweep grids.
 //!
-//! The scalar model in [`crate::model`] re-derives every term at every
-//! grid point: a `(p, f)` sweep calls [`AppModel::app_params`] once per
-//! *cell* even though the application vector only varies per column, and
-//! `model::ee` itself evaluates `E1` twice (once as the `EEF` denominator,
-//! once inside `E0 = Ep − E1`) and `T_net` twice (inside `Tp` and again in
-//! `Ep`). This module factors the formulas into their per-axis invariant
-//! and varying parts and evaluates whole grid rows into flat `f64`
-//! struct-of-arrays buffers ([`Columns`]):
+//! A per-point model call re-derives every term at every grid point: a
+//! `(p, f)` sweep would call [`AppModel::app_params`] once per *cell* even
+//! though the application vector only varies per column. This module
+//! evaluates the term kernel of `terms.rs` (the same expressions
+//! [`crate::model`] and [`crate::interval`] instantiate) split by axis:
 //!
-//! * **column-invariant** (per application vector, frequency-free):
-//!   `Wm·tm`, `(Wm+Wom)·tm`, `T_net = M·ts + B·tw`, `(Wm·tm)·ΔPm`,
-//!   `((Wm+Wom)·tm)·ΔPm`, `T_net·ΔP_NIC`, `T_IO·ΔP_IO`, plus the raw
-//!   `α`, `Wc`, `Wc+Woc`, `T_IO` and `p` columns;
+//! * **column-invariant** (per application vector, frequency-free): the
+//!   kernel's factors — `Wm·tm`, `(Wm+Wom)·tm`, `T_net = M·ts + B·tw` and
+//!   the memory, NIC and I/O energies — derived once per column;
 //! * **row-varying** (Eq. 20): `tc = CPI/f` and `ΔPc ∝ f^γ` — two scalars
-//!   per row, updated incrementally via [`MachineParams::at_frequency`];
+//!   per row, via [`MachineParams::at_frequency`];
 //! * **grid-constant**: `P_sys_idle`.
 //!
 //! One further hoist applies to every built-in NPB model: the sequential
@@ -22,31 +18,16 @@
 //! depend on `p`, so all columns of a `(p, f)` grid share them bit-for-bit
 //! and `E1` collapses to one evaluation per row. The grid *detects* this
 //! by comparing column bits at construction rather than assuming it, so a
-//! custom [`AppModel`] with `p`-dependent sequential terms transparently
-//! falls back to the full per-column kernel.
-//!
-//! The interval pre-certification in [`crate::interval`] shares the same
-//! factorization: [`crate::interval::E1Factors`] is the interval-valued
-//! twin of [`Factors`], built once per column and re-evaluated against the
-//! two frequency-dependent enclosures instead of re-deriving a full model
-//! enclosure per box.
-//!
-//! ## Bit-identity contract
-//!
-//! Every fused expression reproduces the *exact association tree* of the
-//! corresponding [`crate::model`] formula — hoisting a loop-invariant
-//! product or reusing an identically-computed subterm never changes a
-//! bit, but re-associating a sum or turning a division into a reciprocal
-//! multiply would. `tests/batch_equivalence.rs` pins the kernel
-//! bit-identical (`f64::to_bits`) to the scalar oracle over the committed
-//! Fig 5–9 grids and under a randomized differential proptest. Change
-//! [`fused`] only together with [`crate::model`] (and the interval
-//! mirrors in [`crate::interval`]).
+//! custom [`AppModel`] with `p`-dependent sequential terms falls back to
+//! the per-column evaluation. Reusing a value computed from identical
+//! bits never changes a result, so every grid cell is bit-identical to
+//! [`crate::model::ee`] at that point; `tests/batch_equivalence.rs` pins
+//! both against an independent test-side derivation.
 //!
 //! Degenerate baselines are not carried as per-point `Result`s: each row
 //! is evaluated branch-free into an `E1` scratch column, and a separate
-//! scan reports the first failing cell — the same deterministic row-major
-//! first-error index the scalar path in [`crate::scaling`] produces.
+//! scan reports the first failing cell — the deterministic row-major
+//! first-error index of a per-point sweep.
 //!
 //! Because the application vector is derived **once per column**, the
 //! batch path requires [`AppModel::app_params`] to be a pure function of
@@ -56,136 +37,22 @@
 use simcluster::units::{Joules, Seconds};
 
 use crate::apps::AppModel;
-use crate::interval::{frequency_terms, AppBox, E1Factors, GridCertification, Interval, MachBox};
-use crate::model::ModelError;
+use crate::interval::GridCertification;
+use crate::model::{self, ModelError};
 use crate::params::{AppParams, MachineParams};
+use crate::terms::{self, Factors, ParFactors, Row, SeqFactors};
 
-/// The column-invariant factors of Eqs. 13/15 for one application vector.
-///
-/// Everything here is independent of the frequency axis: only `tc` and
-/// `ΔPc` change under Eq. 20, so one `Factors` per column serves every
-/// row of a `(p, f)` grid.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Factors {
-    /// Overlap factor `α`.
-    alpha: f64,
-    /// `Wc`.
-    wc: f64,
-    /// `Wc + Woc`.
-    wcc: f64,
-    /// `Wm·tm` — the sequential memory time of Eqs. 6/13.
-    mem_seq: f64,
-    /// `(Wm+Wom)·tm` — the parallel memory time of Eqs. 10/15.
-    mem_par: f64,
-    /// `T_IO`.
-    t_io: f64,
-    /// `T_net = M·ts + B·tw` (Eq. 17).
-    t_net: f64,
-    /// `(Wm·tm)·ΔPm` — the Eq. 13 memory energy.
-    e_mem_seq: f64,
-    /// `((Wm+Wom)·tm)·ΔPm` — the Eq. 15 memory energy.
-    e_mem_par: f64,
-    /// `T_net·ΔP_NIC` — the Eq. 18 network energy.
-    e_net: f64,
-    /// `T_IO·ΔP_IO`.
-    e_io: f64,
-}
-
-/// Derive the column-invariant factors from one `(Mach, Appl)` pair.
-///
-/// Each product/sum below is the raw-`f64` image of the exact unit-newtype
-/// operation the scalar model performs (the [`simcluster::units`] algebra
-/// multiplies and adds raw magnitudes), so caching them is bit-transparent.
-#[inline]
-fn factors_of(m: &MachineParams, a: &AppParams) -> Factors {
-    let mem_seq = a.wm.raw() * m.tm.raw();
-    let mem_par = (a.wm.raw() + a.wom.raw()) * m.tm.raw();
-    let t_net = a.messages.raw() * m.ts.raw() + a.bytes.raw() * m.tw.raw();
-    Factors {
-        alpha: a.alpha,
-        wc: a.wc.raw(),
-        wcc: a.wc.raw() + a.woc.raw(),
-        mem_seq,
-        mem_par,
-        t_io: a.t_io.raw(),
-        t_net,
-        e_mem_seq: mem_seq * m.delta_pm.raw(),
-        e_mem_par: mem_par * m.delta_pm.raw(),
-        e_net: t_net * m.delta_pnic.raw(),
-        e_io: a.t_io.raw() * m.delta_pio.raw(),
-    }
-}
-
-/// The full fused evaluation at one cell.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Fused {
-    t1: f64,
-    tp: f64,
-    e1: f64,
-    ep: f64,
-    eef: f64,
-    ee: f64,
-}
-
-/// The per-cell residual: everything that depends on the row axis
-/// (`tc`, `ΔPc`) at one column. ~22 flops, 3 divisions, branch-free.
-///
-/// **Lockstep warning:** each line reproduces the association tree of the
-/// matching [`crate::model`] formula exactly; see the module docs.
-#[inline(always)]
-fn fused(tc: f64, dpc: f64, psys: f64, c: &Factors, p: f64) -> Fused {
-    // T1 = α·((Wc·tc + Wm·tm) + T_IO)                            (Eqs. 5–6)
-    let x1 = c.wc * tc;
-    let t1 = c.alpha * ((x1 + c.mem_seq) + c.t_io);
-    // E1 = ((T1·P_idle + (Wc·tc)·ΔPc) + (Wm·tm)·ΔPm) + T_IO·ΔP_IO (Eq. 13)
-    let e1 = ((t1 * psys + x1 * dpc) + c.e_mem_seq) + c.e_io;
-    // Tp = α·((((Wc+Woc)·tc + (Wm+Wom)·tm) + T_net) + T_IO) / p   (Eq. 10)
-    let y1 = c.wcc * tc;
-    let tp = c.alpha * (((y1 + c.mem_par) + c.t_net) + c.t_io) / p;
-    // Ep = (((Tp·p·P_idle + ((Wc+Woc)·tc)·ΔPc) + ((Wm+Wom)·tm)·ΔPm)
-    //       + T_net·ΔP_NIC) + T_IO·ΔP_IO                      (Eqs. 15/18)
-    let ep = (((tp * p * psys + y1 * dpc) + c.e_mem_par) + c.e_net) + c.e_io;
-    // EEF = (Ep − E1)/E1, EE = 1/(1 + EEF)                (Eqs. 16/19/21)
-    let eef = (ep - e1) / e1;
-    let ee = 1.0 / (1.0 + eef);
-    Fused {
-        t1,
-        tp,
-        e1,
-        ep,
-        eef,
-        ee,
-    }
-}
-
-/// Whether a baseline energy is degenerate — the exact predicate of
-/// [`crate::model::eef`].
-#[inline]
-fn degenerate(e1: f64) -> bool {
-    !(e1.is_finite() && e1 > 0.0)
-}
-
-/// Scan an `E1` column for the first degenerate cell, mirroring the
-/// scalar sweep's within-row short-circuit: the error index and payload
-/// are identical at any thread count.
+/// Scan an `E1` column for the first degenerate cell, mirroring a
+/// per-point sweep's within-row short-circuit: the error index and
+/// payload are identical at any thread count.
 fn first_degenerate(e1s: &[f64]) -> Result<(), (usize, ModelError)> {
     for (j, &e1) in e1s.iter().enumerate() {
-        if degenerate(e1) {
-            return Err((
-                j,
-                ModelError::DegenerateBaseline {
-                    e1: Joules::new(e1),
-                },
-            ));
-        }
+        model::checked(e1, ()).map_err(|err| (j, err))?;
     }
     Ok(())
 }
 
 /// The Eq. 5–15 terms of one point evaluation, unit-typed.
-///
-/// Bit-identical to [`crate::model::t1`]/[`tp`](crate::model::tp)/
-/// [`e1`](crate::model::e1)/[`ep`](crate::model::ep) on the same inputs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Terms {
     /// Actual sequential time `T1` (Eq. 6).
@@ -198,8 +65,8 @@ pub struct Terms {
     pub ep: Joules,
 }
 
-/// One point evaluated through the fused kernel: the raw terms plus the
-/// ratio results with the scalar model's exact degenerate handling.
+/// One point evaluated once: the raw terms plus the ratio results with
+/// the model's degenerate-baseline handling.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PointEval {
     /// The Eq. 5–15 terms.
@@ -210,247 +77,23 @@ pub struct PointEval {
     pub ee: Result<f64, ModelError>,
 }
 
-/// Evaluate one `(Mach, Appl, p)` point through the fused kernel.
+/// Evaluate every term of one `(Mach, Appl, p)` point in one pass — the
+/// values [`crate::model`]'s separate functions return.
 ///
 /// # Panics
 /// Panics when `p == 0`.
 #[must_use]
 pub fn evaluate(m: &MachineParams, a: &AppParams, p: usize) -> PointEval {
-    assert!(p > 0, "need at least one processor");
-    let c = factors_of(m, a);
-    #[allow(clippy::cast_precision_loss)]
-    let v = fused(
-        m.tc.raw(),
-        m.delta_pc.raw(),
-        m.p_sys_idle.raw(),
-        &c,
-        p as f64,
-    );
-    let terms = Terms {
-        t1: Seconds::new(v.t1),
-        tp: Seconds::new(v.tp),
-        e1: Joules::new(v.e1),
-        ep: Joules::new(v.ep),
-    };
-    let (eef, ee) = if degenerate(v.e1) {
-        let err = ModelError::DegenerateBaseline { e1: terms.e1 };
-        (Err(err), Err(err))
-    } else {
-        (Ok(v.eef), Ok(v.ee))
-    };
-    PointEval { terms, eef, ee }
-}
-
-/// The Eq. 5–15 terms at one point (see [`evaluate`]).
-///
-/// # Panics
-/// Panics when `p == 0`.
-#[must_use]
-pub fn terms(m: &MachineParams, a: &AppParams, p: usize) -> Terms {
-    evaluate(m, a, p).terms
-}
-
-/// `EE` through the fused kernel — bit-identical to [`crate::model::ee`].
-///
-/// # Errors
-/// Returns [`ModelError::DegenerateBaseline`] exactly when the scalar
-/// model does, with the same `E1` payload.
-///
-/// # Panics
-/// Panics when `p == 0`.
-pub fn ee_point(m: &MachineParams, a: &AppParams, p: usize) -> Result<f64, ModelError> {
-    evaluate(m, a, p).ee
-}
-
-/// `EEF` through the fused kernel — bit-identical to [`crate::model::eef`].
-///
-/// # Errors
-/// Returns [`ModelError::DegenerateBaseline`] exactly when the scalar
-/// model does, with the same `E1` payload.
-///
-/// # Panics
-/// Panics when `p == 0`.
-pub fn eef_point(m: &MachineParams, a: &AppParams, p: usize) -> Result<f64, ModelError> {
-    evaluate(m, a, p).eef
-}
-
-/// The shared `E1`-relevant factors of a grid whose columns all agree
-/// **bit-for-bit** on them — true of every `(p, f)` grid over the built-in
-/// NPB models, whose sequential terms (`α`, `Wc`, `Wm·tm`, `T_IO` and the
-/// derived energies) do not depend on `p`.
-///
-/// When present, a row computes `E1` once instead of per column (reusing
-/// an identically-computed value is bit-transparent), which shrinks the
-/// per-point residual to the genuinely `p`-dependent Eq. 15 terms.
-#[derive(Debug, Clone, Copy)]
-struct UniformE1 {
-    alpha: f64,
-    wc: f64,
-    mem_seq: f64,
-    t_io: f64,
-    e_mem_seq: f64,
-    e_io: f64,
-}
-
-/// The column-invariant factors of a whole grid, struct-of-arrays: flat
-/// `f64` columns the row loop streams through.
-#[derive(Debug, Default)]
-struct Columns {
-    p: Vec<f64>,
-    alpha: Vec<f64>,
-    wc: Vec<f64>,
-    wcc: Vec<f64>,
-    mem_seq: Vec<f64>,
-    mem_par: Vec<f64>,
-    t_io: Vec<f64>,
-    t_net: Vec<f64>,
-    e_mem_seq: Vec<f64>,
-    e_mem_par: Vec<f64>,
-    e_net: Vec<f64>,
-    e_io: Vec<f64>,
-    /// Set by [`Self::seal`] when all columns share the `E1` factors.
-    uniform: Option<UniformE1>,
-}
-
-impl Columns {
-    fn with_capacity(n: usize) -> Self {
-        Self {
-            p: Vec::with_capacity(n),
-            alpha: Vec::with_capacity(n),
-            wc: Vec::with_capacity(n),
-            wcc: Vec::with_capacity(n),
-            mem_seq: Vec::with_capacity(n),
-            mem_par: Vec::with_capacity(n),
-            t_io: Vec::with_capacity(n),
-            t_net: Vec::with_capacity(n),
-            e_mem_seq: Vec::with_capacity(n),
-            e_mem_par: Vec::with_capacity(n),
-            e_net: Vec::with_capacity(n),
-            e_io: Vec::with_capacity(n),
-            uniform: None,
-        }
-    }
-
-    /// Detect whether every column agrees bit-for-bit on the
-    /// `E1`-relevant factors, enabling the hoisted row kernel. Call once
-    /// after the last [`Self::push`].
-    fn seal(&mut self) {
-        let same = |col: &[f64], v: f64| col.iter().all(|&x| x.to_bits() == v.to_bits());
-        self.uniform = self.alpha.first().and_then(|&alpha| {
-            let u = UniformE1 {
-                alpha,
-                wc: self.wc[0],
-                mem_seq: self.mem_seq[0],
-                t_io: self.t_io[0],
-                e_mem_seq: self.e_mem_seq[0],
-                e_io: self.e_io[0],
-            };
-            (same(&self.alpha, u.alpha)
-                && same(&self.wc, u.wc)
-                && same(&self.mem_seq, u.mem_seq)
-                && same(&self.t_io, u.t_io)
-                && same(&self.e_mem_seq, u.e_mem_seq)
-                && same(&self.e_io, u.e_io))
-            .then_some(u)
-        });
-    }
-
-    fn push(&mut self, m: &MachineParams, a: &AppParams, p: usize) {
-        let c = factors_of(m, a);
-        #[allow(clippy::cast_precision_loss)]
-        self.p.push(p as f64);
-        self.alpha.push(c.alpha);
-        self.wc.push(c.wc);
-        self.wcc.push(c.wcc);
-        self.mem_seq.push(c.mem_seq);
-        self.mem_par.push(c.mem_par);
-        self.t_io.push(c.t_io);
-        self.t_net.push(c.t_net);
-        self.e_mem_seq.push(c.e_mem_seq);
-        self.e_mem_par.push(c.e_mem_par);
-        self.e_net.push(c.e_net);
-        self.e_io.push(c.e_io);
-    }
-
-    fn len(&self) -> usize {
-        self.p.len()
-    }
-
-    /// Evaluate one machine row into `ee_out`/`e1_out` (branch-free), then
-    /// scan `e1_out` for the first degenerate cell.
-    fn eval_row(
-        &self,
-        tc: f64,
-        dpc: f64,
-        psys: f64,
-        ee_out: &mut [f64],
-        e1_out: &mut [f64],
-    ) -> Result<(), (usize, ModelError)> {
-        let k = self.len();
-        assert!(
-            ee_out.len() == k && e1_out.len() == k,
-            "row buffers must span the {k} columns"
-        );
-        // Hoisted kernel: with bit-equal E1 factors across columns, E1 is
-        // computed once per row — the same bits every column would have
-        // produced — and the per-point residual is the Eq. 15 terms only.
-        if let Some(u) = self.uniform {
-            let x1 = u.wc * tc;
-            let t1 = u.alpha * ((x1 + u.mem_seq) + u.t_io);
-            let e1 = ((t1 * psys + x1 * dpc) + u.e_mem_seq) + u.e_io;
-            e1_out.fill(e1);
-            if degenerate(e1) {
-                // Every cell shares this E1, so the scalar loop's first
-                // error is the row's first column.
-                return Err((
-                    0,
-                    ModelError::DegenerateBaseline {
-                        e1: Joules::new(e1),
-                    },
-                ));
-            }
-            let (p, wcc, mem_par) = (&self.p[..k], &self.wcc[..k], &self.mem_par[..k]);
-            let (t_net, e_mem_par, e_net) =
-                (&self.t_net[..k], &self.e_mem_par[..k], &self.e_net[..k]);
-            let ee_out = &mut ee_out[..k];
-            for j in 0..k {
-                let y1 = wcc[j] * tc;
-                let tp = u.alpha * (((y1 + mem_par[j]) + t_net[j]) + u.t_io) / p[j];
-                let ep = (((tp * p[j] * psys + y1 * dpc) + e_mem_par[j]) + e_net[j]) + u.e_io;
-                let eef = (ep - e1) / e1;
-                ee_out[j] = 1.0 / (1.0 + eef);
-            }
-            return Ok(());
-        }
-        let (p, alpha, wc, wcc) = (
-            &self.p[..k],
-            &self.alpha[..k],
-            &self.wc[..k],
-            &self.wcc[..k],
-        );
-        let (mem_seq, mem_par) = (&self.mem_seq[..k], &self.mem_par[..k]);
-        let (t_io, t_net) = (&self.t_io[..k], &self.t_net[..k]);
-        let (e_mem_seq, e_mem_par) = (&self.e_mem_seq[..k], &self.e_mem_par[..k]);
-        let (e_net, e_io) = (&self.e_net[..k], &self.e_io[..k]);
-        for j in 0..k {
-            let c = Factors {
-                alpha: alpha[j],
-                wc: wc[j],
-                wcc: wcc[j],
-                mem_seq: mem_seq[j],
-                mem_par: mem_par[j],
-                t_io: t_io[j],
-                t_net: t_net[j],
-                e_mem_seq: e_mem_seq[j],
-                e_mem_par: e_mem_par[j],
-                e_net: e_net[j],
-                e_io: e_io[j],
-            };
-            let v = fused(tc, dpc, psys, &c, p[j]);
-            e1_out[j] = v.e1;
-            ee_out[j] = v.ee;
-        }
-        first_degenerate(&e1_out[..k])
+    let v = model::point(m, a, p);
+    PointEval {
+        terms: Terms {
+            t1: Seconds::new(v.t1),
+            tp: Seconds::new(v.tp),
+            e1: Joules::new(v.e1),
+            ep: Joules::new(v.ep),
+        },
+        eef: model::checked(v.e1, v.eef),
+        ee: model::checked(v.e1, v.ee),
     }
 }
 
@@ -462,9 +105,11 @@ pub struct PfGrid<'a> {
     base: &'a MachineParams,
     n: f64,
     ps: Vec<usize>,
-    apps: Vec<AppParams>,
-    psys: f64,
-    cols: Columns,
+    p_f64: Vec<f64>,
+    seq: Vec<SeqFactors<f64>>,
+    par: Vec<ParFactors<f64>>,
+    /// Every column shares the `E1` factors bit-for-bit.
+    uniform_e1: bool,
 }
 
 impl<'a> PfGrid<'a> {
@@ -475,26 +120,28 @@ impl<'a> PfGrid<'a> {
     /// evaluation).
     #[must_use]
     pub fn new(app: &'a dyn AppModel, base: &'a MachineParams, n: f64, ps: &[usize]) -> Self {
-        let apps: Vec<AppParams> = ps
+        let (seq, par): (Vec<SeqFactors<f64>>, Vec<ParFactors<f64>>) = ps
             .iter()
             .map(|&p| {
                 assert!(p > 0, "need at least one processor");
-                app.app_params(n, p)
+                let f = Factors::of_params(base, &app.app_params(n, p));
+                (f.seq, f.par)
             })
-            .collect();
-        let mut cols = Columns::with_capacity(ps.len());
-        for (a, &p) in apps.iter().zip(ps) {
-            cols.push(base, a, p);
-        }
-        cols.seal();
+            .unzip();
+        let uniform_e1 = seq
+            .split_first()
+            .is_some_and(|(s0, rest)| rest.iter().all(|s| s.bits() == s0.bits()));
+        #[allow(clippy::cast_precision_loss)]
+        let p_f64 = ps.iter().map(|&p| p as f64).collect();
         Self {
             app,
             base,
             n,
             ps: ps.to_vec(),
-            apps,
-            psys: base.p_sys_idle.raw(),
-            cols,
+            p_f64,
+            seq,
+            par,
+            uniform_e1,
         }
     }
 
@@ -519,9 +166,31 @@ impl<'a> PfGrid<'a> {
         ee_out: &mut [f64],
         e1_out: &mut [f64],
     ) -> Result<(), (usize, ModelError)> {
-        let m = self.base.at_frequency(f_hz);
-        self.cols
-            .eval_row(m.tc.raw(), m.delta_pc.raw(), self.psys, ee_out, e1_out)
+        let k = self.cols();
+        assert!(
+            ee_out.len() == k && e1_out.len() == k,
+            "row buffers must span the {k} columns"
+        );
+        let row = Row::of_params(&self.base.at_frequency(f_hz));
+        if self.uniform_e1 {
+            // Every column would compute these same E1 bits, so the first
+            // degenerate cell of the row is its first column.
+            let s0 = &self.seq[0];
+            let (_, e1) = s0.sequential(&row);
+            e1_out.fill(e1);
+            model::checked(e1, ()).map_err(|err| (0, err))?;
+            for ((par, &p), ee) in self.par.iter().zip(&self.p_f64).zip(ee_out.iter_mut()) {
+                let (_, ep) = par.parallel(s0, &row, p);
+                *ee = terms::ratios(e1, ep).1;
+            }
+            return Ok(());
+        }
+        let cols = self.seq.iter().zip(&self.par).zip(&self.p_f64);
+        for (((&seq, &par), &p), (ee, e1)) in cols.zip(ee_out.iter_mut().zip(e1_out.iter_mut())) {
+            let v = Factors { seq, par }.point(&row, p);
+            (*ee, *e1) = (v.ee, v.e1);
+        }
+        first_degenerate(e1_out)
     }
 
     /// Evaluate one frequency row into a fresh `EE` vector.
@@ -540,63 +209,25 @@ impl<'a> PfGrid<'a> {
     }
 
     /// Certify the whole `(p, f)` grid degenerate-free ahead of time,
-    /// sharing the factored invariants: one [`E1Factors`] per column is
-    /// evaluated against the hull of all frequencies, then against thin
-    /// per-frequency boxes, then confirmed exactly — the same verdicts
-    /// (and the same row-major first-error cell) as
-    /// [`crate::interval::certify_pf_grid`], without re-deriving a full
-    /// model enclosure per box.
+    /// without evaluating it: [`crate::interval::certify_pf_grid`] on this
+    /// grid's axes.
     ///
     /// # Panics
     /// Panics when `fs` is empty or the grid has no columns.
     #[must_use]
     pub fn certify(&self, fs: &[f64]) -> GridCertification {
-        assert!(!self.ps.is_empty() && !fs.is_empty(), "empty grid");
-        let base_box = MachBox::from_params(self.base);
-        let (hull_tc, hull_dpc) = frequency_terms(self.base, Interval::hull(fs));
-        let mut cert = GridCertification {
-            interval_cells: 0,
-            exact_cells: 0,
-            degenerate: None,
-        };
-        for (j, (&p, a)) in self.ps.iter().zip(&self.apps).enumerate() {
-            let a_box = AppBox::of_model(self.app, Interval::point(self.n), p)
-                .expect("point workload always has a box");
-            let inv = E1Factors::of(&base_box, &a_box);
-            if inv.baseline_certified(hull_tc, hull_dpc) {
-                cert.interval_cells += fs.len();
-                continue;
-            }
-            for (i, &f) in fs.iter().enumerate() {
-                let (tc, dpc) = frequency_terms(self.base, Interval::point(f));
-                if inv.baseline_certified(tc, dpc) {
-                    cert.interval_cells += 1;
-                    continue;
-                }
-                cert.exact_cells += 1;
-                if let Err(source) = crate::model::ee(&self.base.at_frequency(f), a, p) {
-                    let index = i * self.ps.len() + j;
-                    if cert.degenerate.is_none_or(|(first, _)| index < first) {
-                        cert.degenerate = Some((index, source));
-                    }
-                }
-            }
-        }
-        cert
+        crate::interval::certify_pf_grid(self.app, self.base, self.n, &self.ps, fs)
     }
 }
 
-/// A `(p, n)` grid (Figs. 6, 8) with the machine fixed: the scalar path
+/// A `(p, n)` grid (Figs. 6, 8) with the machine fixed: a per-point sweep
 /// re-derives `mach.at_frequency(mach.f_hz)` per row, which is the same
 /// machine every time — here it is computed once. The application vector
-/// depends on both axes, so it stays per-cell (through the same fused
-/// kernel).
+/// depends on both axes, so the factors stay per-cell.
 pub struct PnGrid<'a> {
     app: &'a dyn AppModel,
     mach: MachineParams,
-    tc: f64,
-    dpc: f64,
-    psys: f64,
+    row: Row<f64>,
     ps: Vec<usize>,
     p_f64: Vec<f64>,
 }
@@ -617,9 +248,7 @@ impl<'a> PnGrid<'a> {
         let p_f64: Vec<f64> = ps.iter().map(|&p| p as f64).collect();
         Self {
             app,
-            tc: m.tc.raw(),
-            dpc: m.delta_pc.raw(),
-            psys: m.p_sys_idle.raw(),
+            row: Row::of_params(&m),
             mach: m,
             ps: ps.to_vec(),
             p_f64,
@@ -657,14 +286,12 @@ impl<'a> PnGrid<'a> {
             ee_out.len() == k && e1_out.len() == k,
             "row buffers must span the {k} columns"
         );
-        for (j, &p) in self.ps.iter().enumerate() {
-            let a = self.app.app_params(n, p);
-            let c = factors_of(&self.mach, &a);
-            let v = fused(self.tc, self.dpc, self.psys, &c, self.p_f64[j]);
+        for (j, (&p, &pf)) in self.ps.iter().zip(&self.p_f64).enumerate() {
+            let v = Factors::of_params(&self.mach, &self.app.app_params(n, p)).point(&self.row, pf);
             e1_out[j] = v.e1;
             ee_out[j] = v.ee;
         }
-        first_degenerate(&e1_out[..k])
+        first_degenerate(e1_out)
     }
 
     /// Evaluate one workload row into a fresh `EE` vector.
@@ -683,37 +310,10 @@ impl<'a> PnGrid<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apps::{CgModel, EpModel, FtModel};
-    use crate::model;
+    use crate::apps::{CgModel, FtModel};
 
     fn mach() -> MachineParams {
         MachineParams::system_g(2.8e9)
-    }
-
-    #[test]
-    fn point_eval_is_bit_identical_to_model() {
-        let m = mach();
-        let apps: Vec<(Box<dyn AppModel>, f64)> = vec![
-            (Box::new(FtModel::system_g()), (1u64 << 20) as f64),
-            (Box::new(EpModel::system_g()), 4e6),
-            (Box::new(CgModel::system_g()), 75_000.0),
-        ];
-        for (app, n) in &apps {
-            for p in [1usize, 4, 64, 1024] {
-                let a = app.app_params(*n, p);
-                let t = terms(&m, &a, p);
-                assert_eq!(t.t1.raw().to_bits(), model::t1(&m, &a).raw().to_bits());
-                assert_eq!(t.tp.raw().to_bits(), model::tp(&m, &a, p).raw().to_bits());
-                assert_eq!(t.e1.raw().to_bits(), model::e1(&m, &a).raw().to_bits());
-                assert_eq!(t.ep.raw().to_bits(), model::ep(&m, &a, p).raw().to_bits());
-                let ee = ee_point(&m, &a, p).expect("clean point");
-                let oracle = model::ee(&m, &a, p).expect("clean point");
-                assert_eq!(ee.to_bits(), oracle.to_bits());
-                let eef = eef_point(&m, &a, p).expect("clean point");
-                let oracle = model::eef(&m, &a, p).expect("clean point");
-                assert_eq!(eef.to_bits(), oracle.to_bits());
-            }
-        }
     }
 
     #[test]
@@ -775,20 +375,5 @@ mod tests {
             }
         );
         assert!(grid.eval_row(1e7).is_ok());
-    }
-
-    #[test]
-    fn pf_certify_matches_the_interval_pass() {
-        let m = mach();
-        let ft = FtModel::system_g();
-        let n = (1u64 << 20) as f64;
-        let ps = [1usize, 4, 16, 64, 256, 1024];
-        let fs = [1.6e9, 2.0e9, 2.4e9, 2.8e9];
-        let grid = PfGrid::new(&ft, &m, n, &ps);
-        let shared = grid.certify(&fs);
-        let standalone = crate::interval::certify_pf_grid(&ft, &m, n, &ps, &fs);
-        assert_eq!(shared, standalone);
-        assert!(shared.is_clean());
-        assert_eq!(shared.exact_cells, 0);
     }
 }

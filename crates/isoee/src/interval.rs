@@ -3,7 +3,7 @@
 //! Evaluates `T1/Tp/E1/Ep/EEF/EE` over parameter *boxes* instead of points,
 //! with outward-rounded interval arithmetic: each operation widens its
 //! result by one ulp per side (a few for the transcendental calls), so the
-//! interval result of a mirrored expression always contains every
+//! interval result of a kernel expression always contains every
 //! floating-point result the point evaluation in [`crate::model`] can
 //! produce on inputs drawn from the box. That containment is what lets a
 //! *single* interval evaluation certify a whole sweep grid:
@@ -16,15 +16,13 @@
 //!   ([`certify_pf_grid`]/[`certify_pn_grid`] fall back to exact
 //!   [`crate::model::ee`] calls for the undecided cells).
 //!
-//! The mirrors below reproduce the exact association order of the point
-//! formulas in [`crate::model`], [`MachineParams::at_frequency`] and the
-//! app models — the 1-ulp outward widening only absorbs the rounding of
-//! the *matching* floating-point operation, so a structural mismatch would
-//! silently void the containment guarantee. Keep them in lockstep.
+//! The enclosures are the [`Interval`] instance of the term kernel in
+//! `terms.rs`, the same expressions [`crate::model`] evaluates in `f64`.
 
 use crate::apps::AppModel;
 use crate::model::ModelError;
 use crate::params::{AppParams, MachineParams};
+use crate::terms::{self, Factors, Row, SeqFactors};
 
 /// A closed interval `[lo, hi]` of `f64` with outward-rounded arithmetic.
 ///
@@ -383,40 +381,22 @@ impl AppBox {
 /// intervals per frequency row re-certifies a whole column.
 #[must_use]
 pub fn frequency_terms(base: &MachineParams, f: Interval) -> (Interval, Interval) {
-    let tc = Interval::point(base.cpi) / f;
-    let dpc =
-        Interval::point(base.delta_pc.raw()) * (f / Interval::point(base.f_hz)).powf(base.gamma);
-    (tc, dpc)
+    terms::frequency(base, f)
 }
 
-/// The frequency-invariant factors of the `E1` enclosure (Eq. 13) for one
-/// `(MachBox, AppBox)` column — the interval-valued twin of the batch
-/// kernel's column factors in [`crate::batch`].
+/// The frequency-invariant part of the `E1` enclosure (Eq. 13) for one
+/// `(MachBox, AppBox)` column.
 ///
 /// Grid certification only needs the `E1` enclosure (the degenerate
-/// predicate is on `E1` alone), so caching these seven intervals per
-/// column and re-evaluating [`E1Factors::e1`] against each row's
-/// [`frequency_terms`] replaces a full [`evaluate`] per box while
-/// producing the *identical* `E1` interval: the operation sequence below
-/// is the same as [`e1`]'s, with the loop-invariant subterms computed
-/// once. Interval arithmetic is deterministic, so the certify verdicts
-/// cannot change. Keep in lockstep with [`e1`] and [`crate::model::e1`].
+/// predicate is on `E1` alone), so a column caches its factors once and
+/// re-evaluates [`E1Factors::e1`] against each row's [`frequency_terms`].
+/// That is the same kernel expression [`evaluate`] runs, so the interval
+/// is identical to the full enclosure's `E1` on the box with `tc`/`ΔPc`
+/// substituted.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct E1Factors {
-    /// Overlap factor `α`.
-    pub alpha: Interval,
-    /// `Wc`.
-    pub wc: Interval,
-    /// `Wm·tm`.
-    pub mem_seq: Interval,
-    /// `T_IO`.
-    pub t_io: Interval,
-    /// Idle power `P_sys_idle`.
-    pub psys: Interval,
-    /// `(Wm·tm)·ΔPm`.
-    pub e_mem_seq: Interval,
-    /// `T_IO·ΔP_IO`.
-    pub e_io: Interval,
+    factors: SeqFactors<Interval>,
+    psys: Interval,
 }
 
 impl E1Factors {
@@ -425,23 +405,20 @@ impl E1Factors {
     #[must_use]
     pub fn of(m: &MachBox, a: &AppBox) -> Self {
         Self {
-            alpha: a.alpha,
-            wc: a.wc,
-            mem_seq: a.wm * m.tm,
-            t_io: a.t_io,
+            factors: SeqFactors::of_boxes(m, a),
             psys: m.p_sys_idle,
-            e_mem_seq: a.wm * m.tm * m.delta_pm,
-            e_io: a.t_io * m.delta_pio,
         }
     }
 
-    /// The `E1` enclosure at the given frequency terms — identical to
-    /// [`e1`] on the box with `tc`/`delta_pc` substituted.
+    /// The `E1` enclosure at the given frequency terms.
     #[must_use]
     pub fn e1(&self, tc: Interval, dpc: Interval) -> Interval {
-        let x1 = self.wc * tc;
-        let t1 = self.alpha * (x1 + self.mem_seq + self.t_io);
-        t1 * self.psys + x1 * dpc + self.e_mem_seq + self.e_io
+        let row = Row {
+            tc,
+            delta_pc: dpc,
+            p_sys_idle: self.psys,
+        };
+        self.factors.sequential(&row).1
     }
 
     /// Proof that no point of the column×row box raises
@@ -452,71 +429,6 @@ impl E1Factors {
         let e1 = self.e1(tc, dpc);
         e1.lo > 0.0 && e1.hi.is_finite()
     }
-}
-
-// ---------------------------------------------------------------------
-// Model mirrors (must match crate::model association order exactly)
-// ---------------------------------------------------------------------
-
-/// Interval mirror of [`crate::model::t1`].
-#[must_use]
-pub fn t1(m: &MachBox, a: &AppBox) -> Interval {
-    a.alpha * (a.wc * m.tc + a.wm * m.tm + a.t_io)
-}
-
-/// Interval mirror of [`crate::model::t_net`].
-#[must_use]
-pub fn t_net(m: &MachBox, a: &AppBox) -> Interval {
-    t_net_of(m, a.messages, a.bytes)
-}
-
-/// Hockney communication time `M·ts + B·tw` for explicit message/byte
-/// enclosures — the Eq. 13 network term shared with the `plan` crate's
-/// static cost pass, which derives `M` and `B` from an IR walk instead of
-/// an [`AppBox`].
-#[must_use]
-pub fn t_net_of(m: &MachBox, messages: Interval, bytes: Interval) -> Interval {
-    messages * m.ts + bytes * m.tw
-}
-
-/// Network energy `(M·ts + B·tw) · ΔP_NIC` — the Eq. 15 NIC term for
-/// explicit message/byte enclosures (see [`t_net_of`]).
-#[must_use]
-pub fn e_net_of(m: &MachBox, messages: Interval, bytes: Interval) -> Interval {
-    t_net_of(m, messages, bytes) * m.delta_pnic
-}
-
-/// Interval mirror of [`crate::model::tp`].
-///
-/// # Panics
-/// Panics when `p == 0`.
-#[must_use]
-pub fn tp(m: &MachBox, a: &AppBox, p: usize) -> Interval {
-    assert!(p > 0, "need at least one processor");
-    a.alpha * ((a.wc + a.woc) * m.tc + (a.wm + a.wom) * m.tm + t_net(m, a) + a.t_io)
-        / Interval::point(p as f64)
-}
-
-/// Interval mirror of [`crate::model::e1`].
-#[must_use]
-pub fn e1(m: &MachBox, a: &AppBox) -> Interval {
-    t1(m, a) * m.p_sys_idle
-        + a.wc * m.tc * m.delta_pc
-        + a.wm * m.tm * m.delta_pm
-        + a.t_io * m.delta_pio
-}
-
-/// Interval mirror of [`crate::model::ep`].
-///
-/// # Panics
-/// Panics when `p == 0`.
-#[must_use]
-pub fn ep(m: &MachBox, a: &AppBox, p: usize) -> Interval {
-    tp(m, a, p) * Interval::point(p as f64) * m.p_sys_idle
-        + (a.wc + a.woc) * m.tc * m.delta_pc
-        + (a.wm + a.wom) * m.tm * m.delta_pm
-        + t_net(m, a) * m.delta_pnic
-        + a.t_io * m.delta_pio
 }
 
 /// The full abstract evaluation of one `(MachBox, AppBox, p)` box.
@@ -564,28 +476,34 @@ impl ModelEnclosure {
     }
 }
 
-/// Evaluate the whole model over a box. Mirrors
-/// [`crate::model::eef`]/[`crate::model::ee`]: the ratios are only formed
-/// when `E1` is certified positive and finite across the box.
+/// Evaluate the whole model over a box. Like [`crate::model::eef`] and
+/// [`crate::model::ee`], the ratios are only formed when `E1` is certified
+/// positive and finite across the box.
 ///
 /// # Panics
 /// Panics when `p == 0`.
 #[must_use]
 pub fn evaluate(m: &MachBox, a: &AppBox, p: usize) -> ModelEnclosure {
-    let e1v = e1(m, a);
-    let epv = ep(m, a, p);
+    enclose(&Factors::of_boxes(m, a), &Row::of_box(m), p)
+}
+
+/// [`evaluate`] from already-derived column factors.
+pub(crate) fn enclose(f: &Factors<Interval>, r: &Row<Interval>, p: usize) -> ModelEnclosure {
+    assert!(p > 0, "need at least one processor");
+    let (t1, e1) = f.seq.sequential(r);
+    let (tp, ep) = f.par.parallel(&f.seq, r, Interval::point(p as f64));
     let mut out = ModelEnclosure {
-        t1: t1(m, a),
-        tp: tp(m, a, p),
-        e1: e1v,
-        ep: epv,
+        t1,
+        tp,
+        e1,
+        ep,
         eef: None,
         ee: None,
     };
     if out.baseline_certified() {
-        let eefv = (epv - e1v) / e1v;
-        out.eef = Some(eefv);
-        out.ee = Some(Interval::point(1.0) / (Interval::point(1.0) + eefv));
+        let (eef, ee) = terms::ratios(e1, ep);
+        out.eef = Some(eef);
+        out.ee = Some(ee);
     }
     out
 }
@@ -900,10 +818,10 @@ mod tests {
     }
 
     #[test]
-    fn e1_factors_are_in_lockstep_with_the_e1_mirror() {
+    fn e1_factors_match_the_full_enclosure() {
         // The factored path must produce the *identical* interval as the
-        // direct mirror — bit-for-bit on both endpoints — so the certify
-        // refactor cannot have changed any verdict.
+        // full enclosure — bit-for-bit on both endpoints — so the certify
+        // loops reach the same verdicts as a per-box `evaluate`.
         let base = mach();
         let fs = [1.6e9, 2.0e9, 2.4e9, 2.8e9];
         let ft = FtModel::system_g();
@@ -914,12 +832,12 @@ mod tests {
             for f in [Interval::hull(&fs), Interval::point(2.0e9)] {
                 let (tc, dpc) = frequency_terms(&base, f);
                 let factored = inv.e1(tc, dpc);
-                let mirror = e1(&MachBox::over_frequencies(&base, f), &a_box);
-                assert_eq!(factored.lo.to_bits(), mirror.lo.to_bits(), "p={p}");
-                assert_eq!(factored.hi.to_bits(), mirror.hi.to_bits(), "p={p}");
+                let full = evaluate(&MachBox::over_frequencies(&base, f), &a_box, p).e1;
+                assert_eq!(factored.lo.to_bits(), full.lo.to_bits(), "p={p}");
+                assert_eq!(factored.hi.to_bits(), full.hi.to_bits(), "p={p}");
                 assert_eq!(
                     inv.baseline_certified(tc, dpc),
-                    mirror.lo > 0.0 && mirror.hi.is_finite(),
+                    full.lo > 0.0 && full.hi.is_finite(),
                 );
             }
         }
@@ -962,7 +880,7 @@ mod factored_soundness {
                 frequency_terms(&base, Interval::new(f_lo, f_hi));
             let hull_e1 = inv.e1(hull_tc, hull_dpc);
             for f in [f_lo, 0.5 * (f_lo + f_hi), f_hi] {
-                let point = batch::terms(&base.at_frequency(f), &a, p);
+                let point = batch::evaluate(&base.at_frequency(f), &a, p).terms;
                 prop_assert!(
                     hull_e1.contains(point.e1.raw()),
                     "batch E1 {} at f={f} escapes hull enclosure {hull_e1}",
@@ -995,7 +913,7 @@ mod factored_soundness {
             if inv.baseline_certified(tc, dpc) {
                 for f in [f_lo, 0.5 * (f_lo + f_hi), f_hi] {
                     prop_assert!(
-                        batch::ee_point(&base.at_frequency(f), &a, p).is_ok(),
+                        batch::evaluate(&base.at_frequency(f), &a, p).ee.is_ok(),
                         "certified column has a degenerate batch point at f={f}"
                     );
                 }

@@ -34,14 +34,16 @@
 //!   paper's Figs. 3–4).
 //! * [`scaling`] — EE surfaces over `(p, f)` / `(p, n)`, iso-EE contours,
 //!   and the DVFS/parallelism advisor (§V.B's decision-making use case).
-//! * [`batch`] — the batched columnar sweep kernel: Eq. 13/15 terms
-//!   factored into per-axis invariant and varying parts, whole grid rows
-//!   evaluated into flat struct-of-arrays buffers, bit-identical to
-//!   [`model`] (the sweeps in [`scaling`] route through it; set
-//!   `ISOEE_SCALAR_SWEEP=1` to force the scalar oracle).
+//! * [`batch`] — the batched sweep grids: Eq. 13/15 terms factored into
+//!   per-axis invariant and varying parts, whole grid rows evaluated into
+//!   flat buffers, bit-identical to [`model`] (the sweeps in [`scaling`]
+//!   route through it).
 //! * [`interval`] — outward-rounded interval evaluation of the model over
 //!   parameter *boxes*: ahead-of-time certification that a whole sweep
 //!   grid is free of degenerate baselines (or the exact offending cell).
+//!
+//! [`model`], [`batch`] and [`interval`] are the `f64` and [`Interval`]
+//! instances of one private term kernel, so each equation is written once.
 //!
 //! ## Quick start
 //!
@@ -70,6 +72,7 @@ pub mod plancost;
 pub mod report;
 pub mod scaling;
 pub mod symcost;
+mod terms;
 pub mod validate;
 
 pub use apps::{AppModel, CgModel, EpModel, FtModel};
@@ -82,10 +85,10 @@ pub use model::{e0, e1, ee, eef, ep, t1, tp, ModelError};
 pub use params::{AppParams, MachineParams};
 pub use plancost::{cost_bounds, PlanCost};
 pub use scaling::{
-    best_frequency, best_frequency_scalar_with, best_frequency_with, ee_surface_pf,
-    ee_surface_pf_scalar_with, ee_surface_pf_with, ee_surface_pn, ee_surface_pn_scalar_with,
-    ee_surface_pn_with, iso_ee_contour, iso_ee_contour_scalar_with, iso_ee_contour_with,
-    iso_ee_workload, set_eval_timing, PoolConfig, Surface, SweepError,
+    best_frequency, best_frequency_with, ee_surface_pf, ee_surface_pf_scalar_with,
+    ee_surface_pf_with, ee_surface_pn, ee_surface_pn_scalar_with, ee_surface_pn_with,
+    iso_ee_contour, iso_ee_contour_with, iso_ee_workload, set_eval_timing, PoolConfig, Surface,
+    SweepError,
 };
 pub use symcost::{power_cap_verdict, sym_app_box, sym_cost_bounds, PowerCapVerdict, SymPlanCost};
 pub use validate::{validate_kernel, ValidationPoint, ValidationSummary};

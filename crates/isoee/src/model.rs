@@ -14,19 +14,11 @@
 //!      + (M·ts + B·tw)·ΔP_NIC                                      (Eq. 15/18)
 //! ```
 //!
-//! and from those `E0`, `EEF` and `EE` (Eqs. 16, 19, 21). Every term is
-//! assembled through the dimensional algebra of [`simcluster::units`]
-//! (`tally × latency → Seconds`, `Seconds × Watts → Joules`), so a
-//! unit-mixing mistake in a formula is a compile error rather than a wrong
-//! curve.
-//!
-//! **Lockstep contract:** the batched columnar kernel ([`crate::batch`])
-//! and the interval mirrors ([`crate::interval`]) reproduce these
-//! formulas' exact association trees — the batch kernel is pinned
-//! *bit-identical* to this module by `tests/batch_equivalence.rs`, and
-//! the interval containment guarantee relies on structural matching.
-//! Any change to an expression here (even a re-association) must be made
-//! in all three places together.
+//! and from those `E0`, `EEF` and `EE` (Eqs. 16, 19, 21). The functions
+//! here are the unit-typed `f64` instance of the term kernel in
+//! `terms.rs`, which the batch sweeps and the interval enclosures share.
+//! Inputs and results stay [`simcluster::units`] newtypes, so a caller
+//! cannot pass a latency where a power belongs.
 
 use std::error::Error;
 use std::fmt;
@@ -34,6 +26,7 @@ use std::fmt;
 use simcluster::units::{Joules, Seconds};
 
 use crate::params::{AppParams, MachineParams};
+use crate::terms::{self, Factors, Point, Row};
 
 /// A parameter set the ratio model cannot evaluate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,17 +54,43 @@ impl fmt::Display for ModelError {
 
 impl Error for ModelError {}
 
+/// `value` when the baseline `e1` is positive and finite, else the
+/// [`ModelError::DegenerateBaseline`] every ratio-valued result reports.
+pub(crate) fn checked<T>(e1: f64, value: T) -> Result<T, ModelError> {
+    if e1.is_finite() && e1 > 0.0 {
+        Ok(value)
+    } else {
+        Err(ModelError::DegenerateBaseline {
+            e1: Joules::new(e1),
+        })
+    }
+}
+
+/// Every term at one point, ratios unguarded.
+///
+/// # Panics
+/// Panics when `p == 0`.
+pub(crate) fn point(m: &MachineParams, a: &AppParams, p: usize) -> Point<f64> {
+    assert!(p > 0, "need at least one processor");
+    Factors::of_params(m, a).point(&Row::of_params(m), p as f64)
+}
+
+/// `(T1, E1)`, which do not depend on `p`.
+fn sequential(m: &MachineParams, a: &AppParams) -> (f64, f64) {
+    Factors::of_params(m, a).seq.sequential(&Row::of_params(m))
+}
+
 /// Actual sequential execution time `T1 = α·(Wc·tc + Wm·tm + T_IO)`
 /// (Eqs. 5–6).
 #[must_use]
 pub fn t1(m: &MachineParams, a: &AppParams) -> Seconds {
-    a.alpha * (a.wc * m.tc + a.wm * m.tm + a.t_io)
+    Seconds::new(sequential(m, a).0)
 }
 
 /// Total network time `M·ts + B·tw` across all processors (Eq. 17).
 #[must_use]
 pub fn t_net(m: &MachineParams, a: &AppParams) -> Seconds {
-    a.messages * m.ts + a.bytes * m.tw
+    Seconds::new(Factors::of_params(m, a).par.t_net)
 }
 
 /// Actual per-processor parallel execution time (Eq. 10 with homogeneous
@@ -85,17 +104,13 @@ pub fn t_net(m: &MachineParams, a: &AppParams) -> Seconds {
 /// Panics when `p == 0`.
 #[must_use]
 pub fn tp(m: &MachineParams, a: &AppParams, p: usize) -> Seconds {
-    assert!(p > 0, "need at least one processor");
-    a.alpha * ((a.wc + a.woc) * m.tc + (a.wm + a.wom) * m.tm + t_net(m, a) + a.t_io) / p as f64
+    Seconds::new(point(m, a, p).tp)
 }
 
 /// Sequential energy `E1` (Eq. 13).
 #[must_use]
 pub fn e1(m: &MachineParams, a: &AppParams) -> Joules {
-    t1(m, a) * m.p_sys_idle
-        + a.wc * m.tc * m.delta_pc
-        + a.wm * m.tm * m.delta_pm
-        + a.t_io * m.delta_pio
+    Joules::new(sequential(m, a).1)
 }
 
 /// Parallel energy `Ep` on `p` processors (Eqs. 14–15 with the network
@@ -105,11 +120,7 @@ pub fn e1(m: &MachineParams, a: &AppParams) -> Joules {
 /// Panics when `p == 0`.
 #[must_use]
 pub fn ep(m: &MachineParams, a: &AppParams, p: usize) -> Joules {
-    tp(m, a, p) * p as f64 * m.p_sys_idle
-        + (a.wc + a.woc) * m.tc * m.delta_pc
-        + (a.wm + a.wom) * m.tm * m.delta_pm
-        + t_net(m, a) * m.delta_pnic
-        + a.t_io * m.delta_pio
+    Joules::new(point(m, a, p).ep)
 }
 
 /// Parallel energy overhead `E0 = Ep − E1` (Eqs. 1, 16).
@@ -118,7 +129,8 @@ pub fn ep(m: &MachineParams, a: &AppParams, p: usize) -> Joules {
 /// Panics when `p == 0`.
 #[must_use]
 pub fn e0(m: &MachineParams, a: &AppParams, p: usize) -> Joules {
-    ep(m, a, p) - e1(m, a)
+    let v = point(m, a, p);
+    Joules::new(terms::e0(v.e1, v.ep))
 }
 
 /// Energy Efficiency Factor `EEF = E0 / E1` (Eqs. 3, 19).
@@ -131,11 +143,8 @@ pub fn e0(m: &MachineParams, a: &AppParams, p: usize) -> Joules {
 /// # Panics
 /// Panics when `p == 0`.
 pub fn eef(m: &MachineParams, a: &AppParams, p: usize) -> Result<f64, ModelError> {
-    let base = e1(m, a);
-    if !(base.is_finite() && base > Joules::ZERO) {
-        return Err(ModelError::DegenerateBaseline { e1: base });
-    }
-    Ok(e0(m, a, p) / base)
+    let v = point(m, a, p);
+    checked(v.e1, v.eef)
 }
 
 /// Iso-energy-efficiency `EE = 1 / (1 + EEF)` (Eqs. 2, 4, 21).
@@ -152,7 +161,8 @@ pub fn eef(m: &MachineParams, a: &AppParams, p: usize) -> Result<f64, ModelError
 /// # Panics
 /// Panics when `p == 0`.
 pub fn ee(m: &MachineParams, a: &AppParams, p: usize) -> Result<f64, ModelError> {
-    Ok(1.0 / (1.0 + eef(m, a, p)?))
+    let v = point(m, a, p);
+    checked(v.e1, v.ee)
 }
 
 /// The §V.B.5 observation: with an evenly divided workload, rewrite

@@ -26,7 +26,7 @@
 //! latency cannot be added to a power and a workload tally cannot be used
 //! as a duration without going through the dimensional algebra.
 
-use simcluster::units::{Accesses, Bytes, Hertz, Instructions, Messages, Seconds, Watts};
+use simcluster::units::{Accesses, Bytes, Instructions, Messages, Seconds, Watts};
 use simcluster::ClusterSpec;
 
 /// Machine-dependent parameters (Table 1) at a specific DVFS state.
@@ -122,9 +122,10 @@ impl MachineParams {
     #[must_use]
     pub fn at_frequency(&self, f_hz: f64) -> Self {
         assert!(f_hz.is_finite() && f_hz > 0.0, "invalid frequency {f_hz}");
+        let (tc, delta_pc) = crate::terms::frequency(self, f_hz);
         let mut m = *self;
-        m.tc = Instructions::new(self.cpi) / Hertz::new(f_hz);
-        m.delta_pc = self.delta_pc * (f_hz / self.f_hz).powf(self.gamma);
+        m.tc = Seconds::new(tc);
+        m.delta_pc = Watts::new(delta_pc);
         m.f_hz = f_hz;
         m
     }

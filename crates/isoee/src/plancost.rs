@@ -14,6 +14,7 @@
 use plan::PlanAnalysis;
 
 use crate::interval::{self, AppBox, Interval, MachBox, ModelEnclosure};
+use crate::terms::{Factors, Row};
 
 /// Static cost bounds for one analyzed plan on one machine box.
 #[derive(Debug, Clone, Copy)]
@@ -57,13 +58,23 @@ pub fn app_box(analysis: &PlanAnalysis) -> AppBox {
     }
 }
 
+/// Price an application box on `mach` at `p`: the enclosures of the
+/// Hockney time `M·ts + B·tw`, of its NIC energy, and of the full model.
+/// [`cost_bounds`] and [`crate::symcost::sym_cost_bounds`] differ only in
+/// where the counts behind `a` come from.
+pub(crate) fn price(a: &AppBox, mach: &MachBox, p: usize) -> (Interval, Interval, ModelEnclosure) {
+    let f = Factors::of_boxes(mach, a);
+    (
+        f.par.t_net,
+        f.par.e_net,
+        interval::enclose(&f, &Row::of_box(mach), p),
+    )
+}
+
 /// Evaluate the static cost/energy bounds of an analyzed plan on `mach`.
 #[must_use]
 pub fn cost_bounds(analysis: &PlanAnalysis, mach: &MachBox) -> PlanCost {
-    let a = app_box(analysis);
-    let t_comm = interval::t_net_of(mach, a.messages, a.bytes);
-    let e_comm = interval::e_net_of(mach, a.messages, a.bytes);
-    let enclosure = interval::evaluate(mach, &a, analysis.p);
+    let (t_comm, e_comm, enclosure) = price(&app_box(analysis), mach, analysis.p);
     PlanCost {
         messages: analysis.total.messages,
         bytes: analysis.total.bytes,
@@ -119,10 +130,10 @@ mod tests {
 
         assert_eq!(cost.messages, p as u64);
         assert_eq!(cost.bytes, 256 * p as u64);
-        // Exact totals -> point comm enclosures equal to the model's own
-        // t_net over the equivalent AppBox.
+        // Exact totals -> point comm enclosures equal to Eq. 17's
+        // M·ts + B·tw over the equivalent AppBox.
         let a = app_box(&analysis);
-        let expected = crate::interval::t_net(&m, &a);
+        let expected = a.messages * m.ts + a.bytes * m.tw;
         assert_eq!(cost.t_comm, expected);
         assert_eq!(cost.e_comm, expected * m.delta_pnic);
         // Exact counts: the enclosure is tight up to outward rounding.

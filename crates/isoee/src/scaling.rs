@@ -25,8 +25,8 @@
 //! *first* degenerate evaluation in the sweep's deterministic index order
 //! as a [`SweepError`].
 //!
-//! The scalar surface paths and the advisor (in both modes) *pre-certify*
-//! their grids with the interval abstract interpreter
+//! The `*_scalar_with` surface paths and the advisor *pre-certify* their
+//! grids with the interval abstract interpreter
 //! ([`crate::interval`]) before any pool task is spawned: a clean grid is
 //! usually proven degenerate-free with one interval evaluation per
 //! column, and a degenerate grid is rejected up front with exactly the
@@ -36,34 +36,22 @@
 //! instead scan each row's `E1` column after its branch-free evaluation —
 //! the scan is as cheap as the evaluation itself and yields the identical
 //! first `SweepError`, so a per-sweep interval pass would be pure
-//! overhead there; [`crate::batch::PfGrid::certify`] still offers the
-//! shared-invariant certification to callers who want a grid proven
+//! overhead there; [`crate::batch::PfGrid::certify`] still proves a grid
 //! clean *without* evaluating it.
 //!
 //! ## Batch kernel routing
 //!
-//! All sweep entry points evaluate through the batched columnar kernel
+//! The surfaces evaluate through the batched columnar grids
 //! ([`crate::batch`]): column-invariant Eq. 13/15 factors are derived once
 //! per column and each pool task evaluates a whole row into flat `f64`
-//! buffers. The kernel is pinned **bit-identical** to the scalar model
-//! (`tests/batch_equivalence.rs`), so routing through it changes no
-//! output, only throughput. The scalar path is retained as the
-//! differential-testing oracle: set the `ISOEE_SCALAR_SWEEP` environment
-//! variable (any non-empty value other than `0`) to force every sweep
-//! through per-point [`crate::model`] calls, or call the public
-//! `*_scalar_with` variants directly (tests and benches prefer those —
-//! no env-var races).
+//! buffers. The `*_scalar_with` variants evaluate the same grids one
+//! [`crate::model::ee`] call per cell; they are the per-point reference
+//! the sweep bench compares against.
 
 use crate::apps::AppModel;
 use crate::model::{self, ModelError};
 use crate::params::{AppParams, MachineParams};
 pub use pool::PoolConfig;
-
-/// Whether the `ISOEE_SCALAR_SWEEP` env var forces the scalar oracle.
-/// Read per entry-point call, so a test can flip it between sweeps.
-pub(crate) fn scalar_sweep_forced() -> bool {
-    std::env::var("ISOEE_SCALAR_SWEEP").is_ok_and(|v| !v.is_empty() && v != "0")
-}
 
 /// A sweep hit a parameter point the ratio model cannot evaluate.
 ///
@@ -227,9 +215,8 @@ pub fn ee_surface_pf(
     ee_surface_pf_with(pool::global(), app, base, n, ps, fs)
 }
 
-/// [`ee_surface_pf`] on an explicit pool config; rows (one per frequency)
-/// evaluate in parallel through the batch kernel (or the scalar oracle
-/// when `ISOEE_SCALAR_SWEEP` is set).
+/// [`ee_surface_pf`] on an explicit pool config: column factors once, one
+/// pool task per frequency row.
 ///
 /// # Errors
 /// Returns the first degenerate evaluation in row-major order as a
@@ -242,17 +229,19 @@ pub fn ee_surface_pf_with(
     ps: &[usize],
     fs: &[f64],
 ) -> Result<Surface, SweepError> {
-    if scalar_sweep_forced() {
-        ee_surface_pf_scalar_with(cfg, app, base, n, ps, fs)
-    } else {
-        ee_surface_pf_batch_with(cfg, app, base, n, ps, fs)
-    }
+    let grid = crate::batch::PfGrid::new(app, base, n, ps);
+    let rows = pool::parallel_map(cfg, fs, |&f| {
+        timed_row(ps.len(), || {
+            model_evals_counter().add(ps.len() as u64);
+            grid.eval_row(f)
+        })
+    });
+    collect_rows(fs, ps.iter().map(|&p| p as f64).collect(), rows, ps.len())
 }
 
-/// The scalar differential oracle for [`ee_surface_pf_with`]: per-point
-/// [`crate::model::ee`] calls, no factoring. Kept verbatim so the batch
-/// kernel always has an independently-derived result to be compared
-/// against (`tests/batch_equivalence.rs` pins them bit-identical).
+/// [`ee_surface_pf_with`] evaluated with one [`crate::model::ee`] call per
+/// cell, after an interval pre-certification of the grid: the per-point
+/// reference the sweep bench times the batched grid against.
 ///
 /// # Errors
 /// Returns the first degenerate evaluation in row-major order as a
@@ -284,26 +273,6 @@ pub fn ee_surface_pf_scalar_with(
     collect_rows(fs, ps.iter().map(|&p| p as f64).collect(), rows, ps.len())
 }
 
-/// Batch-kernel body of [`ee_surface_pf_with`]: column factors once, one
-/// pool task per frequency row.
-fn ee_surface_pf_batch_with(
-    cfg: &PoolConfig,
-    app: &dyn AppModel,
-    base: &MachineParams,
-    n: f64,
-    ps: &[usize],
-    fs: &[f64],
-) -> Result<Surface, SweepError> {
-    let grid = crate::batch::PfGrid::new(app, base, n, ps);
-    let rows = pool::parallel_map(cfg, fs, |&f| {
-        timed_row(ps.len(), || {
-            model_evals_counter().add(ps.len() as u64);
-            grid.eval_row(f)
-        })
-    });
-    collect_rows(fs, ps.iter().map(|&p| p as f64).collect(), rows, ps.len())
-}
-
 /// `EE(p, n)` at the fixed frequency of `mach` (Figs. 6, 8), on the global
 /// pool.
 ///
@@ -319,9 +288,9 @@ pub fn ee_surface_pn(
     ee_surface_pn_with(pool::global(), app, mach, ps, ns)
 }
 
-/// [`ee_surface_pn`] on an explicit pool config; rows (one per workload)
-/// evaluate in parallel through the batch kernel (or the scalar oracle
-/// when `ISOEE_SCALAR_SWEEP` is set).
+/// [`ee_surface_pn`] on an explicit pool config: the machine is fixed
+/// once (a per-point sweep re-derives `at_frequency(f_hz)` per row — the
+/// same machine every time), one pool task per workload row.
 ///
 /// # Errors
 /// Returns the first degenerate evaluation in row-major order as a
@@ -333,15 +302,18 @@ pub fn ee_surface_pn_with(
     ps: &[usize],
     ns: &[f64],
 ) -> Result<Surface, SweepError> {
-    if scalar_sweep_forced() {
-        ee_surface_pn_scalar_with(cfg, app, mach, ps, ns)
-    } else {
-        ee_surface_pn_batch_with(cfg, app, mach, ps, ns)
-    }
+    let grid = crate::batch::PnGrid::new(app, mach, ps);
+    let rows = pool::parallel_map(cfg, ns, |&n| {
+        timed_row(ps.len(), || {
+            model_evals_counter().add(ps.len() as u64);
+            grid.eval_row(n)
+        })
+    });
+    collect_rows(ns, ps.iter().map(|&p| p as f64).collect(), rows, ps.len())
 }
 
-/// The scalar differential oracle for [`ee_surface_pn_with`] (see
-/// [`ee_surface_pf_scalar_with`]).
+/// [`ee_surface_pn_with`] evaluated with one [`crate::model::ee`] call per
+/// cell (see [`ee_surface_pf_scalar_with`]).
 ///
 /// # Errors
 /// Returns the first degenerate evaluation in row-major order as a
@@ -372,26 +344,6 @@ pub fn ee_surface_pn_scalar_with(
     collect_rows(ns, ps.iter().map(|&p| p as f64).collect(), rows, ps.len())
 }
 
-/// Batch-kernel body of [`ee_surface_pn_with`]: the machine is fixed once
-/// (the scalar path re-derives `at_frequency(f_hz)` per row — the same
-/// machine every time), one pool task per workload row.
-fn ee_surface_pn_batch_with(
-    cfg: &PoolConfig,
-    app: &dyn AppModel,
-    mach: &MachineParams,
-    ps: &[usize],
-    ns: &[f64],
-) -> Result<Surface, SweepError> {
-    let grid = crate::batch::PnGrid::new(app, mach, ps);
-    let rows = pool::parallel_map(cfg, ns, |&n| {
-        timed_row(ps.len(), || {
-            model_evals_counter().add(ps.len() as u64);
-            grid.eval_row(n)
-        })
-    });
-    collect_rows(ns, ps.iter().map(|&p| p as f64).collect(), rows, ps.len())
-}
-
 /// The iso-energy-efficiency workload: the smallest `n ∈ [n_lo, n_hi]` with
 /// `EE(n, p) ≥ target`, found by bisection (EE is monotone non-decreasing
 /// in `n` for overhead-dominated applications like FT and CG).
@@ -412,31 +364,9 @@ pub fn iso_ee_workload(
     n_lo: f64,
     n_hi: f64,
 ) -> Result<Option<f64>, ModelError> {
-    iso_ee_workload_impl(app, mach, p, target, n_lo, n_hi, scalar_sweep_forced())
-}
-
-/// [`iso_ee_workload`] with the kernel choice explicit.
-#[allow(clippy::too_many_arguments)]
-fn iso_ee_workload_impl(
-    app: &dyn AppModel,
-    mach: &MachineParams,
-    p: usize,
-    target: f64,
-    n_lo: f64,
-    n_hi: f64,
-    scalar: bool,
-) -> Result<Option<f64>, ModelError> {
     assert!(n_lo > 1.0 && n_hi > n_lo, "invalid bracket");
     assert!(target > 0.0 && target < 1.0, "target EE must be in (0,1)");
-    let ee_at = |n: f64| {
-        let a = app.app_params(n, p);
-        if scalar {
-            ee_checked(mach, &a, p)
-        } else {
-            model_evals_counter().inc();
-            crate::batch::ee_point(mach, &a, p)
-        }
-    };
+    let ee_at = |n: f64| ee_checked(mach, &app.app_params(n, p), p);
     if ee_at(n_hi)? < target {
         return Ok(None);
     }
@@ -497,53 +427,8 @@ pub fn iso_ee_contour_with(
     n_lo: f64,
     n_hi: f64,
 ) -> Result<Vec<Option<f64>>, SweepError> {
-    iso_ee_contour_impl(
-        cfg,
-        app,
-        mach,
-        ps,
-        target,
-        n_lo,
-        n_hi,
-        scalar_sweep_forced(),
-    )
-}
-
-/// The scalar differential oracle for [`iso_ee_contour_with`]: every
-/// bisection probe goes through per-point [`crate::model::ee`].
-///
-/// # Errors
-/// Returns the first degenerate bisection (by position in `ps`) as a
-/// [`SweepError`].
-///
-/// # Panics
-/// Panics on an invalid bracket or a target outside `(0, 1)`.
-#[allow(clippy::too_many_arguments)]
-pub fn iso_ee_contour_scalar_with(
-    cfg: &PoolConfig,
-    app: &dyn AppModel,
-    mach: &MachineParams,
-    ps: &[usize],
-    target: f64,
-    n_lo: f64,
-    n_hi: f64,
-) -> Result<Vec<Option<f64>>, SweepError> {
-    iso_ee_contour_impl(cfg, app, mach, ps, target, n_lo, n_hi, true)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn iso_ee_contour_impl(
-    cfg: &PoolConfig,
-    app: &dyn AppModel,
-    mach: &MachineParams,
-    ps: &[usize],
-    target: f64,
-    n_lo: f64,
-    n_hi: f64,
-    scalar: bool,
-) -> Result<Vec<Option<f64>>, SweepError> {
     let results = pool::parallel_map(cfg, ps, |&p| {
-        iso_ee_workload_impl(app, mach, p, target, n_lo, n_hi, scalar)
+        iso_ee_workload(app, mach, p, target, n_lo, n_hi)
     });
     results
         .into_iter()
@@ -589,39 +474,6 @@ pub fn best_frequency_with(
     p: usize,
     freqs: &[f64],
 ) -> Result<(f64, f64), SweepError> {
-    best_frequency_impl(cfg, app, base, n, p, freqs, scalar_sweep_forced())
-}
-
-/// The scalar differential oracle for [`best_frequency_with`]: every
-/// probe goes through per-point [`crate::model::ee`].
-///
-/// # Errors
-/// Returns the first degenerate frequency (by position in `freqs`) as a
-/// [`SweepError`].
-///
-/// # Panics
-/// Panics when `freqs` is empty or an `EE` value is not comparable.
-pub fn best_frequency_scalar_with(
-    cfg: &PoolConfig,
-    app: &dyn AppModel,
-    base: &MachineParams,
-    n: f64,
-    p: usize,
-    freqs: &[f64],
-) -> Result<(f64, f64), SweepError> {
-    best_frequency_impl(cfg, app, base, n, p, freqs, true)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn best_frequency_impl(
-    cfg: &PoolConfig,
-    app: &dyn AppModel,
-    base: &MachineParams,
-    n: f64,
-    p: usize,
-    freqs: &[f64],
-    scalar: bool,
-) -> Result<(f64, f64), SweepError> {
     assert!(!freqs.is_empty(), "need at least one frequency");
     if let Some((index, source)) =
         crate::interval::certify_frequency_probes(app, base, n, p, freqs).degenerate
@@ -629,15 +481,7 @@ fn best_frequency_impl(
         return Err(SweepError { index, source });
     }
     let a = app.app_params(n, p);
-    let ees = pool::parallel_map(cfg, freqs, |&f| {
-        let m = base.at_frequency(f);
-        if scalar {
-            ee_checked(&m, &a, p)
-        } else {
-            model_evals_counter().inc();
-            crate::batch::ee_point(&m, &a, p)
-        }
-    });
+    let ees = pool::parallel_map(cfg, freqs, |&f| ee_checked(&base.at_frequency(f), &a, p));
     let mut probed = Vec::with_capacity(freqs.len());
     for (index, (f, ee)) in freqs.iter().zip(ees).enumerate() {
         probed.push((*f, ee.map_err(|source| SweepError { index, source })?));

@@ -21,7 +21,7 @@
 
 use plan::{ParametricCert, SymCounts};
 
-use crate::interval::{self, AppBox, Interval, MachBox, ModelEnclosure};
+use crate::interval::{AppBox, Interval, MachBox, ModelEnclosure};
 
 /// Symbolic cost/energy bounds for one certified plan at one admissible
 /// `p`, derived from the certificate's count enclosures.
@@ -69,9 +69,7 @@ pub fn sym_cost_bounds(cert: &ParametricCert, p: u64, mach: &MachBox) -> Option<
     let counts = cert.counts(p)?;
     let pu = usize::try_from(p).ok()?;
     let a = sym_app_box(&counts);
-    let t_comm = interval::t_net_of(mach, a.messages, a.bytes);
-    let e_comm = interval::e_net_of(mach, a.messages, a.bytes);
-    let enclosure = interval::evaluate(mach, &a, pu);
+    let (t_comm, e_comm, enclosure) = crate::plancost::price(&a, mach, pu);
     Some(SymPlanCost {
         p,
         messages: a.messages,
@@ -172,25 +170,35 @@ fn avg_power_bounds(cert: &ParametricCert, mach: &MachBox, p: u64) -> Option<(f6
 
 /// The idle-floor rejection for unbounded domains: `Ep/Tp ≥ p ·
 /// P_sys_idle.lo`, so once `p > cap / P_sys_idle.lo` the cap is busted at
-/// every larger admissible `p`.
+/// every larger admissible `p`. When that first violating `p` is not a
+/// representable `u64` (`cap / P_sys_idle.lo ≥ 2^64`, an infinite cap, or
+/// a power-of-two round-up past `2^63`), no admissible `p` is proven over
+/// the cap and the verdict is [`PowerCapVerdict::Undecided`].
 fn unbounded_verdict(cert: &ParametricCert, mach: &MachBox, cap_watts: f64) -> PowerCapVerdict {
+    /// `2^64` (the cast rounds up to it): every non-negative integral
+    /// `f64` below it converts to `u64` exactly.
+    #[allow(clippy::cast_precision_loss)]
+    const U64_END: f64 = u64::MAX as f64;
     let idle = mach.p_sys_idle.lo;
     let min_p = cert.domain.min_p();
-    if idle <= 0.0 {
-        return PowerCapVerdict::Undecided { at_p: min_p };
+    let undecided = PowerCapVerdict::Undecided { at_p: min_p };
+    let ratio = (cap_watts / idle).floor();
+    // False for NaN as well as for ratios of 2^64 and up.
+    let representable = ratio < U64_END;
+    if idle <= 0.0 || !representable {
+        return undecided;
     }
     // Smallest admissible p with p · idle > cap. floor(cap/idle) + 1 is
     // the first integer over the threshold; round up to the domain.
-    #[allow(
-        clippy::cast_precision_loss,
-        clippy::cast_possible_truncation,
-        clippy::cast_sign_loss
-    )]
-    let threshold = ((cap_watts / idle).floor().max(0.0) as u64).saturating_add(1);
-    let candidate = threshold.max(min_p);
+    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    let threshold = (ratio.max(0.0) as u64).checked_add(1);
+    let candidate = threshold.map(|t| t.max(min_p));
     let from_p = match &cert.domain {
-        plan::Domain::Pow2 { .. } => candidate.next_power_of_two(),
+        plan::Domain::Pow2 { .. } => candidate.and_then(u64::checked_next_power_of_two),
         plan::Domain::Any { .. } => candidate,
+    };
+    let Some(from_p) = from_p else {
+        return undecided;
     };
     debug_assert!(cert.domain.contains(from_p));
     PowerCapVerdict::Rejected { from_p, to_p: None }
@@ -328,6 +336,31 @@ mod tests {
                 }
             }
             other => panic!("expected rejection, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn unrepresentable_idle_thresholds_are_undecided() {
+        // cap / P_sys_idle ≥ 2^64 (or an infinite cap): no u64 p exceeds
+        // the cap, so neither domain kind may claim a rejection.
+        let plan = ring(64);
+        let m = mach();
+        for domain in [
+            Domain::Pow2 {
+                min_lg: 1,
+                max_lg: None,
+            },
+            Domain::at_least(2),
+        ] {
+            let cert = certify_plan(&plan, &domain);
+            assert!(cert.certified, "{:?}", cert.failure);
+            for cap in [1e22, f64::INFINITY] {
+                assert_eq!(
+                    power_cap_verdict(&cert, &m, cap),
+                    PowerCapVerdict::Undecided { at_p: 2 },
+                    "{domain:?} cap={cap}"
+                );
+            }
         }
     }
 }

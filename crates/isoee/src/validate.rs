@@ -14,7 +14,6 @@ use mps::{Ctx, World};
 use simcluster::units::Joules;
 
 use crate::calibrate::{app_params_from, measure_run, RunMeasurement};
-use crate::model;
 use crate::params::MachineParams;
 
 /// One validation point (one bar pair of Fig. 3).
@@ -153,27 +152,16 @@ where
         measure_run(world, p, kernel)
     };
     let app = app_params_from(seq, &par);
-    // One fused batch evaluation per point (bit-identical to the three
-    // scalar calls, which each re-derive Ep/E1 from scratch); the scalar
-    // oracle stays reachable via ISOEE_SCALAR_SWEEP.
-    let (predicted_j, ee, eef) = if crate::scaling::scalar_sweep_forced() {
-        (
-            model::ep(mach, &app, p),
-            model::ee(mach, &app, p),
-            model::eef(mach, &app, p),
-        )
-    } else {
-        let ev = crate::batch::evaluate(mach, &app, p);
-        (ev.terms.ep, ev.ee, ev.eef)
-    };
+    // One evaluation yields Ep, EE and EEF together.
+    let ev = crate::batch::evaluate(mach, &app, p);
     EvaluatedPoint {
         point: ValidationPoint {
             p,
-            predicted_j,
+            predicted_j: ev.terms.ep,
             measured_j: par.energy_j,
         },
-        ee,
-        eef,
+        ee: ev.ee,
+        eef: ev.eef,
     }
 }
 

@@ -1,6 +1,5 @@
 //! Collective operations, implemented message-by-message with the same
-//! algorithms 2010-era MPICH/MVAPICH used (and whose closed-form costs live
-//! in [`netsim::collectives`]):
+//! algorithms 2010-era MPICH/MVAPICH used:
 //!
 //! * barrier — dissemination
 //! * broadcast / reduce — binomial tree

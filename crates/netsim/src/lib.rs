@@ -1,14 +1,10 @@
-//! # netsim — interconnect and collective-operation time models
+//! # netsim — interconnect time models
 //!
 //! Pure analytical time models for the network side of the simulation:
 //!
 //! * [`hockney`] — the Hockney point-to-point model `t(m) = ts + tw·m`
 //!   (the paper's Eq. 17 network term and the basis of its FT analysis,
 //!   citing Pjesivac-Grbovic et al. and Thakur).
-//! * [`collectives`] — closed-form costs for the collective algorithms MPI
-//!   implementations of the era used: pairwise-exchange all-to-all,
-//!   recursive-doubling allreduce, binomial broadcast/reduce, ring
-//!   allgather, dissemination barrier.
 //! * [`contention`] — a simple concurrency-dependent bandwidth-inflation
 //!   model, one of the ways the *simulator* is richer than the paper's
 //!   analytical model (which assumes contention-free links).
@@ -18,13 +14,8 @@
 
 #![forbid(unsafe_code)]
 
-pub mod collectives;
 pub mod contention;
 pub mod hockney;
 
-pub use collectives::{
-    allgather_ring_time, allreduce_recursive_doubling_time, alltoall_pairwise_time,
-    barrier_dissemination_time, bcast_binomial_time, reduce_binomial_time,
-};
 pub use contention::ContentionModel;
 pub use hockney::Hockney;

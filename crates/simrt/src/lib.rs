@@ -40,13 +40,13 @@
 //!   sends are deposited in rank order. Bit-identical to sequential for
 //!   wildcard-free plans (wildcard plans silently fall back to
 //!   sequential, whose schedule is fixed).
-//! * **Controlled** (`world.sched` set): thread-per-rank under the
-//!   [`mps::SchedulerHook`] protocol, so the verify crate's schedule-space
-//!   explorer drives engine-backed runs unchanged.
+//!
+//! Schedule-space exploration (a [`mps::SchedulerHook`] installed in
+//! `world.sched`) is the thread runtime's job: the engine fixes its own
+//! schedule and refuses hooked worlds.
 
 #![forbid(unsafe_code)]
 
-mod controlled;
 mod engine;
 mod task;
 
@@ -206,8 +206,10 @@ pub fn run_plan(world: &World, p: usize, plan: &CommPlan) -> EngineReport {
 ///
 /// # Errors
 /// [`RunError::Deadlock`] when every live task is parked on a receive no
-/// remaining send can satisfy; [`RunError::SchedulerAbort`] when an
-/// installed scheduler hook tears the run down.
+/// remaining send can satisfy.
+///
+/// # Panics
+/// See [`try_run_plan_with`].
 pub fn try_run_plan(world: &World, p: usize, plan: &CommPlan) -> Result<EngineReport, RunError> {
     try_run_plan_with(&EngineConfig::default(), world, p, plan)
 }
@@ -215,16 +217,16 @@ pub fn try_run_plan(world: &World, p: usize, plan: &CommPlan) -> Result<EngineRe
 /// [`try_run_plan`] with explicit engine configuration.
 ///
 /// Unlike the thread runtime there is no `p ≤ total_cores` cap: ranks are
-/// tasks, and `p` in the thousands is the point. When `world.sched` is
-/// set the engine switches to thread-per-rank controlled mode (see
-/// [`mps::SchedulerHook`]); `cfg.pool` and the timeline are ignored
-/// there.
+/// tasks, and `p` in the thousands is the point.
 ///
 /// # Errors
 /// See [`try_run_plan`].
 ///
 /// # Panics
-/// Panics if `p == 0` or on plan shape violations.
+/// Panics if `p == 0`, on plan shape violations, or when `world.sched`
+/// holds a scheduler hook: the engine picks its own schedule, so it
+/// cannot honor the hook's grants. Explore schedules on the thread
+/// runtime (`mps::try_run` or `verify::Explorer`) instead.
 pub fn try_run_plan_with(
     cfg: &EngineConfig,
     world: &World,
@@ -232,11 +234,46 @@ pub fn try_run_plan_with(
     plan: &CommPlan,
 ) -> Result<EngineReport, RunError> {
     assert!(p > 0, "need at least one rank");
+    assert!(
+        world.sched.is_none(),
+        "simrt cannot run under a scheduler hook; explore schedules on the mps thread runtime"
+    );
     // Fold the `p`-only subtrees once instead of on every rank's every
     // step; the specialized plan streams identically at this `p`.
     let plan = &plan.specialize(p);
-    if world.sched.is_some() {
-        return controlled::run(cfg, world, p, plan);
-    }
     engine::run(cfg, world, p, plan)
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use mps::{SchedGrant, SchedOp, SchedulerHook, World};
+    use plan::{CommPlan, Expr, Op, ReduceOp};
+
+    /// A hook that grants everything; the engine must refuse it anyway.
+    #[derive(Debug)]
+    struct GrantAll;
+
+    impl SchedulerHook for GrantAll {
+        fn permit(&self, _rank: usize, _op: SchedOp) -> SchedGrant {
+            SchedGrant::Proceed { source: None }
+        }
+
+        fn rank_finished(&self, _rank: usize) {}
+    }
+
+    #[test]
+    #[should_panic(expected = "simrt cannot run under a scheduler hook")]
+    fn a_scheduler_hook_is_refused_not_ignored() {
+        let world = World::new(simcluster::system_g(), 2.8e9).with_scheduler(Arc::new(GrantAll));
+        let plan = CommPlan::new(
+            "allreduce",
+            vec![Op::AllReduce {
+                elems: Expr::Const(8),
+                op: ReduceOp::Sum,
+            }],
+        );
+        let _ = super::try_run_plan(&world, 2, &plan);
+    }
 }

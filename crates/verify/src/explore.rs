@@ -549,12 +549,9 @@ impl Explorer {
         })
     }
 
-    /// The DFS over schedule space, generic in *what executes* a directed
-    /// schedule. `runner` receives the choice prefix and returns the
-    /// scheduling observations of one complete run under it — the explorer
-    /// only reasons about those observations, so any runtime that honors
-    /// the [`mps::SchedulerHook`] protocol (the thread runtime, the simrt
-    /// event engine) plugs in here and is verified by the same algorithm.
+    /// The DFS over schedule space. `runner` receives the choice prefix and
+    /// returns the scheduling observations of one complete run under it —
+    /// the explorer only reasons about those observations.
     fn explore_with(
         &self,
         mut runner: impl FnMut(&[Choice]) -> (Vec<StepRecord>, Vec<(usize, usize, u64)>, RunOutcome),
@@ -701,29 +698,6 @@ impl Explorer {
     /// panics when lowered.
     pub fn explore_plan(&self, world: &World, p: usize, commplan: &plan::CommPlan) -> Exploration {
         self.explore(world, p, |ctx| plan::lower(commplan, ctx))
-    }
-
-    /// [`Explorer::explore_plan`], but each directed schedule executes on
-    /// the simrt event engine (its controlled thread-per-rank mode) instead
-    /// of the mps thread runtime. The controller, the DFS, and the finding
-    /// taxonomy are identical — this is the re-validation that the engine's
-    /// channel model exposes exactly the schedule space the thread runtime
-    /// does.
-    pub fn explore_plan_engine(
-        &self,
-        world: &World,
-        p: usize,
-        commplan: &plan::CommPlan,
-    ) -> Exploration {
-        self.explore_with(|prefix| {
-            let controller = Arc::new(Controller::new(p, prefix.to_vec(), self.max_depth));
-            let directed = world.clone().with_scheduler(controller.clone());
-            let _result = simrt::try_run_plan(&directed, p, commplan);
-            drop(directed); // release the world's clone of the hook Arc
-            let controller = Arc::into_inner(controller)
-                .expect("all rank threads joined, controller uniquely owned");
-            controller.into_record()
-        })
     }
 }
 

@@ -1,28 +1,26 @@
-//! Differential suite pinning the batched columnar kernel
-//! (`isoee::batch`) **bit-identical** (`f64::to_bits`, not approximate
-//! equality) to the scalar `model.rs` oracle.
+//! Differential suite pinning the library's term kernel — the point
+//! model, the batched sweep grids, the contour and the advisor — **bit-
+//! identical** (`f64::to_bits`, not approximate equality) to the
+//! test-only oracle in `common/`, which writes the equations out directly
+//! in the unit algebra.
 //!
-//! The batch kernel rewrites the numeric hot path of every sweep entry
-//! point, so the trust argument is entirely differential: the same grids
-//! the committed figures use (Figs. 5–9), the same decision procedures
+//! The trust argument is entirely differential: the same grids the
+//! committed figures use (Figs. 5–9), the same decision procedures
 //! (contour, DVFS advisor), and randomized parameter boxes — including
 //! degenerate baselines, which must surface the *same* row-major
-//! first-error index through both kernels. Any divergence is a real bug:
-//! a re-associated sum, a reciprocal-multiplied division, or a factor
-//! cached with different rounding than the scalar evaluation order.
-//!
-//! The scalar oracle is reached through the public `*_scalar_with`
-//! variants rather than the `ISOEE_SCALAR_SWEEP` env switch, so this
-//! suite is free of env-var races under parallel test execution.
+//! first-error index on both sides. Any divergence is a real bug: a
+//! re-associated sum, a reciprocal-multiplied division, or a factor
+//! cached with different rounding than the oracle's evaluation order.
+
+mod common;
 
 use isoee::apps::{AppModel, CgModel, EpModel, FtModel};
 use isoee::interval::certify_pf_grid;
 use isoee::scaling::{
-    best_frequency_scalar_with, best_frequency_with, ee_surface_pf_scalar_with, ee_surface_pf_with,
-    ee_surface_pn_scalar_with, ee_surface_pn_with, iso_ee_contour_scalar_with, iso_ee_contour_with,
-    PoolConfig, Surface, SweepError,
+    best_frequency_with, ee_surface_pf_with, ee_surface_pn_with, iso_ee_contour_with, PoolConfig,
+    Surface, SweepError,
 };
-use isoee::{batch, model, AppParams, MachineParams, PfGrid};
+use isoee::{batch, AppParams, MachineParams, PfGrid};
 use proptest::prelude::*;
 
 /// The System G DVFS states every committed `(p, f)` figure sweeps.
@@ -109,8 +107,8 @@ fn committed_pf_figures_are_bit_identical() {
     for (name, app, n, ps) in pf_figures() {
         let b = ee_surface_pf_with(&cfg, app.as_ref(), &m, n, &ps, &DVFS_G)
             .expect("figure grid evaluates");
-        let s = ee_surface_pf_scalar_with(&cfg, app.as_ref(), &m, n, &ps, &DVFS_G)
-            .expect("figure grid evaluates");
+        let s =
+            common::surface_pf(app.as_ref(), &m, n, &ps, &DVFS_G).expect("figure grid evaluates");
         assert_surface_bits(&b, &s, name);
     }
 }
@@ -122,14 +120,13 @@ fn committed_pn_figures_are_bit_identical() {
     for (name, app, ps, ns) in pn_figures() {
         let b =
             ee_surface_pn_with(&cfg, app.as_ref(), &m, &ps, &ns).expect("figure grid evaluates");
-        let s = ee_surface_pn_scalar_with(&cfg, app.as_ref(), &m, &ps, &ns)
-            .expect("figure grid evaluates");
+        let s = common::surface_pn(app.as_ref(), &m, &ps, &ns).expect("figure grid evaluates");
         assert_surface_bits(&b, &s, name);
     }
 }
 
-/// Triple-pin Fig 5 against a hand-rolled `model::ee` loop (not the sweep
-/// engine at all), so a bug shared by both sweep paths can't hide.
+/// Triple-pin Fig 5 against a hand-rolled oracle loop (not a sweep helper
+/// at all), so a bug shared by both sweep paths can't hide.
 #[test]
 fn fig5_matches_a_hand_rolled_model_loop() {
     let m = mach();
@@ -139,9 +136,9 @@ fn fig5_matches_a_hand_rolled_model_loop() {
     let s = ee_surface_pf_with(&PoolConfig::sequential(), &ft, &m, n, &ps, &DVFS_G)
         .expect("figure grid evaluates");
     for (i, &f) in DVFS_G.iter().enumerate() {
-        let mf = m.at_frequency(f);
+        let mf = common::at_frequency(&m, f);
         for (j, &p) in ps.iter().enumerate() {
-            let oracle = model::ee(&mf, &ft.app_params(n, p), p).expect("clean point");
+            let oracle = common::ee(&mf, &ft.app_params(n, p), p).expect("clean point");
             assert_eq!(s.at(i, j).to_bits(), oracle.to_bits(), "f={f} p={p}");
         }
     }
@@ -160,23 +157,23 @@ fn point_terms_agree_on_all_figure_points() {
                 let ev = batch::evaluate(&mf, &a, p);
                 assert_eq!(
                     ev.terms.t1.raw().to_bits(),
-                    model::t1(&mf, &a).raw().to_bits()
+                    common::t1(&mf, &a).raw().to_bits()
                 );
                 assert_eq!(
                     ev.terms.tp.raw().to_bits(),
-                    model::tp(&mf, &a, p).raw().to_bits()
+                    common::tp(&mf, &a, p).raw().to_bits()
                 );
                 assert_eq!(
                     ev.terms.e1.raw().to_bits(),
-                    model::e1(&mf, &a).raw().to_bits()
+                    common::e1(&mf, &a).raw().to_bits()
                 );
                 assert_eq!(
                     ev.terms.ep.raw().to_bits(),
-                    model::ep(&mf, &a, p).raw().to_bits()
+                    common::ep(&mf, &a, p).raw().to_bits()
                 );
                 let (ee, oracle) = (
                     ev.ee.expect("clean point"),
-                    model::ee(&mf, &a, p).expect("clean point"),
+                    common::ee(&mf, &a, p).expect("clean point"),
                 );
                 assert_eq!(ee.to_bits(), oracle.to_bits());
             }
@@ -195,7 +192,7 @@ fn contour_and_advisor_match_the_scalar_oracle() {
     ] {
         let b = iso_ee_contour_with(&cfg, app.as_ref(), &m, &ps, target, 1e3, 1e12)
             .expect("no degenerate points");
-        let s = iso_ee_contour_scalar_with(&cfg, app.as_ref(), &m, &ps, target, 1e3, 1e12)
+        let s = common::iso_ee_contour(app.as_ref(), &m, &ps, target, 1e3, 1e12)
             .expect("no degenerate points");
         assert_eq!(b.len(), s.len());
         for (j, (nb, ns)) in b.iter().zip(&s).enumerate() {
@@ -222,8 +219,8 @@ fn contour_and_advisor_match_the_scalar_oracle() {
         for p in [1usize, 4, 64, 1024] {
             let b = best_frequency_with(&cfg, app.as_ref(), &m, n, p, &DVFS_G)
                 .expect("advisor evaluates");
-            let s = best_frequency_scalar_with(&cfg, app.as_ref(), &m, n, p, &DVFS_G)
-                .expect("advisor evaluates");
+            let s =
+                common::best_frequency(app.as_ref(), &m, n, p, &DVFS_G).expect("advisor evaluates");
             assert_eq!(
                 b.0.to_bits(),
                 s.0.to_bits(),
@@ -289,13 +286,13 @@ fn degenerate_grids_surface_the_same_first_error_index() {
     // Column 2 is degenerate in every row; the first row-major failure is
     // row 0, column 2.
     let b = ee_surface_pf_with(&cfg, &app, &m, n, &ps, &DVFS_G).expect_err("poisoned grid");
-    let s = ee_surface_pf_scalar_with(&cfg, &app, &m, n, &ps, &DVFS_G).expect_err("poisoned grid");
+    let s = common::surface_pf(&app, &m, n, &ps, &DVFS_G).expect_err("poisoned grid");
     assert_eq!(b, s, "pf sweep error");
     assert_eq!(b.index, 2);
 
     let ns: Vec<f64> = (18..=22).map(|k| (1u64 << k) as f64).collect();
     let b = ee_surface_pn_with(&cfg, &app, &m, &ps, &ns).expect_err("poisoned grid");
-    let s = ee_surface_pn_scalar_with(&cfg, &app, &m, &ps, &ns).expect_err("poisoned grid");
+    let s = common::surface_pn(&app, &m, &ps, &ns).expect_err("poisoned grid");
     assert_eq!(b, s, "pn sweep error");
     assert_eq!(b.index, 2);
 }
@@ -378,7 +375,7 @@ proptest! {
         let ps: Vec<usize> = (1..=n_cols).map(|j| j * j).collect();
         let cfg = PoolConfig::sequential();
         let b = ee_surface_pf_with(&cfg, &app, &m, n, &ps, &fs).expect("finite params");
-        let s = ee_surface_pf_scalar_with(&cfg, &app, &m, n, &ps, &fs).expect("finite params");
+        let s = common::surface_pf(&app, &m, n, &ps, &fs).expect("finite params");
         prop_assert_eq!(b.ys.len(), s.ys.len());
         for (ra, rb) in b.values.iter().zip(&s.values) {
             for (a, b) in ra.iter().zip(rb) {
@@ -397,11 +394,11 @@ proptest! {
         p in 1usize..4096,
     ) {
         let ev = batch::evaluate(&m, &a, p);
-        prop_assert_eq!(ev.terms.t1.raw().to_bits(), model::t1(&m, &a).raw().to_bits());
-        prop_assert_eq!(ev.terms.tp.raw().to_bits(), model::tp(&m, &a, p).raw().to_bits());
-        prop_assert_eq!(ev.terms.e1.raw().to_bits(), model::e1(&m, &a).raw().to_bits());
-        prop_assert_eq!(ev.terms.ep.raw().to_bits(), model::ep(&m, &a, p).raw().to_bits());
-        match (ev.ee, model::ee(&m, &a, p)) {
+        prop_assert_eq!(ev.terms.t1.raw().to_bits(), common::t1(&m, &a).raw().to_bits());
+        prop_assert_eq!(ev.terms.tp.raw().to_bits(), common::tp(&m, &a, p).raw().to_bits());
+        prop_assert_eq!(ev.terms.e1.raw().to_bits(), common::e1(&m, &a).raw().to_bits());
+        prop_assert_eq!(ev.terms.ep.raw().to_bits(), common::ep(&m, &a, p).raw().to_bits());
+        match (ev.ee, common::ee(&m, &a, p)) {
             (Ok(b), Ok(s)) => prop_assert_eq!(b.to_bits(), s.to_bits()),
             (Err(b), Err(s)) => prop_assert_eq!(b, s),
             (b, s) => prop_assert!(false, "degenerate split diverged: {:?} vs {:?}", b, s),
@@ -424,7 +421,7 @@ proptest! {
         let cfg = PoolConfig::sequential();
         let n = (1u64 << 20) as f64;
         let b = ee_surface_pf_with(&cfg, &app, &m, n, &ps, &fs).expect_err("poisoned grid");
-        let s = ee_surface_pf_scalar_with(&cfg, &app, &m, n, &ps, &fs).expect_err("poisoned grid");
+        let s = common::surface_pf(&app, &m, n, &ps, &fs).expect_err("poisoned grid");
         prop_assert_eq!(b, s);
         let expected = SweepError { index: bad, source: b.source };
         prop_assert_eq!(b, expected);
