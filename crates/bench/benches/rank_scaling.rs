@@ -4,6 +4,13 @@
 //! all-to-all work; CG takes twice FT's steps for about the same number
 //! of sends, so its case weights cursor stepping and per-step accounting.
 //!
+//! The `*_timed_cursor` and `*_rank_cursor` cases drain the two plan
+//! cursors alone — `plan::TimedCursor` (what the engine steps) and
+//! `plan::RankCursor` (what `plan::analyze_plan` steps) — for every rank
+//! of the specialized plan, with no engine, queue or accounting. A
+//! `*_seq` case minus its `*_timed_cursor` case is the engine's own share:
+//! ready queue, `RankCore` accounting and message deposits.
+//!
 //! Run with `cargo bench -p bench --bench rank_scaling`.
 //!
 //! Results land in `BENCH_simrt.json` at the repo root — a `bench/2`
@@ -17,6 +24,7 @@
 //! numbers with `analyze --bench-diff` against the committed baseline.
 
 use bench::{merge_global_loghists, snapshot_v2_json, time_case, write_snapshot_json, CaseStats};
+use plan::{CommPlan, RankCursor, TimedCursor};
 use simrt::{Detail, EngineConfig};
 
 const P: usize = 1024;
@@ -39,6 +47,34 @@ fn peak_rss_bytes() -> u64 {
                 .ok()
         })
         .map_or(0, |kb| kb * 1024)
+}
+
+/// Steps of every rank's `TimedCursor` over `plan` specialized to `P`.
+fn drain_timed(plan: &CommPlan) -> u64 {
+    let plan = plan.specialize(P);
+    let mut steps = 0;
+    for rank in 0..P {
+        let mut cursor = TimedCursor::new(&plan, P, rank);
+        while let Some(step) = cursor.next_step() {
+            std::hint::black_box(&step);
+            steps += 1;
+        }
+    }
+    steps
+}
+
+/// Messages of every rank's `RankCursor` over `plan` specialized to `P`.
+fn drain_rank(plan: &CommPlan) -> u64 {
+    let plan = plan.specialize(P);
+    let mut comms = 0;
+    for rank in 0..P {
+        let mut cursor = RankCursor::new(&plan, P, rank);
+        while let Some(comm) = cursor.next_comm().expect("NPB plans elaborate cleanly") {
+            std::hint::black_box(&comm);
+            comms += 1;
+        }
+    }
+    comms
 }
 
 fn main() {
@@ -78,6 +114,19 @@ fn main() {
         });
         cases.push(case);
         engine_stats.push((name, last_stats));
+    }
+
+    for (name, plan) in [("ft", &ft), ("cg", &cg)] {
+        cases.push(time_case(
+            &format!("{name}_p{P}_timed_cursor"),
+            ITERS,
+            || drain_timed(plan),
+        ));
+        cases.push(time_case(
+            &format!("{name}_p{P}_rank_cursor"),
+            ITERS,
+            || drain_rank(plan),
+        ));
     }
 
     let reg = bench::cases_registry("bench.rank_scaling", &cases);

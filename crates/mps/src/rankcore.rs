@@ -22,7 +22,7 @@
 use obs::span::{Category, FieldValue};
 use obs::TrackRecorder;
 use simcluster::units::{Joules, Seconds};
-use simcluster::{Segment, SegmentKind, SegmentLog, VirtualClock};
+use simcluster::{AccessProfile, Segment, SegmentKind, SegmentLog, VirtualClock};
 use std::sync::Arc;
 
 use crate::stats::Counters;
@@ -168,6 +168,13 @@ pub struct RankCore<'w> {
     detail: bool,
     /// Aggregate-mode per-kind `(wall_s, work_s)` sums, `SegmentKind` order.
     agg: [(f64, f64); 5],
+    /// `world.tc()`, computed once: it is fixed for the core's lifetime.
+    tc: Seconds,
+    /// The last working set charged by [`RankCore::mem_access`] and its
+    /// access profile. Kernels sweep the same working set many times in a
+    /// row, and the profile is a pure function of it, so a hit returns the
+    /// same value a fresh computation would.
+    profile: Option<(u64, AccessProfile)>,
 }
 
 impl<'w> RankCore<'w> {
@@ -196,6 +203,8 @@ impl<'w> RankCore<'w> {
             delta_w,
             detail,
             agg: [(0.0, 0.0); 5],
+            tc: world.tc(),
+            profile: None,
         }
     }
 
@@ -240,7 +249,7 @@ impl<'w> RankCore<'w> {
             return;
         }
         self.counters.wc += instructions;
-        let dur = instructions * self.world.tc();
+        let dur = instructions * self.tc;
         self.charge(SegmentKind::Compute, dur);
     }
 
@@ -255,13 +264,8 @@ impl<'w> RankCore<'w> {
         if accesses == 0.0 {
             return;
         }
+        let prof = self.access_profile(working_set_bytes);
         let node = &self.world.cluster.node;
-        // Compact rank placement: ranks fill nodes core by core, so up to
-        // `cores()` ranks contend for the node's shared cache levels.
-        let co_resident = self.size.min(node.cores());
-        let prof = node
-            .memory
-            .access_profile_concurrent(working_set_bytes, co_resident);
 
         if let Some(metrics) = &self.metrics {
             #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
@@ -286,9 +290,29 @@ impl<'w> RankCore<'w> {
         let f_scale = node.cpu.dvfs.nominal() / self.world.f_hz;
         let on_chip_s = accesses * prof.on_chip_s_per_access * f_scale;
         if on_chip_s > 0.0 {
-            self.counters.wc += on_chip_s / self.world.tc().raw();
+            self.counters.wc += on_chip_s / self.tc.raw();
             self.charge(SegmentKind::Compute, Seconds::new(on_chip_s));
         }
+    }
+
+    /// The cache split of accesses to a working set of `working_set_bytes`
+    /// on this rank's node, from the one-entry cache when it holds that
+    /// working set.
+    fn access_profile(&mut self, working_set_bytes: u64) -> AccessProfile {
+        if let Some((ws, prof)) = self.profile {
+            if ws == working_set_bytes {
+                return prof;
+            }
+        }
+        let node = &self.world.cluster.node;
+        // Compact rank placement: ranks fill nodes core by core, so up to
+        // `cores()` ranks contend for the node's shared cache levels.
+        let co_resident = self.size.min(node.cores());
+        let prof = node
+            .memory
+            .access_profile_concurrent(working_set_bytes, co_resident);
+        self.profile = Some((working_set_bytes, prof));
+        prof
     }
 
     /// Charge a streaming sweep of `element_touches` elements; see
@@ -522,5 +546,67 @@ impl<'w> RankCore<'w> {
             markers: self.markers,
             track,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `(kind, wall, work)` of every segment a fresh core charges for
+    /// `charge`, plus its counter deltas.
+    fn charges(
+        world: &World,
+        charge: impl Fn(&mut RankCore),
+    ) -> (Vec<(SegmentKind, u64, u64)>, Counters) {
+        let mut core = RankCore::new(0, 8, world, true);
+        charge(&mut core);
+        let segs = core
+            .log
+            .segments
+            .iter()
+            .map(|s| (s.kind, s.wall_s.to_bits(), s.work_s.to_bits()))
+            .collect();
+        (segs, core.counters)
+    }
+
+    /// The one-entry profile cache and the hoisted `tc` charge exactly
+    /// what a core computing everything afresh charges: working sets
+    /// A, B, A (a hit after a miss after a miss), with compute between.
+    #[test]
+    fn cached_profiles_charge_like_fresh_ones() {
+        let world = World::new(simcluster::system_g(), 2.8e9);
+        let (small, large) = (16 * 1024, 64 * 1024 * 1024);
+        let calls: [&dyn Fn(&mut RankCore); 5] = [
+            &|c| c.mem_access(1e5, small),
+            &|c| c.compute(3e4),
+            &|c| c.mem_access(2e5, large),
+            &|c| c.compute(5e4),
+            &|c| c.mem_access(3e5, small),
+        ];
+
+        let mut core = RankCore::new(0, 8, &world, true);
+        let mut expected_segs = Vec::new();
+        let mut expected = Counters::default();
+        for call in calls {
+            call(&mut core);
+            let (segs, counters) = charges(&world, call);
+            expected_segs.extend(segs);
+            expected.wc += counters.wc;
+            expected.wm += counters.wm;
+        }
+        let segs: Vec<_> = core
+            .log
+            .segments
+            .iter()
+            .map(|s| (s.kind, s.wall_s.to_bits(), s.work_s.to_bits()))
+            .collect();
+        assert_eq!(segs, expected_segs);
+        assert_eq!(core.counters.wc.to_bits(), expected.wc.to_bits());
+        assert_eq!(core.counters.wm.to_bits(), expected.wm.to_bits());
+        assert!(
+            core.counters.wm > 0.0,
+            "the large working set must reach DRAM"
+        );
     }
 }

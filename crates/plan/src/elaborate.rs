@@ -341,8 +341,13 @@ impl<'p> RankCursor<'p> {
 
     /// Advance to the next abstract comm op, accumulating cost events along
     /// the way. `Ok(None)` means the rank's program is complete.
+    #[inline]
     pub fn next_comm(&mut self) -> Result<Option<AOp>, ShapeIssue> {
-        let r = self.next_comm_inner();
+        // Most ops come from an already expanded collective: a queue pop.
+        let r = match self.buffered.pop_front() {
+            Some(a) => Ok(Some(a)),
+            None => self.next_comm_inner(),
+        };
         if let Ok(Some(a)) = &r {
             if matches!(a, AOp::RecvAny { .. }) && self.first_wildcard_op.is_none() {
                 self.first_wildcard_op = Some(self.emitted);

@@ -10,6 +10,7 @@
 
 use std::fmt;
 use std::ops;
+use std::sync::Arc;
 
 /// A symbolic integer expression.
 ///
@@ -51,6 +52,17 @@ pub enum Expr {
     Pow2(Box<Expr>),
     /// `floor(log2 e)`; error unless `e > 0`.
     Log2(Box<Expr>),
+    /// A subtree that varies only with the rank, tabulated over the ranks
+    /// of one world size by [`CommPlan::specialize`](crate::CommPlan::specialize):
+    /// `table` holds `expr`'s value (or error) on each rank `0..p`. Only
+    /// specialization builds it.
+    ByRank {
+        /// The folded subtree, evaluated directly for ranks outside the
+        /// table.
+        expr: Box<Expr>,
+        /// `expr` on every rank of the world it was folded for.
+        table: RankTable,
+    },
     /// Length of block `idx` when `total` items are split over `parts`
     /// ranks with the remainder spread over the low indices — the NPB
     /// `block_range` length: `total/parts + (idx < total % parts)`.
@@ -94,6 +106,56 @@ impl fmt::Display for EvalError {
     }
 }
 
+/// Per-rank values of one [`Expr::ByRank`] subtree, indexed by rank.
+/// Shared between the identical subtrees of one specialized plan.
+#[derive(Clone, PartialEq, Eq)]
+pub struct RankTable(Arc<[Result<i64, EvalError>]>);
+
+impl RankTable {
+    /// The value on `rank`, `None` outside the table.
+    #[inline]
+    fn get(&self, rank: i64) -> Option<Result<i64, EvalError>> {
+        usize::try_from(rank)
+            .ok()
+            .and_then(|r| self.0.get(r).copied())
+    }
+}
+
+impl fmt::Debug for RankTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "RankTable({} ranks)", self.0.len())
+    }
+}
+
+/// The rank tables built while folding one plan, keyed by the subtree
+/// they tabulate, so identical subtrees share one table.
+#[derive(Default)]
+pub(crate) struct RankTables(Vec<(Expr, RankTable)>);
+
+impl RankTables {
+    fn get_or_build(&mut self, expr: &Expr, p: i64) -> RankTable {
+        if let Some((_, table)) = self.0.iter().find(|(e, _)| e == expr) {
+            return table.clone();
+        }
+        // `expr` reads no peer or loop variable, so an environment with
+        // neither gives every rank's value exactly.
+        let table = RankTable(
+            (0..p)
+                .map(|rank| {
+                    expr.eval(&Env {
+                        p,
+                        rank,
+                        peer: None,
+                        vars: &[],
+                    })
+                })
+                .collect(),
+        );
+        self.0.push((expr.clone(), table.clone()));
+        table
+    }
+}
+
 /// The evaluation environment: one rank's view of the world.
 #[derive(Debug, Clone, Copy)]
 pub struct Env<'a> {
@@ -109,12 +171,31 @@ pub struct Env<'a> {
 
 impl Expr {
     /// Evaluate against `env`.
+    ///
+    /// Constants, the rank and tabulated rank-only subtrees are answered
+    /// inline: after [`CommPlan::specialize`](crate::CommPlan::specialize)
+    /// almost every plan expression is one of them, and both plan cursors
+    /// evaluate expressions on every step. Every other node takes the
+    /// recursive walk, whose children come back through here.
+    #[inline]
     pub fn eval(&self, env: &Env) -> Result<i64, EvalError> {
+        match self {
+            Self::Const(v) => Ok(*v),
+            Self::Rank => Ok(env.rank),
+            Self::ByRank { expr, table } => table.get(env.rank).unwrap_or_else(|| expr.eval(env)),
+            _ => self.eval_node(env),
+        }
+    }
+
+    /// The recursive walk behind [`Expr::eval`].
+    #[inline(never)]
+    fn eval_node(&self, env: &Env) -> Result<i64, EvalError> {
         match self {
             Self::Const(v) => Ok(*v),
             Self::P => Ok(env.p),
             Self::Rank => Ok(env.rank),
             Self::Peer => env.peer.ok_or(EvalError::PeerUnavailable),
+            Self::ByRank { expr, table } => table.get(env.rank).unwrap_or_else(|| expr.eval(env)),
             Self::Var(d) => {
                 let n = env.vars.len();
                 if *d < n {
@@ -194,7 +275,9 @@ impl Expr {
         };
         let folded = match self {
             Self::P => return Self::Const(p),
-            Self::Const(_) | Self::Rank | Self::Peer | Self::Var(_) => return self.clone(),
+            Self::Const(_) | Self::Rank | Self::Peer | Self::Var(_) | Self::ByRank { .. } => {
+                return self.clone()
+            }
             Self::Add(a, b) => bin(Self::Add, a, b),
             Self::Sub(a, b) => bin(Self::Sub, a, b),
             Self::Mul(a, b) => bin(Self::Mul, a, b),
@@ -223,7 +306,12 @@ impl Expr {
             Self::BlockLen { total, parts, idx } => {
                 is_const(total) && is_const(parts) && is_const(idx)
             }
-            Self::Const(_) | Self::P | Self::Rank | Self::Peer | Self::Var(_) => false,
+            Self::Const(_)
+            | Self::P
+            | Self::Rank
+            | Self::Peer
+            | Self::Var(_)
+            | Self::ByRank { .. } => false,
         };
         // With constant children the node reads nothing from the
         // environment, so any `Env` gives the value every rank would see.
@@ -236,6 +324,80 @@ impl Expr {
         match children_const.then(|| folded.eval(&env)) {
             Some(Ok(v)) => Self::Const(v),
             _ => folded,
+        }
+    }
+
+    /// Replace each maximal compound subtree that reads the rank and no
+    /// peer or loop variable by its [`Expr::ByRank`] table over `0..p`,
+    /// the second half of [`CommPlan::specialize`](crate::CommPlan::specialize)
+    /// after [`Expr::fold`]. The result evaluates exactly like `self` in
+    /// every environment with `env.p == p`: a table entry is the
+    /// subtree's own `Ok` value or [`EvalError`] on that rank, and ranks
+    /// outside the table walk the subtree.
+    pub(crate) fn tabulate(self, p: i64, tables: &mut RankTables) -> Expr {
+        let (rank, other) = self.reads();
+        let compound = !matches!(
+            self,
+            Self::Const(_) | Self::P | Self::Rank | Self::Peer | Self::Var(_) | Self::ByRank { .. }
+        );
+        if !(compound && rank && !other) {
+            return self.map_children(|child| child.tabulate(p, tables));
+        }
+        let table = tables.get_or_build(&self, p);
+        Self::ByRank {
+            expr: Box::new(self),
+            table,
+        }
+    }
+
+    /// Whether evaluating `self` reads the rank, and whether it reads a
+    /// peer or loop variable.
+    fn reads(&self) -> (bool, bool) {
+        let or = |(a, b): (bool, bool), (c, d): (bool, bool)| (a || c, b || d);
+        match self {
+            Self::Const(_) | Self::P => (false, false),
+            Self::Rank | Self::ByRank { .. } => (true, false),
+            Self::Peer | Self::Var(_) => (false, true),
+            Self::Add(a, b)
+            | Self::Sub(a, b)
+            | Self::Mul(a, b)
+            | Self::Div(a, b)
+            | Self::Mod(a, b)
+            | Self::Min(a, b)
+            | Self::Max(a, b)
+            | Self::Xor(a, b) => or(a.reads(), b.reads()),
+            Self::Pow2(e) | Self::Log2(e) => e.reads(),
+            Self::BlockLen { total, parts, idx } => {
+                or(or(total.reads(), parts.reads()), idx.reads())
+            }
+        }
+    }
+
+    /// Rebuild `self` with `f` applied to each direct child.
+    fn map_children(self, mut f: impl FnMut(Expr) -> Expr) -> Expr {
+        let mut g = |e: Box<Expr>| Box::new(f(*e));
+        match self {
+            Self::Add(a, b) => Self::Add(g(a), g(b)),
+            Self::Sub(a, b) => Self::Sub(g(a), g(b)),
+            Self::Mul(a, b) => Self::Mul(g(a), g(b)),
+            Self::Div(a, b) => Self::Div(g(a), g(b)),
+            Self::Mod(a, b) => Self::Mod(g(a), g(b)),
+            Self::Min(a, b) => Self::Min(g(a), g(b)),
+            Self::Max(a, b) => Self::Max(g(a), g(b)),
+            Self::Xor(a, b) => Self::Xor(g(a), g(b)),
+            Self::Pow2(e) => Self::Pow2(g(e)),
+            Self::Log2(e) => Self::Log2(g(e)),
+            Self::BlockLen { total, parts, idx } => Self::BlockLen {
+                total: g(total),
+                parts: g(parts),
+                idx: g(idx),
+            },
+            leaf @ (Self::Const(_)
+            | Self::P
+            | Self::Rank
+            | Self::Peer
+            | Self::Var(_)
+            | Self::ByRank { .. }) => leaf,
         }
     }
 
@@ -350,6 +512,25 @@ impl Cond {
             Self::Not(c) => Self::Not(Box::new(c.fold(p))),
         }
     }
+
+    /// [`Expr::tabulate`] applied to every operand.
+    pub(crate) fn tabulate(self, p: i64, tables: &mut RankTables) -> Cond {
+        match self {
+            Self::Eq(a, b) => Self::Eq(a.tabulate(p, tables), b.tabulate(p, tables)),
+            Self::Ne(a, b) => Self::Ne(a.tabulate(p, tables), b.tabulate(p, tables)),
+            Self::Lt(a, b) => Self::Lt(a.tabulate(p, tables), b.tabulate(p, tables)),
+            Self::Le(a, b) => Self::Le(a.tabulate(p, tables), b.tabulate(p, tables)),
+            Self::And(a, b) => Self::And(
+                Box::new(a.tabulate(p, tables)),
+                Box::new(b.tabulate(p, tables)),
+            ),
+            Self::Or(a, b) => Self::Or(
+                Box::new(a.tabulate(p, tables)),
+                Box::new(b.tabulate(p, tables)),
+            ),
+            Self::Not(c) => Self::Not(Box::new(c.tabulate(p, tables))),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -449,6 +630,35 @@ mod tests {
         assert_eq!(bad.fold(4).eval(&env(4, 0)), Err(EvalError::DivByZero));
         let c = Cond::Lt(Expr::Rank, Expr::P * Expr::Const(2));
         assert_eq!(c.fold(3), Cond::Lt(Expr::Rank, Expr::Const(6)));
+    }
+
+    #[test]
+    fn tabulate_replaces_rank_only_subtrees_and_keeps_their_errors() {
+        let tab = |e: &Expr, p: i64| e.fold(p).tabulate(p, &mut RankTables::default());
+        let slab = Expr::block_len(Expr::Const(16), Expr::P, Expr::Rank) * Expr::Const(256);
+        let t = tab(&slab, 64);
+        assert!(matches!(t, Expr::ByRank { .. }), "{t:?}");
+        for rank in [-1, 0, 15, 16, 63, 64] {
+            assert_eq!(
+                t.eval(&env(64, rank)),
+                slab.eval(&env(64, rank)),
+                "rank {rank}"
+            );
+        }
+        // Only the rank-only half of a loop-variable expression is tabulated.
+        let partner = (Expr::Rank / Expr::Const(4)).xor(Expr::Var(0));
+        let Expr::Xor(a, b) = tab(&partner, 16) else {
+            panic!("the loop-variable node stays")
+        };
+        assert!(matches!(*a, Expr::ByRank { .. }));
+        assert_eq!(*b, Expr::Var(0));
+        // A subtree failing on every rank keeps its error, per rank.
+        let bad = Expr::Rank / (Expr::P - Expr::Const(4));
+        let t = tab(&bad, 4);
+        assert!(matches!(t, Expr::ByRank { .. }), "{t:?}");
+        assert_eq!(t.eval(&env(4, 2)), Err(EvalError::DivByZero));
+        // A bare rank is already a leaf.
+        assert_eq!(tab(&Expr::Rank, 8), Expr::Rank);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use mps::ReduceOp;
 
-use crate::expr::{Cond, Expr};
+use crate::expr::{Cond, Expr, RankTables};
 
 /// How a point-to-point op's tag is produced.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -184,16 +184,25 @@ impl CommPlan {
     /// This plan specialized to world size `p`: every expression and
     /// condition is [`Expr::fold`]ed, so `p`-only subtrees (process-grid
     /// shapes, block lengths) become constants that the per-rank cursors
-    /// no longer re-evaluate on every step. The result streams exactly
-    /// like `self` at this `p` — same ops, same costs, and the same
+    /// no longer re-evaluate on every step. Then every subtree that reads
+    /// the rank but no peer or loop variable becomes an
+    /// [`Expr::ByRank`] table of its value on each rank, shared by the
+    /// identical subtrees of the plan, so a cursor reads its entry
+    /// instead of walking the tree. The result streams exactly like
+    /// `self` at this `p` — same ops, same costs, and the same
     /// [`crate::EvalError`] on the same rank at the same op — and is
-    /// meaningless at any other `p`. Cost: one pass over the plan.
+    /// meaningless at any other `p`. Cost: one pass over the plan plus
+    /// `p` evaluations per distinct table.
     #[must_use]
     pub fn specialize(&self, p: usize) -> CommPlan {
         let p = i64::try_from(p).expect("world size fits in i64");
         CommPlan {
             name: self.name.clone(),
-            body: fold_ops(&self.body, p),
+            body: Specializer {
+                p,
+                tables: RankTables::default(),
+            }
+            .ops(&self.body),
         }
     }
 
@@ -229,87 +238,102 @@ impl CommPlan {
     }
 }
 
-fn fold_ops(ops: &[Op], p: i64) -> Vec<Op> {
-    ops.iter().map(|op| fold_op(op, p)).collect()
+/// One plan's specialization to world size `p` (see
+/// [`CommPlan::specialize`]), with the rank tables built so far.
+struct Specializer {
+    p: i64,
+    tables: RankTables,
 }
 
-fn fold_tag(tag: &TagExpr, p: i64) -> TagExpr {
-    match tag {
-        TagExpr::Expr(e) => TagExpr::Expr(e.fold(p)),
-        TagExpr::Auto { .. } | TagExpr::Last { .. } => tag.clone(),
+impl Specializer {
+    fn expr(&mut self, e: &Expr) -> Expr {
+        e.fold(self.p).tabulate(self.p, &mut self.tables)
     }
-}
 
-fn fold_op(op: &Op, p: i64) -> Op {
-    match op {
-        Op::Compute { units, scale } => Op::Compute {
-            units: units.fold(p),
-            scale: *scale,
-        },
-        Op::MemStream { elems, scale, ws } => Op::MemStream {
-            elems: elems.fold(p),
-            scale: *scale,
-            ws: ws.fold(p),
-        },
-        Op::MemAccess {
-            accesses,
-            scale,
-            ws,
-        } => Op::MemAccess {
-            accesses: accesses.fold(p),
-            scale: *scale,
-            ws: ws.fold(p),
-        },
-        Op::Phase(_) | Op::BumpTag | Op::Barrier => op.clone(),
-        Op::Send { to, tag, bytes } => Op::Send {
-            to: to.fold(p),
-            tag: fold_tag(tag, p),
-            bytes: bytes.fold(p),
-        },
-        Op::Recv { from, tag } => Op::Recv {
-            from: from.fold(p),
-            tag: fold_tag(tag, p),
-        },
-        Op::RecvAny { tag } => Op::RecvAny {
-            tag: fold_tag(tag, p),
-        },
-        Op::Exchange {
-            partner,
-            tag,
-            bytes,
-        } => Op::Exchange {
-            partner: partner.fold(p),
-            tag: fold_tag(tag, p),
-            bytes: bytes.fold(p),
-        },
-        Op::Loop { count, body } => Op::Loop {
-            count: count.fold(p),
-            body: fold_ops(body, p),
-        },
-        Op::IfElse { cond, then, els } => Op::IfElse {
-            cond: cond.fold(p),
-            then: fold_ops(then, p),
-            els: fold_ops(els, p),
-        },
-        Op::Bcast { root, bytes } => Op::Bcast {
-            root: root.fold(p),
-            bytes: bytes.fold(p),
-        },
-        Op::Reduce { root, elems, op } => Op::Reduce {
-            root: root.fold(p),
-            elems: elems.fold(p),
-            op: *op,
-        },
-        Op::AllReduce { elems, op } => Op::AllReduce {
-            elems: elems.fold(p),
-            op: *op,
-        },
-        Op::AllGather { bytes } => Op::AllGather {
-            bytes: bytes.fold(p),
-        },
-        Op::AllToAll { bytes } => Op::AllToAll {
-            bytes: bytes.fold(p),
-        },
+    fn cond(&mut self, c: &Cond) -> Cond {
+        c.fold(self.p).tabulate(self.p, &mut self.tables)
+    }
+
+    fn tag(&mut self, tag: &TagExpr) -> TagExpr {
+        match tag {
+            TagExpr::Expr(e) => TagExpr::Expr(self.expr(e)),
+            TagExpr::Auto { .. } | TagExpr::Last { .. } => tag.clone(),
+        }
+    }
+
+    fn ops(&mut self, ops: &[Op]) -> Vec<Op> {
+        ops.iter().map(|op| self.op(op)).collect()
+    }
+
+    fn op(&mut self, op: &Op) -> Op {
+        match op {
+            Op::Compute { units, scale } => Op::Compute {
+                units: self.expr(units),
+                scale: *scale,
+            },
+            Op::MemStream { elems, scale, ws } => Op::MemStream {
+                elems: self.expr(elems),
+                scale: *scale,
+                ws: self.expr(ws),
+            },
+            Op::MemAccess {
+                accesses,
+                scale,
+                ws,
+            } => Op::MemAccess {
+                accesses: self.expr(accesses),
+                scale: *scale,
+                ws: self.expr(ws),
+            },
+            Op::Phase(_) | Op::BumpTag | Op::Barrier => op.clone(),
+            Op::Send { to, tag, bytes } => Op::Send {
+                to: self.expr(to),
+                tag: self.tag(tag),
+                bytes: self.expr(bytes),
+            },
+            Op::Recv { from, tag } => Op::Recv {
+                from: self.expr(from),
+                tag: self.tag(tag),
+            },
+            Op::RecvAny { tag } => Op::RecvAny { tag: self.tag(tag) },
+            Op::Exchange {
+                partner,
+                tag,
+                bytes,
+            } => Op::Exchange {
+                partner: self.expr(partner),
+                tag: self.tag(tag),
+                bytes: self.expr(bytes),
+            },
+            Op::Loop { count, body } => Op::Loop {
+                count: self.expr(count),
+                body: self.ops(body),
+            },
+            Op::IfElse { cond, then, els } => Op::IfElse {
+                cond: self.cond(cond),
+                then: self.ops(then),
+                els: self.ops(els),
+            },
+            Op::Bcast { root, bytes } => Op::Bcast {
+                root: self.expr(root),
+                bytes: self.expr(bytes),
+            },
+            Op::Reduce { root, elems, op } => Op::Reduce {
+                root: self.expr(root),
+                elems: self.expr(elems),
+                op: *op,
+            },
+            Op::AllReduce { elems, op } => Op::AllReduce {
+                elems: self.expr(elems),
+                op: *op,
+            },
+            Op::AllGather { bytes } => Op::AllGather {
+                bytes: self.expr(bytes),
+            },
+            Op::AllToAll { bytes } => Op::AllToAll {
+                bytes: self.expr(bytes),
+            },
+        }
     }
 }
 

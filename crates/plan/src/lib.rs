@@ -54,7 +54,7 @@ mod timed;
 
 pub use check::{analyze_plan, InexactWitness, PlanAnalysis, PlanFinding, PlanWaitEdge};
 pub use elaborate::{AOp, CollKind, CollStats, RankCost, RankCursor, ShapeIssue, COLL_KINDS};
-pub use expr::{Cond, Env, EvalError, Expr};
+pub use expr::{Cond, Env, EvalError, Expr, RankTable};
 pub use ir::{CommPlan, Op, TagExpr};
 pub use lower::lower;
 pub use symbolic::{

@@ -158,7 +158,19 @@ impl<'p> TimedCursor<'p> {
     }
 
     /// The next step, or `None` when the rank's program is finished.
+    ///
+    /// Most steps come from an already expanded collective; that case is
+    /// a queue pop, inlined into the caller.
+    #[inline]
     pub fn next_step(&mut self) -> Option<Step> {
+        match self.micro.pop_front() {
+            Some(step) => Some(step),
+            None => self.next_op_step(),
+        }
+    }
+
+    /// [`TimedCursor::next_step`] once the expansion queue is empty.
+    fn next_op_step(&mut self) -> Option<Step> {
         loop {
             if let Some(step) = self.micro.pop_front() {
                 return Some(step);

@@ -179,6 +179,44 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Specialization also tabulates the subtrees that read the rank and
+    /// no peer or loop variable (`Expr::ByRank`): the specialized
+    /// expression and condition still evaluate exactly like the originals
+    /// in every environment at `p`.
+    #[test]
+    fn specialized_exprs_evaluate_like_the_original_in_every_env(
+        words in proptest::collection::vec(any::<u64>(), 48),
+        p_index in 0usize..6,
+    ) {
+        let mut s = Stream { words: &words, at: 0 };
+        let e = draw_expr(&mut s, 5);
+        let p = PS[p_index];
+        let c = Cond::Ne(e.clone(), Expr::Rank);
+        let plan = CommPlan::new(
+            "one-expr",
+            vec![Op::IfElse {
+                cond: c.clone(),
+                then: vec![Op::Compute { units: e.clone(), scale: 1.0 }],
+                els: vec![],
+            }],
+        );
+        let spec = plan.specialize(p);
+        let Op::IfElse { cond, then, .. } = &spec.body[0] else {
+            panic!("the branch survives specialization");
+        };
+        let Op::Compute { units, .. } = &then[0] else {
+            panic!("the compute survives specialization");
+        };
+        for_each_env(p, |env| {
+            prop_assert_eq!(units.eval(env), e.eval(env), "{:?} became {:?} at {:?}", e, units, env);
+            prop_assert_eq!(cond.eval(env), c.eval(env), "{:?} at {:?}", c, env);
+        });
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]

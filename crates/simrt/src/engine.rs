@@ -1,5 +1,5 @@
-//! The discrete-event engine: a global virtual-time event queue driving
-//! rank tasks, sequentially or in pooled supersteps.
+//! The discrete-event engine: rank tasks driven from one FIFO ready
+//! queue, sequentially or in pooled supersteps.
 //!
 //! ## Why the schedule cannot change the answer
 //!
@@ -10,11 +10,20 @@
 //! plan every receive names its source, and deposits preserve each
 //! sender's program order, so the envelope a receive matches — and hence
 //! every clock value, counter, and segment — is independent of the order
-//! in which the engine happens to resume runnable tasks. Sequential
-//! virtual-time order and pooled supersteps are therefore *bit-identical*;
-//! the event queue exists for cache locality and a meaningful timeline,
-//! not for correctness. Wildcard plans fall back to the sequential path,
-//! whose heap order is still deterministic run-to-run.
+//! in which the engine happens to resume runnable tasks. Any resume order
+//! gives the same bits, so the sequential engine uses the cheapest one: a
+//! FIFO queue of runnable ranks, seeded `0..p` and appended to by the
+//! deposit that unblocks a parked receiver. Pooled supersteps are
+//! bit-identical to it.
+//!
+//! Wildcard plans are where the order shows: a `recv_any` matches the
+//! first envelope with its tag in the receiver's inbox, and which sender
+//! got there first depends on the schedule. Their schedule is defined
+//! here and nowhere else: they always run on the sequential engine (a
+//! pool is ignored), and the FIFO order above is a pure function of the
+//! plan and `p`, so a wildcard run is the same run-to-run. It is not the
+//! virtual-time order, and `plan::analyze_plan` marks such plans inexact
+//! beyond two ranks for the same reason.
 //!
 //! ## Deadlock
 //!
@@ -27,16 +36,14 @@
 //! [`DeadlockInfo`] shape — edges, cyclicity, per-rank partial traces —
 //! as `mps::try_run`.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 use mps::{DeadlockInfo, RunError, RunReport, WaitEdge, World};
-use netsim::Hockney;
 use obs::Timeline;
 use plan::CommPlan;
 use pool::PoolConfig;
 
-use crate::task::{Blocked, Paused, RankTask};
+use crate::task::{Blocked, Links, Paused, RankTask};
 use crate::{EngineConfig, EngineReport, EngineStats};
 
 /// Execute `plan` on `p` rank tasks over `world`.
@@ -48,25 +55,31 @@ pub(crate) fn run(
 ) -> Result<EngineReport, RunError> {
     let t0 = std::time::Instant::now();
     let detail = cfg.resolve_detail(p);
-    let hockney = world.hockney();
+    let links = Links::new(world, p);
     let mut tasks: Vec<RankTask> = (0..p)
         .map(|r| RankTask::new(r, p, world, plan, detail))
         .collect();
     let mut stats = EngineStats::default();
     let mut timeline = Timeline::new(cfg.timeline_capacity);
 
-    if let (Some(pool_cfg), false, true) = (&cfg.pool, plan.has_wildcard(), p > 1) {
+    // A one-worker pool would run each superstep inline, paying O(p)
+    // scans per barrier for nothing: it takes the sequential engine.
+    let pooled = cfg
+        .pool
+        .as_ref()
+        .filter(|pool_cfg| pool_cfg.threads() > 1 && !plan.has_wildcard() && p > 1);
+    if let Some(pool_cfg) = pooled {
         superstep(
             pool_cfg,
             world,
-            &hockney,
+            &links,
             &mut tasks,
             &mut stats,
             &mut timeline,
             cfg,
         );
     } else {
-        sequential(world, &hockney, &mut tasks, &mut stats, &mut timeline, cfg);
+        sequential(world, &links, &mut tasks, &mut stats, &mut timeline, cfg);
     }
 
     stats.steps = tasks.iter().map(|t| t.steps).sum();
@@ -93,23 +106,21 @@ pub(crate) fn run(
     })
 }
 
-/// The sequential engine: one binary heap ordered by `(resume time,
-/// rank)`. Runnable tasks live in the heap; blocked tasks are re-inserted
-/// by the deposit that unblocks them, keyed by the virtual time at which
-/// their receive completes.
+/// The sequential engine: one FIFO queue of runnable ranks. Every rank
+/// starts in it; a task leaves it to run until it blocks or finishes, and
+/// the deposit that unblocks a parked receiver appends it again. A task is
+/// in the queue at most once: only a blocked task is re-queued, and
+/// queueing it unblocks it.
 fn sequential(
     world: &World,
-    hockney: &Hockney,
+    links: &Links,
     tasks: &mut [RankTask],
     stats: &mut EngineStats,
     timeline: &mut Timeline,
     cfg: &EngineConfig,
 ) {
     let p = tasks.len();
-    // Non-negative f64 bit patterns order like the floats themselves, so
-    // `(time.to_bits(), rank)` is a total virtual-time order with rank as
-    // the deterministic tie-break.
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = (0..p).map(|r| Reverse((0u64, r))).collect();
+    let mut ready: VecDeque<usize> = (0..p).collect();
     let mut live = p;
     let mut executed: u64 = 0;
     let mut next_sample = cfg.timeline_every;
@@ -119,10 +130,10 @@ fn sequential(
     // reallocating after every slice, and idle tasks hold no capacity.
     let mut outbox = Vec::new();
 
-    while let Some(Reverse((_, r))) = heap.pop() {
+    while let Some(r) = ready.pop_front() {
         let before = tasks[r].steps;
         std::mem::swap(&mut outbox, &mut tasks[r].outbox);
-        let paused = tasks[r].advance(world, hockney);
+        let paused = tasks[r].advance(world, links);
         std::mem::swap(&mut outbox, &mut tasks[r].outbox);
         executed += tasks[r].steps - before;
         t_hi = t_hi.max(tasks[r].core.now());
@@ -134,15 +145,14 @@ fn sequential(
             if dst_task.wants(&env) {
                 dst_task.blocked = Blocked::No;
                 dst_task.runnable = true;
-                let key = dst_task.core.now().max(env.arrival_s);
-                heap.push(Reverse((key.to_bits(), dst)));
+                ready.push_back(dst);
                 stats.wakes += 1;
             }
             dst_task.inbox.push_back(env);
         }
         if cfg.timeline_every > 0 && executed >= next_sample {
             next_sample += cfg.timeline_every;
-            sample(timeline, tasks, t_hi, heap.len(), live);
+            sample(timeline, tasks, t_hi, ready.len(), live);
         }
     }
 }
@@ -153,7 +163,7 @@ fn sequential(
 fn superstep(
     pool_cfg: &PoolConfig,
     world: &World,
-    hockney: &Hockney,
+    links: &Links,
     tasks: &mut [RankTask],
     stats: &mut EngineStats,
     timeline: &mut Timeline,
@@ -167,7 +177,7 @@ fn superstep(
         stats.supersteps += 1;
         pool::parallel_for_each_mut(pool_cfg, tasks, |_, task| {
             if task.runnable {
-                task.advance(world, hockney);
+                task.advance(world, links);
             }
         });
         // Deposits in sender-rank order: arbitrary but fixed, and — for

@@ -4,7 +4,7 @@
 //! tops out around the host's thread limits long before the paper's
 //! `p = 1024+` scaling studies. This crate runs the *same* rank programs —
 //! [`plan::CommPlan`]s, streamed by [`plan::TimedCursor`] — as resumable
-//! state-machine tasks over a global virtual-time event queue, multiplexed
+//! state-machine tasks driven from one ready queue, multiplexed
 //! on the caller thread or a [`pool`] of workers. One process simulates
 //! NPB FT/EP/CG at `p = 4096`.
 //!
@@ -32,14 +32,21 @@
 //!
 //! ## Execution modes
 //!
-//! * **Sequential** (default): a binary heap ordered by `(virtual resume
-//!   time, rank)`; one task runs until it blocks, its sends wake parked
-//!   receivers. Deterministic run-to-run.
-//! * **Superstep** ([`EngineConfig::with_pool`]): every runnable task is
-//!   advanced in parallel via [`pool::parallel_for_each_mut`], then all
-//!   sends are deposited in rank order. Bit-identical to sequential for
-//!   wildcard-free plans (wildcard plans silently fall back to
-//!   sequential, whose schedule is fixed).
+//! * **Sequential** (default): one FIFO queue of runnable ranks; one task
+//!   runs until it blocks, its sends wake parked receivers, and a woken
+//!   task joins the back of the queue. Deterministic run-to-run.
+//! * **Superstep** ([`EngineConfig::with_pool`] with two or more
+//!   workers): every runnable task is advanced in parallel via
+//!   [`pool::parallel_for_each_mut`], then all sends are deposited in rank
+//!   order. Bit-identical to sequential for wildcard-free plans. A
+//!   one-worker pool runs the sequential engine.
+//!
+//! Resume order cannot change a wildcard-free run, so neither mode keeps
+//! a virtual-time order. Wildcard plans are the exception: which sender a
+//! `recv_any` matches depends on the schedule, so they always run on the
+//! sequential engine (a pool is ignored) and their schedule is its FIFO
+//! order — the same on every run, but not virtual-time order. The
+//! `engine` module documents both points.
 //!
 //! Schedule-space exploration (a [`mps::SchedulerHook`] installed in
 //! `world.sched`) is the thread runtime's job: the engine fixes its own
@@ -79,7 +86,8 @@ pub struct EngineConfig {
     /// Per-rank logging fidelity.
     pub detail: Detail,
     /// Advance runnable tasks on a worker pool, one superstep per
-    /// barrier. `None` runs sequentially on the caller.
+    /// barrier. `None`, a one-worker pool, or a wildcard plan runs
+    /// sequentially on the caller.
     pub pool: Option<PoolConfig>,
     /// Sample the engine timeline every this many steps (sequential) or
     /// supersteps (pooled). `0` disables the timeline.
@@ -108,6 +116,8 @@ impl EngineConfig {
     }
 
     /// Advance tasks in pooled supersteps with this pool configuration.
+    /// A pool of one worker runs the sequential engine instead: inline
+    /// supersteps would only add an `O(p)` scan per barrier.
     #[must_use]
     pub fn with_pool(mut self, pool: PoolConfig) -> Self {
         self.pool = Some(pool);

@@ -44,6 +44,38 @@ pub(crate) struct SimEnvelope {
     pub(crate) vc: Vec<u64>,
 }
 
+/// The contention-adjusted link models of one run, computed once instead
+/// of on every send. A plan's sends run at concurrency 2 (point-to-point)
+/// or `p` (inside collectives); [`netsim::ContentionModel::effective`] is
+/// pure, so each cached model is the same value a per-send call returns.
+pub(crate) struct Links {
+    base: Hockney,
+    p: usize,
+    pair: Hockney,
+    all: Hockney,
+}
+
+impl Links {
+    pub(crate) fn new(world: &World, p: usize) -> Self {
+        let base = world.hockney();
+        Self {
+            base,
+            p,
+            pair: world.contention.effective(&base, 2),
+            all: world.contention.effective(&base, p),
+        }
+    }
+
+    /// The link model of a send at contention `concurrency`.
+    fn at(&self, world: &World, concurrency: usize) -> Hockney {
+        match concurrency {
+            2 => self.pair,
+            c if c == self.p => self.all,
+            c => world.contention.effective(&self.base, c),
+        }
+    }
+}
+
 /// Why a task is not currently runnable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Blocked {
@@ -145,7 +177,7 @@ impl<'a> RankTask<'a> {
     /// Run the rank until it blocks or finishes. Work charges go straight
     /// into the core; sends are buffered into [`RankTask::outbox`] for the
     /// engine to deposit.
-    pub(crate) fn advance(&mut self, world: &World, hockney: &Hockney) -> Paused {
+    pub(crate) fn advance(&mut self, world: &World, links: &Links) -> Paused {
         loop {
             let step = match self.pending.take() {
                 Some(s) => s,
@@ -185,7 +217,7 @@ impl<'a> RankTask<'a> {
                     tag,
                     bytes,
                     concurrency,
-                } => self.execute_send(world, hockney, to, tag, bytes, concurrency),
+                } => self.execute_send(world, links, to, tag, bytes, concurrency),
                 Step::Recv { from, tag } => {
                     match self
                         .inbox
@@ -220,7 +252,7 @@ impl<'a> RankTask<'a> {
     fn execute_send(
         &mut self,
         world: &World,
-        hockney: &Hockney,
+        links: &Links,
         to: usize,
         tag: u64,
         bytes: u64,
@@ -229,7 +261,7 @@ impl<'a> RankTask<'a> {
         let rank = self.rank();
         assert!(to < self.core.size(), "send to rank {to} out of range");
         assert!(to != rank, "self-sends are not allowed (rank {to})");
-        let h = world.contention.effective(hockney, concurrency);
+        let h = links.at(world, concurrency);
         let t_net = Seconds::new(h.p2p(bytes));
         let arrival = self.core.account_send(bytes, t_net);
         let vc = if self.detail {

@@ -3,7 +3,7 @@
 //!
 //! Both runtimes execute the same [`plan::CommPlan`]s — the thread runtime
 //! through [`plan::lower`] (real channels, OS threads), the engine through
-//! [`plan::TimedCursor`] (state-machine tasks, virtual-time event queue) —
+//! [`plan::TimedCursor`] (state-machine tasks, FIFO ready queue) —
 //! over the same [`mps::RankCore`] accounting. For every kernel and every
 //! small `p` we require exact equality of per-collective counters,
 //! run-wide totals, per-rank finish times, spans, and metered energy. At
@@ -15,7 +15,7 @@ use std::sync::{Mutex, OnceLock};
 use mps::World;
 use npb::{cg_plan, ep_plan, ft_plan, CgConfig, Class, EpConfig, FtConfig};
 use obs::ObsConfig;
-use plan::{analyze_plan, lower, CollKind, CommPlan, COLL_KINDS};
+use plan::{analyze_plan, lower, CollKind, CommPlan, Cond, Expr, Op, TagExpr, COLL_KINDS};
 use simrt::{Detail, EngineConfig};
 
 /// The metrics registry is process-global; serialize observed runs so
@@ -147,6 +147,8 @@ fn engine_is_bit_identical_to_thread_runtime_on_npb() {
     }
 }
 
+/// The `threads = 1` row compares the sequential engine with itself: a
+/// one-worker pool runs the sequential engine, not inline supersteps.
 #[test]
 fn pooled_supersteps_are_bit_identical_to_sequential() {
     let _guard = registry_lock().lock().unwrap();
@@ -159,6 +161,109 @@ fn pooled_supersteps_are_bit_identical_to_sequential() {
             assert_identical(&format!("{name} pool={threads}"), &sequential, &pooled, &w);
         }
     }
+}
+
+/// Resume order cannot change a wildcard-free run, at `p` well past the
+/// small differential sizes too: the sequential engine's FIFO schedule
+/// and 2-thread pooled supersteps give the same bits on every rank.
+#[test]
+fn fifo_and_pooled_schedules_agree_at_p_64() {
+    let w = World::new(simcluster::system_g(), 2.8e9);
+    let sequential = EngineConfig::default().with_detail(Detail::Off);
+    let pooled = sequential
+        .clone()
+        .with_pool(pool::PoolConfig::with_threads(2));
+    for (name, plan) in [
+        ("ft", ft_plan(&FtConfig::class(Class::S))),
+        ("cg", cg_plan(&CgConfig::class(Class::S))),
+    ] {
+        let a = simrt::try_run_plan_with(&sequential, &w, 64, &plan).expect("sequential");
+        let b = simrt::try_run_plan_with(&pooled, &w, 64, &plan).expect("pooled");
+        assert_eq!(a.stats.supersteps, 0, "{name}: sequential engine");
+        assert!(b.stats.supersteps > 0, "{name}: superstep engine");
+        assert_eq!(a.stats.steps, b.stats.steps, "{name}: steps");
+        assert_eq!(a.stats.sends, b.stats.sends, "{name}: sends");
+        for (x, y) in a.report.ranks.iter().zip(&b.report.ranks) {
+            assert_eq!(
+                x.finish_s.to_bits(),
+                y.finish_s.to_bits(),
+                "{name}: rank {} finish",
+                x.rank
+            );
+            assert_eq!(x.stats, y.stats, "{name}: rank {} counters", x.rank);
+        }
+    }
+}
+
+/// Wildcard plans always run on the sequential engine, whose FIFO
+/// schedule is a function of the plan and `p` alone: a plan whose
+/// `recv_any`s can match senders in more than one order completes the
+/// same way on every run, with the static checker's totals.
+#[test]
+fn wildcard_runs_repeat_and_match_static_totals() {
+    let p = 8;
+    // Every rank but 0 computes for a rank-dependent time, then sends
+    // rank 0 a rank-dependent payload; rank 0 takes them in any order.
+    let plan = CommPlan::new(
+        "gather-any",
+        vec![Op::IfElse {
+            cond: Cond::Eq(Expr::Rank, Expr::Const(0)),
+            then: vec![Op::Loop {
+                count: Expr::P - Expr::Const(1),
+                body: vec![Op::RecvAny {
+                    tag: TagExpr::Expr(Expr::Const(5)),
+                }],
+            }],
+            els: vec![
+                Op::Compute {
+                    units: Expr::Const(1000) * (Expr::P - Expr::Rank),
+                    scale: 1.0,
+                },
+                Op::Send {
+                    to: Expr::Const(0),
+                    tag: TagExpr::Expr(Expr::Const(5)),
+                    bytes: Expr::Const(64) * Expr::Rank,
+                },
+            ],
+        }],
+    );
+    assert!(plan.has_wildcard());
+    let w = World::new(simcluster::system_g(), 2.8e9);
+    // A pool is ignored for wildcard plans.
+    let pooled = EngineConfig::default().with_pool(pool::PoolConfig::with_threads(2));
+    let first = simrt::try_run_plan(&w, p, &plan).expect("first run");
+    let second = simrt::try_run_plan_with(&pooled, &w, p, &plan).expect("second run");
+    assert_eq!(
+        second.stats.supersteps, 0,
+        "wildcard plans run sequentially"
+    );
+    let (a, b) = (first.report, second.report);
+    for (x, y) in a.ranks.iter().zip(&b.ranks) {
+        assert_eq!(
+            x.finish_s.to_bits(),
+            y.finish_s.to_bits(),
+            "rank {}",
+            x.rank
+        );
+        assert_eq!(x.stats, y.stats, "rank {} counters", x.rank);
+        // `f64` Debug output round-trips, so equal text is equal bits.
+        assert_eq!(
+            format!("{:?}", x.comm.events),
+            format!("{:?}", y.comm.events),
+            "rank {} comm trace",
+            x.rank
+        );
+    }
+
+    let analysis = analyze_plan(&plan, p);
+    assert!(analysis.completed, "{:?}", analysis.findings);
+    let totals = a.total_counters();
+    #[allow(clippy::cast_precision_loss)]
+    {
+        assert_eq!(totals.messages, analysis.total.messages as f64);
+        assert_eq!(totals.bytes, analysis.total.bytes as f64);
+    }
+    assert_eq!(totals.wc, analysis.total.wc);
 }
 
 fn close(a: f64, b: f64) -> bool {
