@@ -572,13 +572,14 @@ mod tests {
 
     /// The one-entry profile cache and the hoisted `tc` charge exactly
     /// what a core computing everything afresh charges: working sets
-    /// A, B, A (a hit after a miss after a miss), with compute between.
+    /// A, A, B, A (miss, hit, miss, miss), with compute between.
     #[test]
     fn cached_profiles_charge_like_fresh_ones() {
         let world = World::new(simcluster::system_g(), 2.8e9);
         let (small, large) = (16 * 1024, 64 * 1024 * 1024);
-        let calls: [&dyn Fn(&mut RankCore); 5] = [
+        let calls: [&dyn Fn(&mut RankCore); 6] = [
             &|c| c.mem_access(1e5, small),
+            &|c| c.mem_access(7e4, small),
             &|c| c.compute(3e4),
             &|c| c.mem_access(2e5, large),
             &|c| c.compute(5e4),

@@ -31,7 +31,7 @@
 //! receiver before the sender's next step executes), so there are never
 //! undelivered messages "in flight" between tasks. The starved-host
 //! condition that makes the thread runtime's detector hedge is therefore
-//! trivially decidable here: an empty event queue with live tasks *is*
+//! trivially decidable here: an empty ready queue with live tasks *is*
 //! the terminal wait-for graph. The engine reports the same
 //! [`DeadlockInfo`] shape — edges, cyclicity, per-rank partial traces —
 //! as `mps::try_run`.

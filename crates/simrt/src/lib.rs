@@ -46,7 +46,7 @@
 //! `recv_any` matches depends on the schedule, so they always run on the
 //! sequential engine (a pool is ignored) and their schedule is its FIFO
 //! order — the same on every run, but not virtual-time order. The
-//! `engine` module documents both points.
+//! argument for both is in `src/engine.rs`.
 //!
 //! Schedule-space exploration (a [`mps::SchedulerHook`] installed in
 //! `world.sched`) is the thread runtime's job: the engine fixes its own
