@@ -65,8 +65,13 @@ impl AppModel for CgModel {
         "CG"
     }
 
+    fn admits(&self, p: usize) -> bool {
+        p.is_power_of_two()
+    }
+
     /// # Panics
-    /// Panics unless `p` is a power of two (the NPB grid constraint).
+    /// Panics unless `p` is a power of two (the NPB grid constraint; see
+    /// [`AppModel::admits`]).
     fn app_params(&self, n: f64, p: usize) -> AppParams {
         assert!(n > 1.0 && p > 0, "invalid (n, p)");
         let (nprow, npcol) = cg_proc_grid(p);

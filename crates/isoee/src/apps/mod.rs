@@ -53,6 +53,13 @@ pub trait AppModel: Sync {
         let _ = (n, p);
         None
     }
+
+    /// Whether the model is defined at `p` ranks; [`Self::app_params`] may
+    /// panic where it is not. The default admits every `p`.
+    fn admits(&self, p: usize) -> bool {
+        let _ = p;
+        true
+    }
 }
 
 /// Message/byte totals of the mps recursive-doubling allreduce (with

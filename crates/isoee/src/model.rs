@@ -38,6 +38,14 @@ pub enum ModelError {
         /// The offending `E1` value.
         e1: Joules,
     },
+    /// The application model is not defined at this rank count (CG's
+    /// processor grid needs a power of two).
+    UnsupportedRanks {
+        /// The model's name ("CG").
+        app: &'static str,
+        /// The offending rank count.
+        p: usize,
+    },
 }
 
 impl fmt::Display for ModelError {
@@ -48,6 +56,9 @@ impl fmt::Display for ModelError {
                 "sequential baseline energy E1 = {e1} is not positive and finite; \
                  EEF = E0/E1 is undefined for this parameter set"
             ),
+            Self::UnsupportedRanks { app, p } => {
+                write!(f, "the {app} model is not defined at p = {p} ranks")
+            }
         }
     }
 }
@@ -341,7 +352,9 @@ mod tests {
         let m = mach();
         let a = AppParams::ideal(f64::NAN);
         let err = ee(&m, &a, 4).expect_err("NaN workload must not evaluate");
-        let ModelError::DegenerateBaseline { e1 } = err;
+        let ModelError::DegenerateBaseline { e1 } = err else {
+            panic!("expected a degenerate baseline, got {err:?}");
+        };
         assert!(!e1.is_finite());
     }
 }

@@ -57,7 +57,9 @@ pub use pool::PoolConfig;
 ///
 /// `index` is the flat position of the first failing evaluation in the
 /// sweep's deterministic order (row-major for surfaces, axis order for
-/// contours and the advisor) — the same index at any thread count.
+/// contours and the advisor) — the same index at any thread count. A rank
+/// count the app model does not admit ([`AppModel::admits`]) fails the
+/// whole sweep before anything is evaluated, at its row-0 position.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepError {
     /// Flat index of the first degenerate evaluation.
@@ -90,6 +92,21 @@ impl std::error::Error for SweepError {
 fn ee_checked(mach: &MachineParams, a: &AppParams, p: usize) -> Result<f64, ModelError> {
     model_evals_counter().inc();
     model::ee(mach, a, p)
+}
+
+/// Refuse a sweep over `ps` when the app model does not admit one of its
+/// rank counts: once per grid, before any pool task evaluates a cell.
+fn admit(app: &dyn AppModel, ps: &[usize]) -> Result<(), SweepError> {
+    match ps.iter().position(|&p| !app.admits(p)) {
+        Some(index) => Err(SweepError {
+            index,
+            source: ModelError::UnsupportedRanks {
+                app: app.name(),
+                p: ps[index],
+            },
+        }),
+        None => Ok(()),
+    }
 }
 
 /// Process-wide count of EE model evaluations performed by the sweeps.
@@ -229,6 +246,7 @@ pub fn ee_surface_pf_with(
     ps: &[usize],
     fs: &[f64],
 ) -> Result<Surface, SweepError> {
+    admit(app, ps)?;
     let grid = crate::batch::PfGrid::new(app, base, n, ps);
     let rows = pool::parallel_map(cfg, fs, |&f| {
         timed_row(ps.len(), || {
@@ -254,6 +272,7 @@ pub fn ee_surface_pf_scalar_with(
     ps: &[usize],
     fs: &[f64],
 ) -> Result<Surface, SweepError> {
+    admit(app, ps)?;
     if !ps.is_empty() && !fs.is_empty() {
         if let Some((index, source)) =
             crate::interval::certify_pf_grid(app, base, n, ps, fs).degenerate
@@ -302,6 +321,7 @@ pub fn ee_surface_pn_with(
     ps: &[usize],
     ns: &[f64],
 ) -> Result<Surface, SweepError> {
+    admit(app, ps)?;
     let grid = crate::batch::PnGrid::new(app, mach, ps);
     let rows = pool::parallel_map(cfg, ns, |&n| {
         timed_row(ps.len(), || {
@@ -325,6 +345,7 @@ pub fn ee_surface_pn_scalar_with(
     ps: &[usize],
     ns: &[f64],
 ) -> Result<Surface, SweepError> {
+    admit(app, ps)?;
     if !ps.is_empty() && !ns.is_empty() {
         if let Some((index, source)) =
             crate::interval::certify_pn_grid(app, mach, ps, ns).degenerate
@@ -366,6 +387,9 @@ pub fn iso_ee_workload(
 ) -> Result<Option<f64>, ModelError> {
     assert!(n_lo > 1.0 && n_hi > n_lo, "invalid bracket");
     assert!(target > 0.0 && target < 1.0, "target EE must be in (0,1)");
+    if !app.admits(p) {
+        return Err(ModelError::UnsupportedRanks { app: app.name(), p });
+    }
     let ee_at = |n: f64| ee_checked(mach, &app.app_params(n, p), p);
     if ee_at(n_hi)? < target {
         return Ok(None);
@@ -475,6 +499,7 @@ pub fn best_frequency_with(
     freqs: &[f64],
 ) -> Result<(f64, f64), SweepError> {
     assert!(!freqs.is_empty(), "need at least one frequency");
+    admit(app, &[p])?;
     if let Some((index, source)) =
         crate::interval::certify_frequency_probes(app, base, n, p, freqs).degenerate
     {
@@ -664,11 +689,32 @@ mod tests {
         let err =
             ee_surface_pn(&app, &m, &[4, 16], &[1e7, 1e3]).expect_err("zero workload degenerate");
         assert_eq!(err.index, 2);
-        let ModelError::DegenerateBaseline { e1 } = err.source;
+        let ModelError::DegenerateBaseline { e1 } = err.source else {
+            panic!("expected a degenerate baseline, got {:?}", err.source);
+        };
         assert_eq!(e1, simcluster::units::Joules::ZERO);
         // A clean grid on the same model still evaluates.
         let ok = ee_surface_pn(&app, &m, &[4, 16], &[1e7, 1e8]).expect("clean grid");
         assert!(ok.min() > 0.9);
+    }
+
+    #[test]
+    fn unsupported_rank_counts_are_typed_errors_not_pool_panics() {
+        let m = MachineParams::system_g(2.8e9);
+        let err = ee_surface_pn(&CgModel::system_g(), &m, &[4, 6, 8], &[1e6, 1e7])
+            .expect_err("CG has no processor grid at p = 6");
+        assert_eq!(err.index, 1);
+        assert_eq!(err.source, ModelError::UnsupportedRanks { app: "CG", p: 6 });
+        assert!(err.to_string().contains("p = 6"), "{err}");
+        let pf = ee_surface_pf(&CgModel::system_g(), &m, 1e6, &[6], &[2.8e9]);
+        assert_eq!(pf.expect_err("p = 6").index, 0);
+        let best = best_frequency(&CgModel::system_g(), &m, 1e6, 12, &[2.8e9]);
+        assert_eq!(
+            best.expect_err("p = 12").source,
+            ModelError::UnsupportedRanks { app: "CG", p: 12 }
+        );
+        let contour = iso_ee_contour(&CgModel::system_g(), &m, &[4, 6], 0.5, 1e3, 1e9);
+        assert_eq!(contour.expect_err("p = 6").index, 1);
     }
 
     #[test]
@@ -685,7 +731,9 @@ mod tests {
         assert_eq!(err.index, 0);
         // The single-p entry point carries the same error as a ModelError.
         let err = iso_ee_workload(&app, &m, 8, 0.5, 1e3, 1e9).expect_err("degenerate bracket");
-        let ModelError::DegenerateBaseline { e1 } = err;
+        let ModelError::DegenerateBaseline { e1 } = err else {
+            panic!("expected a degenerate baseline, got {err:?}");
+        };
         assert_eq!(e1, simcluster::units::Joules::ZERO);
     }
 }

@@ -3,27 +3,29 @@
 //!
 //! The checker runs every rank's [`RankCursor`] to quiescence under the
 //! runtime's own matching rules — eager sends that never block, per
-//! `(src, dst)` FIFO channels with tag-skipping receives — without
-//! executing any user code or spawning any thread. For wildcard-free plans
-//! this canonical run is **exact**: matching is structural (the k-th
-//! receive of tag `t` on a channel always pairs with the k-th send of tag
-//! `t`), so enabledness is schedule-independent and one run decides
-//! deadlock for *all* schedules. A [`Op::RecvAny`](crate::Op::RecvAny)
-//! breaks confluence; the checker then proceeds with the lowest matching
-//! source (still a feasible schedule, so reported deadlocks remain real)
-//! but marks the verdict conservative ([`PlanAnalysis::exact`] = false):
-//! a clean conservative verdict does **not** prove other schedules safe.
+//! `(src, dst)` FIFO order with tag-skipping receives, matched through one
+//! [`Inbox`] per receiver — without executing any user code or spawning
+//! any thread, in O(p) memory plus the messages in flight. For
+//! wildcard-free plans this canonical run is **exact**: matching is
+//! structural (the k-th receive of tag `t` on a channel always pairs with
+//! the k-th send of tag `t`), so enabledness is schedule-independent and
+//! one run decides deadlock for *all* schedules. A
+//! [`Op::RecvAny`](crate::Op::RecvAny) breaks confluence; the checker
+//! then proceeds with the lowest matching source (still a feasible
+//! schedule, so reported deadlocks remain real) but marks the verdict
+//! conservative ([`PlanAnalysis::exact`] = false): a clean conservative
+//! verdict does **not** prove other schedules safe.
 //!
 //! Quiescence with unfinished ranks yields findings with witnesses: the
 //! wait-for cycle for circular waits, unmatched receives for dead-end
-//! waits (plus tag-mismatch evidence when the channel holds messages with
-//! different tags than the one wanted), and leftover never-received
+//! waits (plus tag-mismatch evidence when the awaited source's messages
+//! carry other tags than the one wanted), and leftover never-received
 //! messages as unmatched sends.
 
-use std::collections::VecDeque;
 use std::fmt;
 
 use crate::elaborate::{AOp, CollStats, RankCost, RankCursor, ShapeIssue, COLL_KINDS};
+use crate::inbox::{Envelope, Inbox};
 use crate::ir::CommPlan;
 
 /// Cap on recorded findings: a pathological plan at large `p` can produce
@@ -238,98 +240,12 @@ enum Status {
     Faulted,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Msg {
-    tag: u64,
-    bytes: u64,
-}
-
-/// A `src -> dst` message queue. There are `p²` of these (a million at
-/// p = 1024), and in well-formed plans almost every one holds at most a
-/// single in-flight message at a time, so the ≤1 case is stored inline —
-/// no allocation, no pointer chase — and only transient pileups (a rank
-/// racing ahead through eager sends) spill to a boxed deque.
-#[derive(Debug, Default)]
-enum Chan {
-    #[default]
-    Empty,
-    One(Msg),
-    // Boxed on purpose: the variant must stay pointer-sized so the whole
-    // enum is 24 bytes and the p² channel array stays allocation-free in
-    // the common case.
-    #[allow(clippy::box_collection)]
-    Many(Box<VecDeque<Msg>>),
-}
-
-impl Chan {
-    fn push(&mut self, m: Msg) {
-        match self {
-            Self::Empty => *self = Self::One(m),
-            Self::One(first) => {
-                let mut q = VecDeque::with_capacity(4);
-                q.push_back(*first);
-                q.push_back(m);
-                *self = Self::Many(Box::new(q));
-            }
-            Self::Many(q) => q.push_back(m),
-        }
-    }
-
-    /// Remove the oldest message with `tag` (the tag-skipping FIFO match).
-    fn take_tag(&mut self, tag: u64) -> bool {
-        match self {
-            Self::Empty => false,
-            Self::One(m) => {
-                let hit = m.tag == tag;
-                if hit {
-                    *self = Self::Empty;
-                }
-                hit
-            }
-            Self::Many(q) => {
-                let Some(pos) = q.iter().position(|m| m.tag == tag) else {
-                    return false;
-                };
-                q.remove(pos);
-                if q.len() == 1 {
-                    *self = Self::One(q[0]);
-                }
-                true
-            }
-        }
-    }
-
-    fn has_tag(&self, tag: u64) -> bool {
-        match self {
-            Self::Empty => false,
-            Self::One(m) => m.tag == tag,
-            Self::Many(q) => q.iter().any(|m| m.tag == tag),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        matches!(self, Self::Empty)
-    }
-
-    /// Snapshot of the queued messages, oldest first (report paths only).
-    fn msgs(&self) -> Vec<Msg> {
-        match self {
-            Self::Empty => Vec::new(),
-            Self::One(m) => vec![*m],
-            Self::Many(q) => q.iter().copied().collect(),
-        }
-    }
-}
-
 struct Checker<'p> {
     p: usize,
     cursors: Vec<RankCursor<'p>>,
     status: Vec<Status>,
-    /// Channel `src -> dst` at index `dst * p + src` — destination-major,
-    /// so a receiving rank's wildcard scan and matching reads walk one
-    /// contiguous `p`-entry row instead of striding across the whole
-    /// `p²` array.
-    channels: Vec<Chan>,
+    /// One inbox per receiving rank; envelope bodies are byte counts.
+    inboxes: Vec<Inbox<u64>>,
     /// The receive a blocked rank must retry when woken (a blocked rank's
     /// cursor has already moved past it).
     pending: Vec<Option<AOp>>,
@@ -346,10 +262,6 @@ impl<'p> Checker<'p> {
         } else {
             self.findings_truncated = true;
         }
-    }
-
-    fn take_match(&mut self, src: usize, dst: usize, tag: u64) -> bool {
-        self.channels[dst * self.p + src].take_tag(tag)
     }
 
     /// Run rank `r` until it blocks, finishes, or faults. Returns ranks to
@@ -380,8 +292,8 @@ impl<'p> Checker<'p> {
                                 if tag == want && from == Some(r) {
                                     // Rendezvous fast path: the destination
                                     // is blocked on exactly this message
-                                    // (its channel held no matching tag, so
-                                    // this send is the FIFO match) —
+                                    // (its inbox held no matching envelope,
+                                    // so this send is the FIFO match) —
                                     // satisfy the stashed receive directly,
                                     // skipping the channel round-trip.
                                     debug_assert!(matches!(
@@ -393,17 +305,21 @@ impl<'p> Checker<'p> {
                                     wake.push(to);
                                     continue;
                                 }
-                                // Wildcard waits re-scan their channels on
+                                // Wildcard waits re-scan their inbox on
                                 // wake, so queue first, then wake.
                                 if tag == want && from.is_none() {
                                     self.status[to] = Status::Running;
                                     wake.push(to);
                                 }
                             }
-                            self.channels[to * self.p + r].push(Msg { tag, bytes });
+                            self.inboxes[to].push(Envelope {
+                                src: r,
+                                tag,
+                                body: bytes,
+                            });
                         }
                         AOp::Recv { from, tag } => {
-                            if !self.take_match(from, r, tag) {
+                            if self.inboxes[r].take(from, tag).is_none() {
                                 self.pending[r] = Some(op);
                                 self.status[r] = Status::Blocked {
                                     from: Some(from),
@@ -413,10 +329,7 @@ impl<'p> Checker<'p> {
                             }
                         }
                         AOp::RecvAny { tag } => {
-                            let row = &self.channels[r * self.p..(r + 1) * self.p];
-                            let sources: Vec<usize> = (0..self.p)
-                                .filter(|&s| s != r && row[s].has_tag(tag))
-                                .collect();
+                            let sources = self.inboxes[r].sources(tag);
                             if sources.is_empty() {
                                 self.pending[r] = Some(op);
                                 self.status[r] = Status::Blocked { from: None, tag };
@@ -436,9 +349,9 @@ impl<'p> Checker<'p> {
                                     sources: sources.clone(),
                                 });
                             }
-                            let chosen = sources[0];
-                            let took = self.take_match(chosen, r, tag);
-                            debug_assert!(took, "source just scanned non-empty");
+                            // The checker's wildcard rule: lowest source.
+                            let took = self.inboxes[r].take(sources[0], tag);
+                            debug_assert!(took.is_some(), "source just scanned non-empty");
                         }
                     }
                 }
@@ -516,17 +429,16 @@ impl<'p> Checker<'p> {
             // Tag-mismatch evidence: the awaited channel holds messages,
             // just not the wanted tag.
             if let Some(s) = from {
-                let q = &self.channels[r * self.p + s];
-                if !q.is_empty() {
-                    let mut available: Vec<u64> = Vec::new();
-                    for m in q.msgs() {
-                        if !available.contains(&m.tag) {
-                            available.push(m.tag);
-                        }
-                        if available.len() >= 4 {
-                            break;
-                        }
+                let mut available: Vec<u64> = Vec::new();
+                for e in self.inboxes[r].iter().filter(|e| e.src == s) {
+                    if !available.contains(&e.tag) {
+                        available.push(e.tag);
                     }
+                    if available.len() >= 4 {
+                        break;
+                    }
+                }
+                if !available.is_empty() {
                     self.push_finding(PlanFinding::TagMismatch {
                         receiver: r,
                         sender: s,
@@ -538,28 +450,32 @@ impl<'p> Checker<'p> {
         }
     }
 
-    /// Leftover never-received messages, aggregated per `(src, dst, tag)`.
+    /// Leftover never-received messages, aggregated per `(src, dst, tag)`,
+    /// in `(src, dst)` order and each channel's first-arrival tag order.
     fn report_leftovers(&mut self) {
-        for src in 0..self.p {
-            for dst in 0..self.p {
-                let q = std::mem::take(&mut self.channels[dst * self.p + src]);
-                let mut seen: Vec<(u64, u64, u64)> = Vec::new(); // (tag, bytes, count)
-                for m in q.msgs() {
-                    if let Some(e) = seen.iter_mut().find(|e| e.0 == m.tag) {
-                        e.2 += 1;
-                    } else {
-                        seen.push((m.tag, m.bytes, 1));
-                    }
+        let mut left: Vec<(usize, usize, u64, u64)> = Vec::new(); // (src, dst, tag, bytes)
+        for (dst, inbox) in self.inboxes.iter_mut().enumerate() {
+            left.extend(inbox.drain().map(|e| (e.src, dst, e.tag, e.body)));
+        }
+        // Stable: each channel keeps its arrival order.
+        left.sort_by_key(|&(src, dst, ..)| (src, dst));
+        for chan in left.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let mut seen: Vec<(u64, u64, u64)> = Vec::new(); // (tag, bytes, count)
+            for &(_, _, tag, bytes) in chan {
+                if let Some(e) = seen.iter_mut().find(|e| e.0 == tag) {
+                    e.2 += 1;
+                } else {
+                    seen.push((tag, bytes, 1));
                 }
-                for (tag, bytes, count) in seen {
-                    self.push_finding(PlanFinding::UnmatchedSend {
-                        src,
-                        dst,
-                        tag,
-                        bytes,
-                        count,
-                    });
-                }
+            }
+            for (tag, bytes, count) in seen {
+                self.push_finding(PlanFinding::UnmatchedSend {
+                    src: chan[0].0,
+                    dst: chan[0].1,
+                    tag,
+                    bytes,
+                    count,
+                });
             }
         }
     }
@@ -580,7 +496,7 @@ pub fn analyze_plan(plan: &CommPlan, p: usize) -> PlanAnalysis {
         p,
         cursors: (0..p).map(|r| RankCursor::new(plan, p, r)).collect(),
         status: vec![Status::Running; p],
-        channels: (0..p * p).map(|_| Chan::Empty).collect(),
+        inboxes: (0..p).map(|_| Inbox::default()).collect(),
         pending: vec![None; p],
         findings: Vec::new(),
         findings_truncated: false,
@@ -978,6 +894,37 @@ mod tests {
             .findings
             .iter()
             .any(|f| matches!(f, PlanFinding::Shape { .. })));
+    }
+
+    #[test]
+    fn alltoall_size_fault_surfaces_at_the_failing_exchange() {
+        // Only rank 0's chunk for peer 3 fails (8 / (0 + 3 - 3)). XOR
+        // pairing at p = 4 gives rank 0 the partners 1, 2, 3 in order.
+        let plan = CommPlan::new(
+            "a2a-fault",
+            vec![Op::AllToAll {
+                bytes: Expr::Const(8) / (Expr::Rank + Expr::Const(3) - Expr::Peer),
+            }],
+        );
+        let a = analyze_plan(&plan, 4);
+        assert!(!a.deadlock_free());
+        // Rank 0 completes its exchanges with ranks 1 and 2 first, so they
+        // finish; only rank 3, whose partner it is last, waits forever.
+        assert_eq!(
+            a.findings,
+            vec![
+                PlanFinding::Shape {
+                    rank: 0,
+                    issue: ShapeIssue::Eval(crate::EvalError::DivByZero),
+                },
+                PlanFinding::UnmatchedRecv {
+                    rank: 3,
+                    from: Some(0),
+                    tag: mps::internal_tag(0, 3),
+                },
+            ]
+        );
+        assert_eq!(a.per_rank[0].messages, 2);
     }
 
     #[test]

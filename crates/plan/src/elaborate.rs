@@ -6,10 +6,18 @@
 //! message sequence [`mps`]'s collectives produce — same peers, same
 //! [`mps::internal_tag`] values, same per-rank collective sequence numbers —
 //! so the static matching in [`crate::check`] sees precisely the messages a
-//! [`crate::lower`]ed execution would send. Expansion is lazy (one
-//! collective call buffered at a time, `O(p)` transient ops), which is what
-//! lets the checker certify plans at `p = 1024+` without materializing the
-//! multi-million-op global stream.
+//! [`crate::lower`]ed execution would send; the algorithms live in
+//! [`crate::coll`], shared with [`crate::TimedCursor`]. Expansion is lazy:
+//! the logarithmic collectives buffer one call (`O(log p)` ops), and the
+//! two O(p)-message collectives (allgather, all-to-all) stream one
+//! exchange at a time from a [`BigColl`]. A cursor
+//! therefore holds O(log p) pending ops even while every rank sits inside a
+//! transpose, which is what lets the checker certify plans at `p = 4096+`
+//! in O(p) memory.
+//!
+//! A size expression that fails for one peer of an O(p) collective stops
+//! the rank at that peer's exchange: the exchanges before it have been
+//! sent and received, as in [`crate::TimedCursor`] and [`crate::lower`].
 //!
 //! Cost events (compute instructions, memory accesses, message/byte and
 //! per-collective counters) accumulate on the cursor as a side effect of
@@ -19,7 +27,9 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use mps::{internal_tag, USER_TAG_LIMIT};
+use mps::USER_TAG_LIMIT;
+
+use crate::coll::{Act, BigColl, SmallColl};
 
 use crate::expr::{Env, EvalError, Expr};
 use crate::ir::{CommPlan, Op, TagExpr};
@@ -216,6 +226,8 @@ pub struct RankCursor<'p> {
     tags_taken: u64,
     coll_seq: u64,
     buffered: VecDeque<AOp>,
+    /// In-flight O(p) collective, streamed into `buffered` on demand.
+    big: Option<BigColl<'p>>,
     /// Cost totals accumulated so far.
     pub cost: RankCost,
     /// Per-collective-family counters accumulated so far.
@@ -247,6 +259,7 @@ impl<'p> RankCursor<'p> {
             tags_taken: 0,
             coll_seq: 0,
             buffered: VecDeque::new(),
+            big: None,
             cost: RankCost::default(),
             colls: [CollStats::default(); COLL_KINDS],
             saw_wildcard: false,
@@ -320,23 +333,37 @@ impl<'p> RankCursor<'p> {
         Ok(raw)
     }
 
-    fn next_seq(&mut self) -> u64 {
-        let s = self.coll_seq;
-        self.coll_seq += 1;
-        s
+    /// Buffer one action of a `kind` collective, charging its costs.
+    #[inline]
+    fn act(&mut self, kind: CollKind, a: Act) {
+        match a {
+            Act::Send(to, tag, bytes) => {
+                self.cost.messages += 1;
+                self.cost.bytes += bytes;
+                let s = &mut self.colls[kind.index()];
+                s.messages += 1;
+                s.bytes += bytes;
+                self.buffered.push_back(AOp::Send { to, tag, bytes });
+            }
+            Act::Recv(from, tag) => self.buffered.push_back(AOp::Recv { from, tag }),
+            Act::Combine(elems) => self.cost.wc += elems as f64,
+        }
     }
 
-    fn emit_send(&mut self, kind: CollKind, to: usize, tag: u64, bytes: u64) {
-        self.cost.messages += 1;
-        self.cost.bytes += bytes;
-        let s = &mut self.colls[kind.index()];
-        s.messages += 1;
-        s.bytes += bytes;
-        self.buffered.push_back(AOp::Send { to, tag, bytes });
+    fn expand(&mut self, c: SmallColl) {
+        let (p, rank, kind) = (self.p, self.rank, c.kind());
+        self.colls[kind.index()].calls += 1;
+        let mut seq = self.coll_seq;
+        c.expand(p, rank, &mut seq, |a| self.act(kind, a));
+        self.coll_seq = seq;
     }
 
-    fn emit_recv(&mut self, from: usize, tag: u64) {
-        self.buffered.push_back(AOp::Recv { from, tag });
+    fn start_big(&mut self, kind: CollKind, bytes: &'p Expr) {
+        self.colls[kind.index()].calls += 1;
+        let big = BigColl::new(kind, &mut self.coll_seq, bytes);
+        if self.p > 1 {
+            self.big = Some(big);
+        }
     }
 
     /// Advance to the next abstract comm op, accumulating cost events along
@@ -361,6 +388,17 @@ impl<'p> RankCursor<'p> {
         loop {
             if let Some(a) = self.buffered.pop_front() {
                 return Ok(Some(a));
+            }
+            if let Some(big) = &mut self.big {
+                let Some(x) = big.next(self.p, self.rank) else {
+                    self.big = None;
+                    continue;
+                };
+                let (kind, bytes) = (big.kind, big.bytes);
+                let bytes = self.eval_bytes(bytes, Some(x.peer))?;
+                self.act(kind, Act::Send(x.to, x.tag, bytes));
+                self.act(kind, Act::Recv(x.from, x.tag));
+                continue;
             }
             let Some(frame) = self.frames.last_mut() else {
                 return Ok(None);
@@ -433,7 +471,7 @@ impl<'p> RankCursor<'p> {
                     self.cost.messages += 1;
                     self.cost.bytes += bytes;
                     // exchange == send-then-recv on the same tag.
-                    self.emit_recv(partner, tag);
+                    self.buffered.push_back(AOp::Recv { from: partner, tag });
                     return Ok(Some(AOp::Send {
                         to: partner,
                         tag,
@@ -467,194 +505,26 @@ impl<'p> RankCursor<'p> {
                         });
                     }
                 }
-                Op::Barrier => self.expand_barrier(),
+                Op::Barrier => self.expand(SmallColl::Barrier),
                 Op::Bcast { root, bytes } => {
                     let root = self.eval_peer(root)?;
                     let bytes = self.eval_bytes(bytes, None)?;
-                    self.expand_bcast(root, bytes);
+                    self.expand(SmallColl::Bcast { root, bytes });
                 }
                 Op::Reduce { root, elems, .. } => {
                     let root = self.eval_peer(root)?;
                     let elems = self.eval_bytes(elems, None)?;
-                    self.expand_reduce(root, elems);
+                    self.expand(SmallColl::Reduce { root, elems });
                 }
                 Op::AllReduce { elems, .. } => {
                     let elems = self.eval_bytes(elems, None)?;
-                    self.expand_allreduce(elems);
+                    self.expand(SmallColl::AllReduce { elems });
                 }
-                Op::AllGather { bytes } => self.expand_allgather(bytes)?,
-                Op::AllToAll { bytes } => self.expand_alltoall(bytes)?,
+                Op::AllGather { bytes } => self.start_big(CollKind::AllGather, bytes),
+                Op::AllToAll { bytes } => self.start_big(CollKind::AllToAll, bytes),
             }
         }
     }
-
-    // -----------------------------------------------------------------
-    // Collective expansions: exact mirrors of `mps::collect`'s algorithms
-    // (peers, tags, sequence-number consumption, combine charges).
-    // -----------------------------------------------------------------
-
-    fn expand_barrier(&mut self) {
-        let (p, rank) = (self.p, self.rank);
-        self.colls[CollKind::Barrier.index()].calls += 1;
-        // barrier_inner returns before consuming a sequence number at p=1.
-        if p == 1 {
-            return;
-        }
-        let seq = self.next_seq();
-        let mut round = 0u32;
-        let mut dist = 1usize;
-        while dist < p {
-            let to = (rank + dist) % p;
-            let from = (rank + p - dist) % p;
-            let tag = internal_tag(seq, round);
-            self.emit_send(CollKind::Barrier, to, tag, 0);
-            self.emit_recv(from, tag);
-            dist <<= 1;
-            round += 1;
-        }
-    }
-
-    fn expand_bcast(&mut self, root: usize, bytes: u64) {
-        let (p, rank) = (self.p, self.rank);
-        self.colls[CollKind::Bcast.index()].calls += 1;
-        let seq = self.next_seq();
-        if p == 1 {
-            return;
-        }
-        let vrank = (rank + p - root) % p;
-        let tag = internal_tag(seq, 0);
-        let mut mask = 1usize;
-        while mask < p {
-            if vrank & mask != 0 {
-                let src = (rank + p - mask) % p;
-                self.emit_recv(src, tag);
-                break;
-            }
-            mask <<= 1;
-        }
-        mask >>= 1;
-        while mask > 0 {
-            if vrank + mask < p {
-                let dst = (rank + mask) % p;
-                self.emit_send(CollKind::Bcast, dst, tag, bytes);
-            }
-            mask >>= 1;
-        }
-    }
-
-    fn expand_reduce(&mut self, root: usize, elems: u64) {
-        let (p, rank) = (self.p, self.rank);
-        self.colls[CollKind::Reduce.index()].calls += 1;
-        let seq = self.next_seq();
-        if p == 1 {
-            return;
-        }
-        let bytes = elems * 8;
-        let vrank = (rank + p - root) % p;
-        let tag = internal_tag(seq, 0);
-        let mut mask = 1usize;
-        while mask < p {
-            if vrank & mask == 0 {
-                let child_v = vrank | mask;
-                if child_v < p {
-                    let src = (child_v + root) % p;
-                    self.emit_recv(src, tag);
-                    self.cost.wc += elems as f64; // combine charge
-                }
-            } else {
-                let parent_v = vrank & !mask;
-                let dst = (parent_v + root) % p;
-                self.emit_send(CollKind::Reduce, dst, tag, bytes);
-                return;
-            }
-            mask <<= 1;
-        }
-    }
-
-    fn expand_allreduce(&mut self, elems: u64) {
-        let (p, rank) = (self.p, self.rank);
-        self.colls[CollKind::AllReduce.index()].calls += 1;
-        let seq = self.next_seq();
-        if p == 1 {
-            return;
-        }
-        let bytes = elems * 8;
-        let m = prev_power_of_two(p);
-        let r = p - m;
-        if rank >= m {
-            self.emit_send(CollKind::AllReduce, rank - m, internal_tag(seq, 0), bytes);
-            self.emit_recv(rank - m, internal_tag(seq, 63));
-            return;
-        }
-        if rank < r {
-            self.emit_recv(rank + m, internal_tag(seq, 0));
-            self.cost.wc += elems as f64;
-        }
-        let mut round = 1u32;
-        let mut mask = 1usize;
-        while mask < m {
-            let partner = rank ^ mask;
-            let tag = internal_tag(seq, round);
-            self.emit_send(CollKind::AllReduce, partner, tag, bytes);
-            self.emit_recv(partner, tag);
-            self.cost.wc += elems as f64;
-            mask <<= 1;
-            round += 1;
-        }
-        if rank < r {
-            self.emit_send(CollKind::AllReduce, rank + m, internal_tag(seq, 63), bytes);
-        }
-    }
-
-    fn expand_allgather(&mut self, bytes: &Expr) -> Result<(), ShapeIssue> {
-        let (p, rank) = (self.p, self.rank);
-        self.colls[CollKind::AllGather.index()].calls += 1;
-        let seq = self.next_seq();
-        if p > 1 {
-            let right = (rank + 1) % p;
-            let left = (rank + p - 1) % p;
-            for i in 0..p - 1 {
-                let src_owner = (rank + p - i) % p;
-                let b = self.eval_bytes(bytes, Some(src_owner as i64))?;
-                let tag = internal_tag(seq, i as u32);
-                self.emit_send(CollKind::AllGather, right, tag, b);
-                self.emit_recv(left, tag);
-            }
-        }
-        Ok(())
-    }
-
-    fn expand_alltoall(&mut self, bytes: &Expr) -> Result<(), ShapeIssue> {
-        let (p, rank) = (self.p, self.rank);
-        self.colls[CollKind::AllToAll.index()].calls += 1;
-        let seq = self.next_seq();
-        if p > 1 {
-            if p.is_power_of_two() {
-                for i in 1..p {
-                    let partner = rank ^ i;
-                    let tag = internal_tag(seq, i as u32);
-                    let b = self.eval_bytes(bytes, Some(partner as i64))?;
-                    self.emit_send(CollKind::AllToAll, partner, tag, b);
-                    self.emit_recv(partner, tag);
-                }
-            } else {
-                for i in 1..p {
-                    let dst = (rank + i) % p;
-                    let src = (rank + p - i) % p;
-                    let tag = internal_tag(seq, i as u32);
-                    let b = self.eval_bytes(bytes, Some(dst as i64))?;
-                    self.emit_send(CollKind::AllToAll, dst, tag, b);
-                    self.emit_recv(src, tag);
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-fn prev_power_of_two(p: usize) -> usize {
-    assert!(p > 0);
-    1usize << (usize::BITS - 1 - p.leading_zeros())
 }
 
 #[cfg(test)]

@@ -45,8 +45,10 @@
 #![forbid(unsafe_code)]
 
 mod check;
+mod coll;
 mod elaborate;
 mod expr;
+mod inbox;
 mod ir;
 mod lower;
 mod symbolic;
@@ -55,6 +57,7 @@ mod timed;
 pub use check::{analyze_plan, InexactWitness, PlanAnalysis, PlanFinding, PlanWaitEdge};
 pub use elaborate::{AOp, CollKind, CollStats, RankCost, RankCursor, ShapeIssue, COLL_KINDS};
 pub use expr::{Cond, Env, EvalError, Expr, RankTable};
+pub use inbox::{Envelope, Inbox};
 pub use ir::{CommPlan, Op, TagExpr};
 pub use lower::lower;
 pub use symbolic::{

@@ -49,8 +49,8 @@
 //!
 //! The same walk yields closed-form **count enclosures**
 //! ([`ParametricCert::counts`]): for any admissible `p`, message/byte/
-//! work totals as intervals evaluated in `O(plan size)` — no `p²` channel
-//! matrix — which `isoee`'s symbolic cost lowering turns into Eq. 13/15
+//! work totals as intervals evaluated in `O(plan size)` — no per-`p`
+//! elaboration — which `isoee`'s symbolic cost lowering turns into Eq. 13/15
 //! time/energy enclosures and static power-cap verdicts. Each base case
 //! also cross-checks the enclosure against the concrete totals, so a
 //! count bug is caught at certification time, not at verdict time.

@@ -14,15 +14,13 @@
 //! * `TimedCursor` elaborates it *operationally* for the `simrt` event
 //!   engine, which replays the steps against an [`mps::RankCore`].
 //!
-//! The expansions below therefore mirror `mps/src/collect.rs` line by
-//! line: same dissemination/binomial/recursive-doubling/ring/pairwise
-//! algorithms, same [`internal_tag`] sequencing (including which
-//! collectives consume a sequence number before their `p == 1` early
-//! return), same per-message contention concurrency (`p` inside
-//! collectives, 2 for user point-to-point), same `combine` compute charges.
-//! The differential tests in `simrt` pin this agreement counter-for-counter
-//! against the thread runtime, and `analyze_plan` totals pin it against the
-//! static checker.
+//! Both cursors expand collectives from the same algorithms
+//! ([`crate::coll`]), which mirror `mps/src/collect.rs` line by line; this
+//! cursor adds the per-message contention concurrency (`p` inside
+//! collectives, 2 for user point-to-point) and the collective span
+//! boundaries. The differential tests in `simrt` pin this agreement
+//! counter-for-counter against the thread runtime, and `analyze_plan`
+//! totals pin it against the static checker.
 //!
 //! The two O(p)-message collectives (allgather, all-to-all) are streamed
 //! from constant-size generator state instead of being materialized, so a
@@ -31,8 +29,8 @@
 
 use std::collections::VecDeque;
 
-use mps::internal_tag;
-
+use crate::coll::{Act, BigColl, SmallColl};
+use crate::elaborate::CollKind;
 use crate::expr::{Env, Expr};
 use crate::ir::{CommPlan, Op, TagExpr};
 
@@ -105,15 +103,6 @@ enum Frame<'p> {
         iter: usize,
         trips: usize,
     },
-}
-
-/// Generator state for the O(p)-message collectives, streamed one
-/// exchange per [`TimedCursor::next_step`] refill instead of materialized.
-enum BigColl<'p> {
-    /// Ring allgather: iteration `i` of `p - 1`.
-    AllGather { seq: u64, i: usize, bytes: &'p Expr },
-    /// Pairwise all-to-all: iteration `i` of `1..p`.
-    AllToAll { seq: u64, i: usize, bytes: &'p Expr },
 }
 
 /// A resumable per-rank walk of a plan, yielding [`Step`]s.
@@ -282,12 +271,6 @@ impl<'p> TimedCursor<'p> {
         }
     }
 
-    fn next_seq(&mut self) -> u64 {
-        let s = self.coll_seq;
-        self.coll_seq += 1;
-        s
-    }
-
     /// Interpret one op: either return its single step, queue an
     /// expansion, or (for pure control flow) return `None` to continue.
     #[allow(clippy::cast_precision_loss)]
@@ -388,286 +371,94 @@ impl<'p> TimedCursor<'p> {
                 None
             }
             Op::Barrier => {
-                self.expand_barrier();
+                self.expand(SmallColl::Barrier);
                 None
             }
             Op::Bcast { root, bytes } => {
                 let root = self.eval_rank(root);
-                let b = self.eval_bytes(bytes, None);
-                self.expand_bcast(root, b);
+                let bytes = self.eval_bytes(bytes, None);
+                self.expand(SmallColl::Bcast { root, bytes });
                 None
             }
             Op::Reduce { root, elems, .. } => {
                 let root = self.eval_rank(root);
-                let e = self.eval_count(elems, None);
-                self.expand_reduce(root, e);
+                let elems = self.eval_bytes(elems, None);
+                self.expand(SmallColl::Reduce { root, elems });
                 None
             }
             Op::AllReduce { elems, .. } => {
-                let e = self.eval_count(elems, None);
-                self.expand_allreduce(e);
+                let elems = self.eval_bytes(elems, None);
+                self.expand(SmallColl::AllReduce { elems });
                 None
             }
             Op::AllGather { bytes } => {
-                let seq = self.next_seq();
-                self.micro.push_back(Step::CollBegin("mps:allgather"));
-                if self.p > 1 {
-                    self.big = Some(BigColl::AllGather { seq, i: 0, bytes });
-                } else {
-                    self.micro.push_back(Step::CollEnd);
-                }
+                self.start_big(CollKind::AllGather, bytes);
                 None
             }
             Op::AllToAll { bytes } => {
-                let seq = self.next_seq();
-                self.micro.push_back(Step::CollBegin("mps:alltoall"));
-                if self.p > 1 {
-                    self.big = Some(BigColl::AllToAll { seq, i: 1, bytes });
-                } else {
-                    self.micro.push_back(Step::CollEnd);
-                }
+                self.start_big(CollKind::AllToAll, bytes);
                 None
             }
+        }
+    }
+
+    /// Queue a logarithmic collective's steps inside its span.
+    fn expand(&mut self, c: SmallColl) {
+        let p = self.p;
+        self.micro.push_back(Step::CollBegin(c.kind().scope_name()));
+        let micro = &mut self.micro;
+        c.expand(p, self.rank, &mut self.coll_seq, |a| {
+            micro.push_back(coll_step(p, a));
+        });
+        self.micro.push_back(Step::CollEnd);
+    }
+
+    fn start_big(&mut self, kind: CollKind, bytes: &'p Expr) {
+        let big = BigColl::new(kind, &mut self.coll_seq, bytes);
+        self.micro.push_back(Step::CollBegin(kind.scope_name()));
+        if self.p > 1 {
+            self.big = Some(big);
+        } else {
+            self.micro.push_back(Step::CollEnd);
         }
     }
 
     /// Stream the next exchange of the in-flight O(p) collective into
     /// `micro`, closing the collective when its iterations are exhausted.
     fn refill_big(&mut self) {
-        let (p, rank) = (self.p, self.rank);
         let big = self.big.as_mut().expect("big collective in flight");
-        match big {
-            BigColl::AllGather { seq, i, bytes } => {
-                // Mirrors `allgather_inner`: ring, chunk owned by
-                // `rank - i` moves right; sizes are per-owner.
-                if *i < p - 1 {
-                    let (seq, i_now, bytes) = (*seq, *i, *bytes);
-                    *i += 1;
-                    let right = (rank + 1) % p;
-                    let left = (rank + p - 1) % p;
-                    let src_owner = (rank + p - i_now) % p;
-                    #[allow(clippy::cast_possible_wrap)]
-                    let b = self.eval_bytes(bytes, Some(src_owner as i64));
-                    let tag = internal_tag(seq, u32::try_from(i_now).expect("round fits u32"));
-                    self.micro.push_back(Step::Send {
-                        to: right,
-                        tag,
-                        bytes: b,
-                        concurrency: p,
-                    });
-                    self.micro.push_back(Step::Recv { from: left, tag });
-                } else {
-                    self.big = None;
-                    self.micro.push_back(Step::CollEnd);
-                }
-            }
-            BigColl::AllToAll { seq, i, bytes } => {
-                // Mirrors `alltoall_inner`: XOR pairing for powers of two,
-                // rotation otherwise; own chunk is free.
-                if *i < p {
-                    let (seq, i_now, bytes) = (*seq, *i, *bytes);
-                    *i += 1;
-                    let tag = internal_tag(seq, u32::try_from(i_now).expect("round fits u32"));
-                    if p.is_power_of_two() {
-                        let partner = rank ^ i_now;
-                        #[allow(clippy::cast_possible_wrap)]
-                        let b = self.eval_bytes(bytes, Some(partner as i64));
-                        self.micro.push_back(Step::Send {
-                            to: partner,
-                            tag,
-                            bytes: b,
-                            concurrency: p,
-                        });
-                        self.micro.push_back(Step::Recv { from: partner, tag });
-                    } else {
-                        let dst = (rank + i_now) % p;
-                        let src = (rank + p - i_now) % p;
-                        #[allow(clippy::cast_possible_wrap)]
-                        let b = self.eval_bytes(bytes, Some(dst as i64));
-                        self.micro.push_back(Step::Send {
-                            to: dst,
-                            tag,
-                            bytes: b,
-                            concurrency: p,
-                        });
-                        self.micro.push_back(Step::Recv { from: src, tag });
-                    }
-                } else {
-                    self.big = None;
-                    self.micro.push_back(Step::CollEnd);
-                }
-            }
-        }
-    }
-
-    /// Dissemination barrier (`barrier_inner`): at `p == 1` it returns
-    /// *before* consuming a sequence number.
-    fn expand_barrier(&mut self) {
-        let (p, rank) = (self.p, self.rank);
-        self.micro.push_back(Step::CollBegin("mps:barrier"));
-        if p > 1 {
-            let seq = self.next_seq();
-            let mut round = 0u32;
-            let mut dist = 1usize;
-            while dist < p {
-                let to = (rank + dist) % p;
-                let from = (rank + p - dist) % p;
-                let tag = internal_tag(seq, round);
-                self.micro.push_back(Step::Send {
-                    to,
-                    tag,
-                    bytes: 0,
-                    concurrency: p,
-                });
-                self.micro.push_back(Step::Recv { from, tag });
-                dist <<= 1;
-                round += 1;
-            }
-        }
-        self.micro.push_back(Step::CollEnd);
-    }
-
-    /// Binomial-tree broadcast (`bcast_inner`); consumes a sequence number
-    /// even at `p == 1`.
-    fn expand_bcast(&mut self, root: usize, bytes: u64) {
-        let (p, rank) = (self.p, self.rank);
-        assert!(root < p, "broadcast root {root} out of range");
-        self.micro.push_back(Step::CollBegin("mps:bcast"));
-        let seq = self.next_seq();
-        if p > 1 {
-            let vrank = (rank + p - root) % p;
-            let tag = internal_tag(seq, 0);
-            let mut mask = 1usize;
-            while mask < p {
-                if vrank & mask != 0 {
-                    let src = (rank + p - mask) % p;
-                    self.micro.push_back(Step::Recv { from: src, tag });
-                    break;
-                }
-                mask <<= 1;
-            }
-            mask >>= 1;
-            while mask > 0 {
-                if vrank + mask < p {
-                    let dst = (rank + mask) % p;
-                    self.micro.push_back(Step::Send {
-                        to: dst,
-                        tag,
-                        bytes,
-                        concurrency: p,
-                    });
-                }
-                mask >>= 1;
-            }
-        }
-        self.micro.push_back(Step::CollEnd);
-    }
-
-    /// Binomial-tree reduce (`reduce_inner`): payloads are `f64`
-    /// (8 bytes/element), each combine charges one instruction per
-    /// element; a non-root rank stops after its send to the parent.
-    fn expand_reduce(&mut self, root: usize, elems: usize) {
-        let (p, rank) = (self.p, self.rank);
-        assert!(root < p, "reduce root {root} out of range");
-        self.micro.push_back(Step::CollBegin("mps:reduce"));
-        let seq = self.next_seq();
-        if p > 1 {
-            let bytes = 8 * elems as u64;
-            let vrank = (rank + p - root) % p;
-            let tag = internal_tag(seq, 0);
-            let mut mask = 1usize;
-            while mask < p {
-                if vrank & mask == 0 {
-                    let child_v = vrank | mask;
-                    if child_v < p {
-                        let src = (child_v + root) % p;
-                        self.micro.push_back(Step::Recv { from: src, tag });
-                        #[allow(clippy::cast_precision_loss)]
-                        self.micro.push_back(Step::Compute {
-                            instr: elems as f64,
-                        });
-                    }
-                } else {
-                    let parent_v = vrank & !mask;
-                    let dst = (parent_v + root) % p;
-                    self.micro.push_back(Step::Send {
-                        to: dst,
-                        tag,
-                        bytes,
-                        concurrency: p,
-                    });
-                    break;
-                }
-                mask <<= 1;
-            }
-        }
-        self.micro.push_back(Step::CollEnd);
-    }
-
-    /// Recursive-doubling allreduce (`allreduce_inner`) with pre/post
-    /// folding of the non-power-of-two remainder.
-    fn expand_allreduce(&mut self, elems: usize) {
-        let (p, rank) = (self.p, self.rank);
-        self.micro.push_back(Step::CollBegin("mps:allreduce"));
-        let seq = self.next_seq();
-        if p > 1 {
-            let bytes = 8 * elems as u64;
-            #[allow(clippy::cast_precision_loss)]
-            let instr = elems as f64;
-            let m = prev_power_of_two(p);
-            let r = p - m;
-            if rank >= m {
-                self.micro.push_back(Step::Send {
-                    to: rank - m,
-                    tag: internal_tag(seq, 0),
-                    bytes,
-                    concurrency: p,
-                });
-                self.micro.push_back(Step::Recv {
-                    from: rank - m,
-                    tag: internal_tag(seq, 63),
-                });
-            } else {
-                if rank < r {
-                    self.micro.push_back(Step::Recv {
-                        from: rank + m,
-                        tag: internal_tag(seq, 0),
-                    });
-                    self.micro.push_back(Step::Compute { instr });
-                }
-                let mut round = 1u32;
-                let mut mask = 1usize;
-                while mask < m {
-                    let partner = rank ^ mask;
-                    let tag = internal_tag(seq, round);
-                    self.micro.push_back(Step::Send {
-                        to: partner,
-                        tag,
-                        bytes,
-                        concurrency: p,
-                    });
-                    self.micro.push_back(Step::Recv { from: partner, tag });
-                    self.micro.push_back(Step::Compute { instr });
-                    mask <<= 1;
-                    round += 1;
-                }
-                if rank < r {
-                    self.micro.push_back(Step::Send {
-                        to: rank + m,
-                        tag: internal_tag(seq, 63),
-                        bytes,
-                        concurrency: p,
-                    });
-                }
-            }
-        }
-        self.micro.push_back(Step::CollEnd);
+        let Some(x) = big.next(self.p, self.rank) else {
+            self.big = None;
+            self.micro.push_back(Step::CollEnd);
+            return;
+        };
+        let bytes = big.bytes;
+        let bytes = self.eval_bytes(bytes, Some(x.peer));
+        let send = Act::Send(x.to, x.tag, bytes);
+        self.micro.push_back(coll_step(self.p, send));
+        self.micro.push_back(Step::Recv {
+            from: x.from,
+            tag: x.tag,
+        });
     }
 }
 
-fn prev_power_of_two(p: usize) -> usize {
-    assert!(p > 0);
-    1usize << (usize::BITS - 1 - p.leading_zeros())
+/// The step of one collective action in a world of `p` (the contention
+/// concurrency of every collective message).
+fn coll_step(p: usize, a: Act) -> Step {
+    match a {
+        Act::Send(to, tag, bytes) => Step::Send {
+            to,
+            tag,
+            bytes,
+            concurrency: p,
+        },
+        Act::Recv(from, tag) => Step::Recv { from, tag },
+        #[allow(clippy::cast_precision_loss)]
+        Act::Combine(elems) => Step::Compute {
+            instr: elems as f64,
+        },
+    }
 }
 
 #[cfg(test)]

@@ -148,7 +148,7 @@ fn sequential(
                 ready.push_back(dst);
                 stats.wakes += 1;
             }
-            dst_task.inbox.push_back(env);
+            dst_task.inbox.push(env);
         }
         if cfg.timeline_every > 0 && executed >= next_sample {
             next_sample += cfg.timeline_every;
@@ -195,7 +195,7 @@ fn superstep(
                     dst_task.runnable = true;
                     stats.wakes += 1;
                 }
-                dst_task.inbox.push_back(env);
+                dst_task.inbox.push(env);
             }
         }
         ready = tasks.iter().filter(|t| t.runnable).count();

@@ -12,30 +12,28 @@
 //!
 //! The thread runtime keeps one channel per ordered rank pair — `p²`
 //! channels, fine at `p ≤` a few hundred, fatal at `p = 4096` (16.7M
-//! `VecDeque`s). A task instead holds a *single* arrival-ordered inbox and
-//! matches receives by a linear `(src, tag)` scan. Because deposits
-//! preserve each sender's program order, the first `(src, tag)` match in
-//! arrival order is exactly the per-source-FIFO-with-tag-skip match the
+//! `VecDeque`s). A task instead holds one [`plan::Inbox`], the matching
+//! core it shares with `plan::analyze_plan`: arrival-ordered, matched by
+//! `(src, tag)`. Because deposits preserve each sender's program order,
+//! that match is exactly the per-source-FIFO-with-tag-skip match the
 //! thread runtime performs, so the two transports consume identical
-//! message sequences. In-flight envelopes for the NPB collectives are
-//! bounded by ~`p`, so the scan is short in practice.
-
-use std::collections::VecDeque;
+//! message sequences. A wildcard `recv_any` takes the oldest envelope with
+//! its tag (the core's arrival-order rule). Memory is O(envelopes in
+//! flight), bounded by ~`p` for the NPB collectives.
 
 use mps::{CollScope, CommEvent, CommLog, CommOp, RankCore, World};
 use netsim::Hockney;
-use plan::{CommPlan, Step, TimedCursor};
+use plan::{CommPlan, Envelope, Inbox, Step, TimedCursor};
 use simcluster::units::Seconds;
 
 /// A message in flight between two rank tasks. The engine analogue of the
 /// thread runtime's envelope, minus the payload box: plans describe byte
 /// volumes, not values, so only the accounting fields travel.
+pub(crate) type SimEnvelope = Envelope<Delivery>;
+
+/// The accounting fields a [`SimEnvelope`] carries besides source and tag.
 #[derive(Debug, Clone)]
-pub(crate) struct SimEnvelope {
-    /// Sending rank.
-    pub(crate) src: usize,
-    /// Message tag (user or internal-collective).
-    pub(crate) tag: u64,
+pub(crate) struct Delivery {
     /// Virtual arrival time: send start + full Hockney link time.
     pub(crate) arrival_s: f64,
     /// Payload bytes.
@@ -110,8 +108,8 @@ pub(crate) enum Paused {
 pub(crate) struct RankTask<'a> {
     pub(crate) core: RankCore<'a>,
     cursor: TimedCursor<'a>,
-    /// Arrival-ordered inbox; receives match by linear `(src, tag)` scan.
-    pub(crate) inbox: VecDeque<SimEnvelope>,
+    /// Envelopes delivered and not yet received.
+    pub(crate) inbox: Inbox<Delivery>,
     pub(crate) blocked: Blocked,
     /// The step whose effect could not complete (a blocked receive),
     /// re-executed first on resume.
@@ -143,7 +141,7 @@ impl<'a> RankTask<'a> {
         Self {
             core: RankCore::new(rank, p, world, detail),
             cursor: TimedCursor::new(plan, p, rank),
-            inbox: VecDeque::new(),
+            inbox: Inbox::default(),
             blocked: Blocked::No,
             pending: None,
             scopes: Vec::new(),
@@ -218,23 +216,17 @@ impl<'a> RankTask<'a> {
                     bytes,
                     concurrency,
                 } => self.execute_send(world, links, to, tag, bytes, concurrency),
-                Step::Recv { from, tag } => {
-                    match self
-                        .inbox
-                        .iter()
-                        .position(|e| e.src == from && e.tag == tag)
-                    {
-                        Some(i) => self.consume(i),
-                        None => {
-                            self.blocked = Blocked::On { from, tag };
-                            self.runnable = false;
-                            self.pending = Some(Step::Recv { from, tag });
-                            return Paused::Blocked;
-                        }
+                Step::Recv { from, tag } => match self.inbox.take(from, tag) {
+                    Some(env) => self.consume(env),
+                    None => {
+                        self.blocked = Blocked::On { from, tag };
+                        self.runnable = false;
+                        self.pending = Some(Step::Recv { from, tag });
+                        return Paused::Blocked;
                     }
-                }
-                Step::RecvAny { tag } => match self.inbox.iter().position(|e| e.tag == tag) {
-                    Some(i) => self.consume(i),
+                },
+                Step::RecvAny { tag } => match self.inbox.take_any(tag) {
+                    Some(env) => self.consume(env),
                     None => {
                         self.blocked = Blocked::Any { tag };
                         self.runnable = false;
@@ -284,20 +276,21 @@ impl<'a> RankTask<'a> {
             SimEnvelope {
                 src: rank,
                 tag,
-                arrival_s: arrival.raw(),
-                bytes,
-                vc,
+                body: Delivery {
+                    arrival_s: arrival.raw(),
+                    bytes,
+                    vc,
+                },
             },
         ));
     }
 
-    /// Consume the inbox envelope at `idx`: advance to its arrival, log
-    /// the wait, merge vector clocks, record the receive event.
-    fn consume(&mut self, idx: usize) {
-        let env = self.inbox.remove(idx).expect("index in range");
-        let waited = self.core.account_recv(env.arrival_s);
+    /// Consume an envelope taken from the inbox: advance to its arrival,
+    /// log the wait, merge vector clocks, record the receive event.
+    fn consume(&mut self, env: SimEnvelope) {
+        let waited = self.core.account_recv(env.body.arrival_s);
         if self.detail {
-            for (mine, theirs) in self.vclock.iter_mut().zip(&env.vc) {
+            for (mine, theirs) in self.vclock.iter_mut().zip(&env.body.vc) {
                 *mine = (*mine).max(*theirs);
             }
             let rank = self.rank();
@@ -305,7 +298,7 @@ impl<'a> RankTask<'a> {
             self.comm.events.push(CommEvent {
                 op: CommOp::Recv { from: env.src },
                 tag: env.tag,
-                bytes: env.bytes,
+                bytes: env.body.bytes,
                 time_s: self.core.now(),
                 waited_s: waited.raw(),
                 vc: self.vclock.clone(),
@@ -316,9 +309,8 @@ impl<'a> RankTask<'a> {
     /// Fold everything still buffered into the trace's `unconsumed` list
     /// (deadlock teardown; the analyzer infers tag mismatches from it).
     pub(crate) fn drain_unconsumed(&mut self) {
-        while let Some(env) = self.inbox.pop_front() {
-            self.comm.unconsumed.push((env.src, env.tag, env.bytes));
-        }
+        let left = self.inbox.drain().map(|e| (e.src, e.tag, e.body.bytes));
+        self.comm.unconsumed.extend(left);
     }
 
     /// Seal the task into the report entry the thread runtime would have

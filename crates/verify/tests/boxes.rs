@@ -69,7 +69,9 @@ fn bisection_converges_on_the_degenerate_seed() {
                 sub_box.hi < 1e6,
                 "witness sub-box {sub_box} must sit below the threshold"
             );
-            let isoee::ModelError::DegenerateBaseline { e1 } = error;
+            let isoee::ModelError::DegenerateBaseline { e1 } = error else {
+                panic!("expected a degenerate baseline, got {error:?}");
+            };
             assert_eq!(e1, simcluster::units::Joules::ZERO);
         }
         other => panic!("expected a degenerate witness, got {other:?}"),
