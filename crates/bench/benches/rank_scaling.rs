@@ -4,18 +4,17 @@
 //! all-to-all work; CG takes twice FT's steps for about the same number
 //! of sends, so its case weights cursor stepping and per-step accounting.
 //!
-//! The `*_timed_cursor` and `*_rank_cursor` cases drain the two plan
-//! cursors alone — `plan::TimedCursor` (what the engine steps) and
-//! `plan::RankCursor` (what `plan::analyze_plan` steps) — for every rank
-//! of the specialized plan, with no engine, queue or accounting. A
-//! `*_seq` case minus its `*_timed_cursor` case is the engine's own share:
-//! ready queue, `RankCore` accounting and message deposits.
+//! The `*_timed_cursor` cases drain `plan::TimedCursor` alone — what
+//! both the engine and `plan::analyze_plan` step — for every rank of the
+//! specialized plan, with no engine, queue or accounting. A `*_seq` case
+//! minus its `*_timed_cursor` case is the engine's own share: ready
+//! queue, `RankCore` accounting and message deposits.
 //!
 //! Run with `cargo bench -p bench --bench rank_scaling`.
 //!
 //! Results land in `BENCH_simrt.json` at the repo root — a `bench/2`
-//! snapshot with per-case `ns_per_iter` / `throughput_per_s` gauges for
-//! the sequential and pooled engines, the rank-step latency
+//! snapshot with per-case `ns_per_iter` / `throughput_per_s` gauges, the
+//! rank-step latency
 //! log-histogram (`bench.rank_scaling.step_latency_s`), engine event
 //! rates (`bench.rank_scaling.*.events_per_s`), per-run step/send/wake
 //! counts, and the process peak RSS after the largest run
@@ -24,7 +23,7 @@
 //! numbers with `analyze --bench-diff` against the committed baseline.
 
 use bench::{merge_global_loghists, snapshot_v2_json, time_case, write_snapshot_json, CaseStats};
-use plan::{CommPlan, RankCursor, TimedCursor};
+use plan::{CommPlan, TimedCursor};
 use simrt::{Detail, EngineConfig};
 
 const P: usize = 1024;
@@ -55,26 +54,12 @@ fn drain_timed(plan: &CommPlan) -> u64 {
     let mut steps = 0;
     for rank in 0..P {
         let mut cursor = TimedCursor::new(&plan, P, rank);
-        while let Some(step) = cursor.next_step() {
+        while let Some(step) = cursor.next_step().expect("NPB plans stream cleanly") {
             std::hint::black_box(&step);
             steps += 1;
         }
     }
     steps
-}
-
-/// Messages of every rank's `RankCursor` over `plan` specialized to `P`.
-fn drain_rank(plan: &CommPlan) -> u64 {
-    let plan = plan.specialize(P);
-    let mut comms = 0;
-    for rank in 0..P {
-        let mut cursor = RankCursor::new(&plan, P, rank);
-        while let Some(comm) = cursor.next_comm().expect("NPB plans elaborate cleanly") {
-            std::hint::black_box(&comm);
-            comms += 1;
-        }
-    }
-    comms
 }
 
 fn main() {
@@ -86,22 +71,11 @@ fn main() {
     println!("rank_scaling/p{P}: NPB FT and CG class S on the simrt event engine");
     let mut cases: Vec<CaseStats> = Vec::new();
     let mut engine_stats: Vec<(&str, simrt::EngineStats)> = Vec::new();
-    let sequential = EngineConfig::default().with_detail(Detail::Off);
-    let configs = [
-        ("ft_p1024_seq", &ft, sequential.clone()),
-        (
-            "ft_p1024_pool4",
-            &ft,
-            sequential
-                .clone()
-                .with_pool(pool::PoolConfig::with_threads(4)),
-        ),
-        ("cg_p1024_seq", &cg, sequential),
-    ];
-    for (name, plan, cfg) in &configs {
+    let cfg = EngineConfig::default().with_detail(Detail::Off);
+    for (name, plan) in [("ft_p1024_seq", &ft), ("cg_p1024_seq", &cg)] {
         let mut last_stats = simrt::EngineStats::default();
         let case = time_case(name, ITERS, || {
-            let out = simrt::try_run_plan_with(cfg, &world, P, plan).expect("run completes");
+            let out = simrt::try_run_plan_with(&cfg, &world, P, plan).expect("run completes");
             // Mean per-step engine latency, weighted by step count: the
             // engine executes millions of steps per run, so the histogram
             // is fed the per-run mean at full weight.
@@ -117,16 +91,10 @@ fn main() {
     }
 
     for (name, plan) in [("ft", &ft), ("cg", &cg)] {
-        cases.push(time_case(
-            &format!("{name}_p{P}_timed_cursor"),
-            ITERS,
-            || drain_timed(plan),
-        ));
-        cases.push(time_case(
-            &format!("{name}_p{P}_rank_cursor"),
-            ITERS,
-            || drain_rank(plan),
-        ));
+        let case = time_case(&format!("{name}_p{P}_timed_cursor"), ITERS, || {
+            drain_timed(plan)
+        });
+        cases.push(case);
     }
 
     let reg = bench::cases_registry("bench.rank_scaling", &cases);
@@ -145,8 +113,6 @@ fn main() {
             .set(stats.sends as f64);
         reg.gauge(&format!("bench.rank_scaling.{name}.wakes"))
             .set(stats.wakes as f64);
-        reg.gauge(&format!("bench.rank_scaling.{name}.supersteps"))
-            .set(stats.supersteps as f64);
         println!(
             "  {name}: {events_per_s:.0} events/s ({} steps, {} sends)",
             stats.steps, stats.sends

@@ -1,8 +1,8 @@
 //! Whole-plan static analysis: matching/shape checking and deadlock
 //! detection over the abstract message semantics of `mps`.
 //!
-//! The checker runs every rank's [`RankCursor`] to quiescence under the
-//! runtime's own matching rules — eager sends that never block, per
+//! The checker drains every rank's [`TimedCursor`] to quiescence under
+//! the runtime's own matching rules — eager sends that never block, per
 //! `(src, dst)` FIFO order with tag-skipping receives, matched through one
 //! [`Inbox`] per receiver — without executing any user code or spawning
 //! any thread, in O(p) memory plus the messages in flight. For
@@ -21,12 +21,103 @@
 //! waits (plus tag-mismatch evidence when the awaited source's messages
 //! carry other tags than the one wanted), and leftover never-received
 //! messages as unmatched sends.
+//!
+//! Costs mirror what [`mps::Ctx`] would charge, combines inside
+//! reductions included: each rank's non-message steps fold into its
+//! [`RankCost`] and per-family [`CollStats`] as the checker drains them.
+//! A rank left blocked inside a logarithmic collective is charged for the
+//! whole call, as if its expansion had run to the end.
 
 use std::fmt;
 
-use crate::elaborate::{AOp, CollStats, RankCost, RankCursor, ShapeIssue, COLL_KINDS};
+use mps::USER_TAG_LIMIT;
+
+use crate::coll::{CollKind, CollStats, COLL_KINDS};
+use crate::expr::EvalError;
 use crate::inbox::{Envelope, Inbox};
 use crate::ir::CommPlan;
+use crate::timed::{Step, TimedCursor};
+
+/// Cost totals accumulated while checking one rank.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct RankCost {
+    /// On-chip instructions (`Compute` ops plus collective combines) — the
+    /// counters' `Wc`.
+    pub wc: f64,
+    /// Memory accesses charged via `MemStream`/`MemAccess` — an upper
+    /// bound on the counters' off-chip `Wm` (the dynamic cache split may
+    /// classify any fraction as on-chip).
+    pub mem_accesses: f64,
+    /// Messages sent.
+    pub messages: u64,
+    /// Bytes sent.
+    pub bytes: u64,
+    /// Phase markers entered.
+    pub phases: u64,
+}
+
+impl RankCost {
+    /// Accumulate `other` into `self`.
+    pub fn absorb(&mut self, other: &RankCost) {
+        self.wc += other.wc;
+        self.mem_accesses += other.mem_accesses;
+        self.messages += other.messages;
+        self.bytes += other.bytes;
+        self.phases += other.phases;
+    }
+}
+
+/// A shape violation that stops a rank's [`TimedCursor`] (before any
+/// matching).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ShapeIssue {
+    /// A symbolic expression failed to evaluate.
+    Eval(EvalError),
+    /// A peer expression resolved outside `[0, p)`.
+    PeerOutOfRange {
+        /// The resolved peer value.
+        peer: i64,
+    },
+    /// A send/recv/exchange peer resolved to the executing rank itself.
+    SelfMessage {
+        /// The rank (== peer).
+        peer: usize,
+    },
+    /// A user tag at or above [`mps::USER_TAG_LIMIT`].
+    TagTooLarge {
+        /// The resolved tag.
+        tag: u64,
+    },
+    /// A negative byte count, element count, or trip count.
+    NegativeCount {
+        /// The resolved value.
+        value: i64,
+    },
+    /// [`TagExpr::Last`](crate::TagExpr::Last) with no preceding
+    /// `BumpTag`/`Auto` bump.
+    LastTagWithoutBump,
+}
+
+impl From<EvalError> for ShapeIssue {
+    fn from(e: EvalError) -> Self {
+        ShapeIssue::Eval(e)
+    }
+}
+
+impl fmt::Display for ShapeIssue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Eval(e) => write!(f, "expression error: {e}"),
+            Self::PeerOutOfRange { peer } => write!(f, "peer {peer} out of range"),
+            Self::SelfMessage { peer } => write!(f, "self-message on rank {peer}"),
+            Self::TagTooLarge { tag } => {
+                write!(f, "tag {tag} >= user-tag limit {USER_TAG_LIMIT}")
+            }
+            Self::NegativeCount { value } => write!(f, "negative size/count {value}"),
+            Self::LastTagWithoutBump => write!(f, "TagExpr::Last before any tag bump"),
+        }
+    }
+}
 
 /// Cap on recorded findings: a pathological plan at large `p` can produce
 /// one finding per rank pair; everything beyond the cap is counted, not
@@ -169,7 +260,8 @@ impl fmt::Display for PlanFinding {
 
 /// Witness for a conservative verdict: where exactness was lost. Points
 /// at the first wildcard receive of the lowest rank that executed one (op
-/// indices count abstract comm ops in that rank's elaboration order).
+/// indices count the message steps — sends and receives — of that rank's
+/// cursor, in stream order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InexactWitness {
     /// The lowest rank whose stream contains a wildcard receive.
@@ -203,7 +295,8 @@ pub struct PlanAnalysis {
     pub first_inexact: Option<InexactWitness>,
     /// Whether every rank ran to completion.
     pub completed: bool,
-    /// Abstract comm ops processed (a work metric for reports).
+    /// Message steps processed, blocked receives counted once per try (a
+    /// work metric for reports).
     pub steps: u64,
     /// Cost totals summed over ranks.
     pub total: RankCost,
@@ -240,15 +333,86 @@ enum Status {
     Faulted,
 }
 
+/// One rank's cursor and the accounting folded from its steps.
+struct Rank<'p> {
+    cursor: TimedCursor<'p>,
+    cost: RankCost,
+    colls: [CollStats; COLL_KINDS],
+    /// The collective whose steps are streaming.
+    open: Option<CollKind>,
+    /// Message steps taken from the cursor so far (the op index of the
+    /// next one).
+    emitted: u64,
+    /// Index of the first wildcard receive — the witness for a
+    /// conservative (`exact = false`) verdict.
+    first_wildcard_op: Option<u64>,
+}
+
+impl<'p> Rank<'p> {
+    /// The next message step (`Send`, `Recv` or `RecvAny`), folding the
+    /// steps before it into the rank's accounting. `Ok(None)` means the
+    /// rank's program is complete.
+    #[inline]
+    fn next_message(&mut self) -> Result<Option<Step<'p>>, ShapeIssue> {
+        while let Some(step) = self.cursor.next_step()? {
+            if self.fold(step) {
+                if matches!(step, Step::RecvAny { .. }) && self.first_wildcard_op.is_none() {
+                    self.first_wildcard_op = Some(self.emitted);
+                }
+                self.emitted += 1;
+                return Ok(Some(step));
+            }
+        }
+        Ok(None)
+    }
+
+    /// Charge one step; whether it is a message step.
+    #[inline]
+    fn fold(&mut self, step: Step<'p>) -> bool {
+        match step {
+            Step::Compute { instr } => self.cost.wc += instr,
+            // mem_stream(touches, ws) == mem_access(touches/8, ws).
+            Step::MemStream { touches, .. } => self.cost.mem_accesses += touches / 8.0,
+            Step::MemAccess { accesses, .. } => self.cost.mem_accesses += accesses,
+            Step::Phase(_) => self.cost.phases += 1,
+            Step::CollBegin(kind) => {
+                self.colls[kind.index()].calls += 1;
+                self.open = Some(kind);
+            }
+            Step::CollEnd => self.open = None,
+            Step::Send { bytes, .. } => {
+                self.cost.messages += 1;
+                self.cost.bytes += bytes;
+                if let Some(kind) = self.open {
+                    let s = &mut self.colls[kind.index()];
+                    s.messages += 1;
+                    s.bytes += bytes;
+                }
+                return true;
+            }
+            Step::Recv { .. } | Step::RecvAny { .. } => return true,
+        }
+        false
+    }
+
+    /// Charge the expanded rest of the collective a blocked rank waits in.
+    fn charge_rest_of_call(&mut self) {
+        let rest: Vec<Step<'p>> = self.cursor.drain_expanded().collect();
+        for step in rest {
+            self.fold(step);
+        }
+    }
+}
+
 struct Checker<'p> {
     p: usize,
-    cursors: Vec<RankCursor<'p>>,
+    ranks: Vec<Rank<'p>>,
     status: Vec<Status>,
     /// One inbox per receiving rank; envelope bodies are byte counts.
     inboxes: Vec<Inbox<u64>>,
     /// The receive a blocked rank must retry when woken (a blocked rank's
     /// cursor has already moved past it).
-    pending: Vec<Option<AOp>>,
+    pending: Vec<Option<Step<'p>>>,
     findings: Vec<PlanFinding>,
     findings_truncated: bool,
     exact: bool,
@@ -272,7 +436,7 @@ impl<'p> Checker<'p> {
             // cursor already consumed that op.
             let next = match self.pending[r].take() {
                 Some(op) => Ok(Some(op)),
-                None => self.cursors[r].next_comm(),
+                None => self.ranks[r].next_message(),
             };
             match next {
                 Err(issue) => {
@@ -287,7 +451,7 @@ impl<'p> Checker<'p> {
                 Ok(Some(op)) => {
                     self.steps += 1;
                     match op {
-                        AOp::Send { to, tag, bytes } => {
+                        Step::Send { to, tag, bytes, .. } => {
                             if let Status::Blocked { from, tag: want } = self.status[to] {
                                 if tag == want && from == Some(r) {
                                     // Rendezvous fast path: the destination
@@ -298,7 +462,7 @@ impl<'p> Checker<'p> {
                                     // skipping the channel round-trip.
                                     debug_assert!(matches!(
                                         self.pending[to],
-                                        Some(AOp::Recv { .. })
+                                        Some(Step::Recv { .. })
                                     ));
                                     self.pending[to] = None;
                                     self.status[to] = Status::Running;
@@ -318,7 +482,7 @@ impl<'p> Checker<'p> {
                                 body: bytes,
                             });
                         }
-                        AOp::Recv { from, tag } => {
+                        Step::Recv { from, tag } => {
                             if self.inboxes[r].take(from, tag).is_none() {
                                 self.pending[r] = Some(op);
                                 self.status[r] = Status::Blocked {
@@ -328,7 +492,7 @@ impl<'p> Checker<'p> {
                                 return;
                             }
                         }
-                        AOp::RecvAny { tag } => {
+                        Step::RecvAny { tag } => {
                             let sources = self.inboxes[r].sources(tag);
                             if sources.is_empty() {
                                 self.pending[r] = Some(op);
@@ -353,6 +517,7 @@ impl<'p> Checker<'p> {
                             let took = self.inboxes[r].take(sources[0], tag);
                             debug_assert!(took.is_some(), "source just scanned non-empty");
                         }
+                        _ => unreachable!("next_message yields message steps only"),
                     }
                 }
             }
@@ -494,7 +659,16 @@ pub fn analyze_plan(plan: &CommPlan, p: usize) -> PlanAnalysis {
     let plan = &plan.specialize(p);
     let mut checker = Checker {
         p,
-        cursors: (0..p).map(|r| RankCursor::new(plan, p, r)).collect(),
+        ranks: (0..p)
+            .map(|r| Rank {
+                cursor: TimedCursor::new(plan, p, r),
+                cost: RankCost::default(),
+                colls: [CollStats::default(); COLL_KINDS],
+                open: None,
+                emitted: 0,
+                first_wildcard_op: None,
+            })
+            .collect(),
         status: vec![Status::Running; p],
         inboxes: (0..p).map(|_| Inbox::default()).collect(),
         pending: vec![None; p],
@@ -530,7 +704,10 @@ pub fn analyze_plan(plan: &CommPlan, p: usize) -> PlanAnalysis {
     let mut per_rank = Vec::with_capacity(p);
     let mut exact = checker.exact;
     let mut first_inexact = None;
-    for (rank, c) in checker.cursors.iter().enumerate() {
+    for (rank, c) in checker.ranks.iter_mut().enumerate() {
+        if matches!(checker.status[rank], Status::Blocked { .. }) {
+            c.charge_rest_of_call();
+        }
         total.absorb(&c.cost);
         for (t, s) in colls.iter_mut().zip(&c.colls) {
             t.calls += s.calls;
@@ -538,16 +715,11 @@ pub fn analyze_plan(plan: &CommPlan, p: usize) -> PlanAnalysis {
             t.bytes += s.bytes;
         }
         per_rank.push(c.cost);
-        // A wildcard that was emitted but never executed (rank faulted
-        // first) still poisons exactness conservatively.
-        if c.saw_wildcard && p > 2 {
+        // A wildcard that was emitted but never matched (the rank stayed
+        // blocked on it) still poisons exactness conservatively.
+        if let Some(op_index) = c.first_wildcard_op.filter(|_| p > 2) {
             exact = false;
-            if first_inexact.is_none() {
-                first_inexact = Some(InexactWitness {
-                    rank,
-                    op_index: c.first_wildcard_op.unwrap_or(0),
-                });
-            }
+            first_inexact.get_or_insert(InexactWitness { rank, op_index });
         }
     }
 

@@ -1,17 +1,85 @@
-//! The collectives' message sequences, written once for both cursors.
+//! The collectives' message sequences, and the families they count under.
 //!
 //! Each algorithm mirrors `mps/src/collect.rs` line by line: the same
 //! dissemination, binomial, recursive-doubling, ring and pairwise
 //! exchanges, the same [`internal_tag`] sequencing (including which
 //! collectives consume a sequence number before their `p == 1` early
-//! return), and the same `combine` charges. [`crate::RankCursor`] turns
-//! the actions into abstract ops and cost events for the checker;
-//! [`crate::TimedCursor`] turns them into simrt steps.
+//! return), and the same `combine` charges. [`crate::TimedCursor`] turns
+//! the actions into the steps both `analyze_plan` and simrt consume.
 
 use mps::internal_tag;
 
-use crate::elaborate::CollKind;
 use crate::expr::Expr;
+
+/// The collective families, for per-collective accounting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CollKind {
+    /// Dissemination barrier.
+    Barrier,
+    /// Binomial broadcast.
+    Bcast,
+    /// Binomial reduction.
+    Reduce,
+    /// Recursive-doubling allreduce.
+    AllReduce,
+    /// Ring allgather.
+    AllGather,
+    /// Pairwise-exchange all-to-all.
+    AllToAll,
+}
+
+/// Number of collective families.
+pub const COLL_KINDS: usize = 6;
+
+impl CollKind {
+    /// All families, in index order.
+    pub const ALL: [CollKind; COLL_KINDS] = [
+        CollKind::Barrier,
+        CollKind::Bcast,
+        CollKind::Reduce,
+        CollKind::AllReduce,
+        CollKind::AllGather,
+        CollKind::AllToAll,
+    ];
+
+    /// Index into a `[T; COLL_KINDS]` table.
+    #[must_use]
+    pub fn index(self) -> usize {
+        match self {
+            CollKind::Barrier => 0,
+            CollKind::Bcast => 1,
+            CollKind::Reduce => 2,
+            CollKind::AllReduce => 3,
+            CollKind::AllGather => 4,
+            CollKind::AllToAll => 5,
+        }
+    }
+
+    /// The span/metric name the `mps` runtime uses for this family.
+    #[must_use]
+    pub fn scope_name(self) -> &'static str {
+        match self {
+            CollKind::Barrier => "mps:barrier",
+            CollKind::Bcast => "mps:bcast",
+            CollKind::Reduce => "mps:reduce",
+            CollKind::AllReduce => "mps:allreduce",
+            CollKind::AllGather => "mps:allgather",
+            CollKind::AllToAll => "mps:alltoall",
+        }
+    }
+}
+
+/// Per-family call/message/byte counters (the statics mirror of the
+/// `mps.collective.<name>.*` metrics).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CollStats {
+    /// Collective invocations.
+    pub calls: u64,
+    /// Messages sent from this rank inside the family.
+    pub messages: u64,
+    /// Bytes sent from this rank inside the family.
+    pub bytes: u64,
+}
 
 /// One message-level action of a collective, in the order `mps` runs it.
 pub(crate) enum Act {
@@ -147,7 +215,7 @@ impl SmallColl {
 
 /// Generator state of an in-flight O(p)-message collective — ring
 /// allgather or pairwise all-to-all — yielding one exchange at a time, so
-/// neither cursor materializes the `p − 1` exchanges of a call.
+/// the cursor never materializes the `p − 1` exchanges of a call.
 pub(crate) struct BigColl<'p> {
     /// [`CollKind::AllGather`] or [`CollKind::AllToAll`].
     pub(crate) kind: CollKind,

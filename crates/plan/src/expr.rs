@@ -174,15 +174,18 @@ impl Expr {
     ///
     /// Constants, the rank and tabulated rank-only subtrees are answered
     /// inline: after [`CommPlan::specialize`](crate::CommPlan::specialize)
-    /// almost every plan expression is one of them, and both plan cursors
-    /// evaluate expressions on every step. Every other node takes the
-    /// recursive walk, whose children come back through here.
+    /// almost every plan expression is one of them, and the plan cursor
+    /// evaluates expressions on every step. Every other node takes the
+    /// recursive walk, whose children come back through here. This
+    /// function never calls itself, or it would not be inlined.
     #[inline]
     pub fn eval(&self, env: &Env) -> Result<i64, EvalError> {
         match self {
             Self::Const(v) => Ok(*v),
             Self::Rank => Ok(env.rank),
-            Self::ByRank { expr, table } => table.get(env.rank).unwrap_or_else(|| expr.eval(env)),
+            Self::ByRank { expr, table } => {
+                table.get(env.rank).unwrap_or_else(|| expr.eval_node(env))
+            }
             _ => self.eval_node(env),
         }
     }

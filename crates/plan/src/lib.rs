@@ -3,12 +3,14 @@
 //! A [`CommPlan`] describes a parallel kernel's communication skeleton as
 //! one declarative op list parameterized over symbolic rank/size
 //! expressions ([`Expr`]), so a *single* plan covers every world size `p`.
-//! The crate then offers two consumers of the same IR:
+//! One interpreter, [`TimedCursor`], streams a rank's view of a plan at a
+//! concrete `p` as [`Step`]s: resolved peers, tags and sizes, and the
+//! exact message streams of [`mps`]'s collectives. The crate then offers
+//! two consumers of the same IR:
 //!
 //! * **Static analysis** ([`analyze_plan`]) — without executing anything,
-//!   resolve every symbolic peer/tag/size at a concrete `p`, mirror the
-//!   exact message streams of [`mps`]'s collectives, and decide
-//!   matching/shape validity and deadlock freedom, with witnesses
+//!   drain every rank's cursor against the runtime's matching rules and
+//!   decide matching/shape validity and deadlock freedom, with witnesses
 //!   (wait-for cycles, unmatched ops, tag mismatches). Verdicts are exact
 //!   for wildcard-free plans and explicitly conservative otherwise
 //!   ([`PlanAnalysis::exact`]). The `isoee` crate's `plancost` module
@@ -18,6 +20,9 @@
 //! * **Lowering** ([`lower`]) — compile the same plan onto the [`mps`]
 //!   runtime, so dynamic runs (and the `verify` explorer) execute exactly
 //!   the messages the statics reasoned about.
+//!
+//! The `simrt` event engine steps the same cursors to simulate thousands
+//! of ranks in one process.
 //!
 //! ```
 //! use plan::{analyze_plan, CommPlan, Expr, Op, TagExpr};
@@ -46,7 +51,6 @@
 
 mod check;
 mod coll;
-mod elaborate;
 mod expr;
 mod inbox;
 mod ir;
@@ -54,8 +58,10 @@ mod lower;
 mod symbolic;
 mod timed;
 
-pub use check::{analyze_plan, InexactWitness, PlanAnalysis, PlanFinding, PlanWaitEdge};
-pub use elaborate::{AOp, CollKind, CollStats, RankCost, RankCursor, ShapeIssue, COLL_KINDS};
+pub use check::{
+    analyze_plan, InexactWitness, PlanAnalysis, PlanFinding, PlanWaitEdge, RankCost, ShapeIssue,
+};
+pub use coll::{CollKind, CollStats, COLL_KINDS};
 pub use expr::{Cond, Env, EvalError, Expr, RankTable};
 pub use inbox::{Envelope, Inbox};
 pub use ir::{CommPlan, Op, TagExpr};

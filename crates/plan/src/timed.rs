@@ -1,42 +1,55 @@
-//! Timed elaboration: stream a [`CommPlan`] as resumable per-rank steps.
+//! Stream a [`CommPlan`] as resumable per-rank steps.
 //!
 //! [`TimedCursor`] walks one rank's view of a plan and yields [`Step`]s —
 //! work charges, phase markers, collective span boundaries, and the
 //! *individual point-to-point messages* each collective decomposes into.
-//! It is the third interpreter of the IR, and it must agree with the other
-//! two:
+//! Besides [`crate::lower`], which executes a plan on the mps thread
+//! runtime, it is the IR's only interpreter, with two consumers:
 //!
-//! * [`crate::lower`] executes the plan on the mps thread runtime, whose
-//!   collectives ([`mps::Ctx::barrier`] & friends) generate a concrete
-//!   message stream;
-//! * [`crate::RankCursor`] elaborates the same stream *abstractly* for the
-//!   whole-plan static checker;
-//! * `TimedCursor` elaborates it *operationally* for the `simrt` event
-//!   engine, which replays the steps against an [`mps::RankCore`].
+//! * [`crate::analyze_plan`] drains every rank's cursor, matches the
+//!   message steps and folds the rest into the ranks' cost totals;
+//! * the `simrt` event engine replays the steps against an
+//!   [`mps::RankCore`].
 //!
-//! Both cursors expand collectives from the same algorithms
-//! ([`crate::coll`]), which mirror `mps/src/collect.rs` line by line; this
-//! cursor adds the per-message contention concurrency (`p` inside
-//! collectives, 2 for user point-to-point) and the collective span
-//! boundaries. The differential tests in `simrt` pin this agreement
-//! counter-for-counter against the thread runtime, and `analyze_plan`
-//! totals pin it against the static checker.
+//! Collectives expand from the algorithms in [`crate::coll`], which mirror
+//! `mps/src/collect.rs` line by line, so both consumers see exactly the
+//! messages a lowered execution sends: same peers, same
+//! [`mps::internal_tag`] values, same per-rank collective sequence
+//! numbers, each collective's messages bracketed by its span. simrt's
+//! differential tests pin the stream counter-for-counter against the
+//! thread runtime.
 //!
-//! The two O(p)-message collectives (allgather, all-to-all) are streamed
-//! from constant-size generator state instead of being materialized, so a
-//! rank's cursor stays a few hundred bytes even at `p = 4096` where one
-//! all-to-all instance is 8190 messages.
+//! The logarithmic collectives expand whole (`O(log p)` queued steps); the
+//! two O(p)-message collectives (allgather, all-to-all) stream one
+//! exchange at a time from constant-size generator state, so a cursor
+//! stays a few hundred bytes even while every rank of `p = 4096` sits
+//! inside an 8190-message all-to-all.
+//!
+//! A shape violation — a failed expression, an out-of-range peer, a
+//! self-message, a negative size or count, an oversized or unbumped tag —
+//! ends the stream with a [`ShapeIssue`] at the op that caused it. A size
+//! expression that fails for one peer of an O(p) collective stops the rank
+//! at that peer's exchange, after the exchanges before it, as in
+//! [`crate::lower`].
 
 use std::collections::VecDeque;
 
-use crate::coll::{Act, BigColl, SmallColl};
-use crate::elaborate::CollKind;
-use crate::expr::{Env, Expr};
+use mps::USER_TAG_LIMIT;
+
+use crate::check::ShapeIssue;
+use crate::coll::{Act, BigColl, CollKind, SmallColl};
+use crate::expr::{Env, EvalError, Expr};
 use crate::ir::{CommPlan, Op, TagExpr};
 
 /// One operational step of a rank's plan execution.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Step {
+///
+/// The word-sized tag keeps every payload word-aligned: with a byte tag,
+/// moving a `Result<Option<Step>, _>` copies the bytes after the tag as
+/// unaligned blocks, and reading a field back stalls on store forwarding
+/// (draining a cursor ran two to three times slower on CG).
+#[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(u64)]
+pub enum Step<'p> {
     /// Charge `instr` instructions of on-chip compute.
     Compute {
         /// Instruction count.
@@ -56,18 +69,14 @@ pub enum Step {
         /// Working-set bytes.
         ws: u64,
     },
-    /// Charge flat local I/O seconds.
-    Io {
-        /// Duration in seconds.
-        seconds: f64,
-    },
     /// Enter a named phase.
-    Phase(String),
-    /// Open a collective span (scope name, e.g. `"mps:alltoall"`).
-    CollBegin(&'static str),
+    Phase(&'p str),
+    /// Open a collective span.
+    CollBegin(CollKind),
     /// Close the innermost collective span.
     CollEnd,
-    /// Send `bytes` to `to` under `tag`, at contention `concurrency`.
+    /// Send `bytes` to `to` under `tag`. Its contention concurrency is
+    /// `p` inside a collective span, 2 outside.
     Send {
         /// Destination rank.
         to: usize,
@@ -75,8 +84,6 @@ pub enum Step {
         tag: u64,
         /// Payload bytes.
         bytes: u64,
-        /// Contention concurrency (`p` inside collectives, 2 otherwise).
-        concurrency: usize,
     },
     /// Receive the next `tag` message from `from` (blocking).
     Recv {
@@ -100,25 +107,20 @@ enum Frame<'p> {
     Loop {
         body: &'p [Op],
         idx: usize,
-        iter: usize,
-        trips: usize,
+        iter: i64,
+        trips: i64,
     },
 }
 
-/// A resumable per-rank walk of a plan, yielding [`Step`]s.
-///
-/// # Panics
-/// Like [`crate::lower`], the cursor panics on shape violations (failed
-/// expressions, out-of-range peers, negative sizes, oversized user tags).
-/// Run [`crate::analyze_plan`] first; a clean plan streams without
-/// panicking.
+/// A resumable per-rank walk of a plan, yielding [`Step`]s until the
+/// program ends or a [`ShapeIssue`] stops it.
 pub struct TimedCursor<'p> {
     p: usize,
     rank: usize,
     frames: Vec<Frame<'p>>,
     vars: Vec<i64>,
     /// Expanded-but-unconsumed steps (small collectives, exchanges).
-    micro: VecDeque<Step>,
+    micro: VecDeque<Step<'p>>,
     /// In-flight O(p) collective, streamed into `micro` on demand.
     big: Option<BigColl<'p>>,
     tags_taken: u64,
@@ -146,31 +148,44 @@ impl<'p> TimedCursor<'p> {
         }
     }
 
-    /// The next step, or `None` when the rank's program is finished.
+    /// The next step; `Ok(None)` when the rank's program is finished.
     ///
     /// Most steps come from an already expanded collective; that case is
     /// a queue pop, inlined into the caller.
+    ///
+    /// # Errors
+    /// The [`ShapeIssue`] of the op the rank cannot execute. The cursor
+    /// must not be advanced after an error.
     #[inline]
-    pub fn next_step(&mut self) -> Option<Step> {
+    pub fn next_step(&mut self) -> Result<Option<Step<'p>>, ShapeIssue> {
         match self.micro.pop_front() {
-            Some(step) => Some(step),
+            Some(step) => Ok(Some(step)),
             None => self.next_op_step(),
         }
     }
 
+    /// The steps expanded and not yet taken: for a rank blocked on a
+    /// receive, the rest of the logarithmic collective it waits in (none
+    /// outside one).
+    pub(crate) fn drain_expanded(&mut self) -> impl Iterator<Item = Step<'p>> + '_ {
+        self.micro.drain(..)
+    }
+
     /// [`TimedCursor::next_step`] once the expansion queue is empty.
-    fn next_op_step(&mut self) -> Option<Step> {
+    fn next_op_step(&mut self) -> Result<Option<Step<'p>>, ShapeIssue> {
         loop {
             if let Some(step) = self.micro.pop_front() {
-                return Some(step);
+                return Ok(Some(step));
             }
             if self.big.is_some() {
-                self.refill_big();
+                self.refill_big()?;
                 continue;
             }
-            let op = self.advance_frames()?;
-            if let Some(step) = self.handle(op) {
-                return Some(step);
+            let Some(op) = self.advance_frames() else {
+                return Ok(None);
+            };
+            if let Some(step) = self.handle(op)? {
+                return Ok(Some(step));
             }
         }
     }
@@ -202,8 +217,7 @@ impl<'p> TimedCursor<'p> {
                     *iter += 1;
                     if *iter < *trips {
                         *idx = 0;
-                        *self.vars.last_mut().expect("loop var present") =
-                            i64::try_from(*iter).expect("trip count fits i64");
+                        *self.vars.last_mut().expect("loop var present") = *iter;
                     } else {
                         self.frames.pop();
                         self.vars.pop();
@@ -223,199 +237,183 @@ impl<'p> TimedCursor<'p> {
         }
     }
 
-    fn eval(&self, e: &Expr, peer: Option<i64>) -> i64 {
-        e.eval(&self.env(peer))
-            .unwrap_or_else(|err| panic!("plan expression failed to stream: {err}"))
+    /// A size, count or tag value: evaluated and non-negative.
+    fn eval_count(&self, e: &Expr, peer: Option<i64>) -> Result<u64, ShapeIssue> {
+        let v = e.eval(&self.env(peer))?;
+        u64::try_from(v).map_err(|_| ShapeIssue::NegativeCount { value: v })
     }
 
-    fn eval_count(&self, e: &Expr, peer: Option<i64>) -> usize {
-        let v = self.eval(e, peer);
-        usize::try_from(v).unwrap_or_else(|_| panic!("negative size/count {v} in plan"))
+    /// A rank value in `[0, p)`.
+    fn eval_peer(&self, e: &Expr) -> Result<usize, ShapeIssue> {
+        let v = e.eval(&self.env(None))?;
+        usize::try_from(v)
+            .ok()
+            .filter(|&r| r < self.p)
+            .ok_or(ShapeIssue::PeerOutOfRange { peer: v })
     }
 
-    fn eval_bytes(&self, e: &Expr, peer: Option<i64>) -> u64 {
-        self.eval_count(e, peer) as u64
-    }
-
-    fn eval_rank(&self, e: &Expr) -> usize {
-        let v = self.eval(e, None);
-        let p = self.p;
-        #[allow(clippy::cast_possible_wrap)]
-        {
-            assert!(
-                v >= 0 && v < p as i64,
-                "plan peer {v} out of range for p = {p}"
-            );
+    /// A point-to-point peer: a rank other than this one.
+    fn eval_other_rank(&self, e: &Expr) -> Result<usize, ShapeIssue> {
+        let v = self.eval_peer(e)?;
+        if v == self.rank {
+            return Err(ShapeIssue::SelfMessage { peer: v });
         }
-        usize::try_from(v).expect("checked range")
+        Ok(v)
     }
 
-    fn eval_tag(&mut self, t: &TagExpr) -> u64 {
-        match t {
-            TagExpr::Expr(e) => {
-                let v = self.eval(e, None);
-                assert!(v >= 0, "negative tag {v} in plan");
-                v.unsigned_abs()
-            }
+    fn eval_tag(&mut self, t: &TagExpr) -> Result<u64, ShapeIssue> {
+        let tag = match t {
+            TagExpr::Expr(e) => self.eval_count(e, None)?,
             TagExpr::Auto { base, modulo } => {
-                assert!(*modulo > 0, "TagExpr::Auto with zero modulus");
+                if *modulo == 0 {
+                    return Err(ShapeIssue::Eval(EvalError::DivByZero));
+                }
                 let t0 = self.tags_taken;
                 self.tags_taken += 1;
                 base + (t0 % modulo)
             }
             TagExpr::Last { base, modulo } => {
-                assert!(*modulo > 0, "TagExpr::Last with zero modulus");
-                assert!(self.tags_taken > 0, "TagExpr::Last before any tag bump");
+                if *modulo == 0 {
+                    return Err(ShapeIssue::Eval(EvalError::DivByZero));
+                }
+                if self.tags_taken == 0 {
+                    return Err(ShapeIssue::LastTagWithoutBump);
+                }
                 base + ((self.tags_taken - 1) % modulo)
             }
+        };
+        if tag >= USER_TAG_LIMIT {
+            return Err(ShapeIssue::TagTooLarge { tag });
         }
+        Ok(tag)
     }
 
     /// Interpret one op: either return its single step, queue an
     /// expansion, or (for pure control flow) return `None` to continue.
     #[allow(clippy::cast_precision_loss)]
-    fn handle(&mut self, op: &'p Op) -> Option<Step> {
-        match op {
-            Op::Compute { units, scale } => {
-                let u = self.eval_count(units, None);
-                Some(Step::Compute {
-                    instr: u as f64 * scale,
-                })
-            }
-            Op::MemStream { elems, scale, ws } => {
-                let e = self.eval_count(elems, None);
-                let w = self.eval_count(ws, None);
-                Some(Step::MemStream {
-                    touches: e as f64 * scale,
-                    ws: w as u64,
-                })
-            }
+    fn handle(&mut self, op: &'p Op) -> Result<Option<Step<'p>>, ShapeIssue> {
+        let step = match op {
+            Op::Compute { units, scale } => Step::Compute {
+                instr: self.eval_count(units, None)? as f64 * scale,
+            },
+            Op::MemStream { elems, scale, ws } => Step::MemStream {
+                touches: self.eval_count(elems, None)? as f64 * scale,
+                ws: self.eval_count(ws, None)?,
+            },
             Op::MemAccess {
                 accesses,
                 scale,
                 ws,
-            } => {
-                let a = self.eval_count(accesses, None);
-                let w = self.eval_count(ws, None);
-                Some(Step::MemAccess {
-                    accesses: a as f64 * scale,
-                    ws: w as u64,
-                })
-            }
-            Op::Phase(name) => Some(Step::Phase(name.clone())),
+            } => Step::MemAccess {
+                accesses: self.eval_count(accesses, None)? as f64 * scale,
+                ws: self.eval_count(ws, None)?,
+            },
+            Op::Phase(name) => Step::Phase(name),
             Op::BumpTag => {
                 self.tags_taken += 1;
-                None
+                return Ok(None);
             }
-            Op::Send { to, tag, bytes } => {
-                let to = self.eval_rank(to);
-                let tag = self.eval_tag(tag);
-                assert!(tag < mps::USER_TAG_LIMIT, "user tags must be < 2^32");
-                let b = self.eval_bytes(bytes, None);
-                Some(Step::Send {
-                    to,
-                    tag,
-                    bytes: b,
-                    concurrency: 2,
-                })
-            }
-            Op::Recv { from, tag } => {
-                let from = self.eval_rank(from);
-                let tag = self.eval_tag(tag);
-                assert!(tag < mps::USER_TAG_LIMIT, "user tags must be < 2^32");
-                Some(Step::Recv { from, tag })
-            }
-            Op::RecvAny { tag } => {
-                let tag = self.eval_tag(tag);
-                assert!(tag < mps::USER_TAG_LIMIT, "user tags must be < 2^32");
-                Some(Step::RecvAny { tag })
-            }
+            Op::Send { to, tag, bytes } => Step::Send {
+                to: self.eval_other_rank(to)?,
+                tag: self.eval_tag(tag)?,
+                bytes: self.eval_count(bytes, None)?,
+            },
+            Op::Recv { from, tag } => Step::Recv {
+                from: self.eval_other_rank(from)?,
+                tag: self.eval_tag(tag)?,
+            },
+            Op::RecvAny { tag } => Step::RecvAny {
+                tag: self.eval_tag(tag)?,
+            },
+            // exchange == send-then-recv on the same tag.
             Op::Exchange {
                 partner,
                 tag,
                 bytes,
             } => {
-                let partner = self.eval_rank(partner);
-                let tag = self.eval_tag(tag);
-                assert!(tag < mps::USER_TAG_LIMIT, "user tags must be < 2^32");
-                let b = self.eval_bytes(bytes, None);
+                let partner = self.eval_other_rank(partner)?;
+                let tag = self.eval_tag(tag)?;
+                let bytes = self.eval_count(bytes, None)?;
                 self.micro.push_back(Step::Recv { from: partner, tag });
-                Some(Step::Send {
+                Step::Send {
                     to: partner,
                     tag,
-                    bytes: b,
-                    concurrency: 2,
-                })
+                    bytes,
+                }
             }
             Op::Loop { count, body } => {
-                let trips = self.eval_count(count, None);
+                let trips = self.eval_count(count, None)?;
                 if trips > 0 {
                     self.vars.push(0);
                     self.frames.push(Frame::Loop {
                         body,
                         idx: 0,
                         iter: 0,
-                        trips,
+                        trips: i64::try_from(trips).expect("from a non-negative i64"),
                     });
                 }
-                None
+                return Ok(None);
             }
             Op::IfElse { cond, then, els } => {
-                let c = cond
-                    .eval(&self.env(None))
-                    .unwrap_or_else(|err| panic!("plan condition failed to stream: {err}"));
-                self.frames.push(Frame::Seq {
-                    ops: if c { then } else { els },
-                    idx: 0,
-                });
-                None
+                let ops = if cond.eval(&self.env(None))? {
+                    then
+                } else {
+                    els
+                };
+                if !ops.is_empty() {
+                    self.frames.push(Frame::Seq { ops, idx: 0 });
+                }
+                return Ok(None);
             }
             Op::Barrier => {
                 self.expand(SmallColl::Barrier);
-                None
+                return Ok(None);
             }
             Op::Bcast { root, bytes } => {
-                let root = self.eval_rank(root);
-                let bytes = self.eval_bytes(bytes, None);
+                let root = self.eval_peer(root)?;
+                let bytes = self.eval_count(bytes, None)?;
                 self.expand(SmallColl::Bcast { root, bytes });
-                None
+                return Ok(None);
             }
             Op::Reduce { root, elems, .. } => {
-                let root = self.eval_rank(root);
-                let elems = self.eval_bytes(elems, None);
+                let root = self.eval_peer(root)?;
+                let elems = self.eval_count(elems, None)?;
                 self.expand(SmallColl::Reduce { root, elems });
-                None
+                return Ok(None);
             }
             Op::AllReduce { elems, .. } => {
-                let elems = self.eval_bytes(elems, None);
+                let elems = self.eval_count(elems, None)?;
                 self.expand(SmallColl::AllReduce { elems });
-                None
+                return Ok(None);
             }
             Op::AllGather { bytes } => {
                 self.start_big(CollKind::AllGather, bytes);
-                None
+                return Ok(None);
             }
             Op::AllToAll { bytes } => {
                 self.start_big(CollKind::AllToAll, bytes);
-                None
+                return Ok(None);
             }
-        }
+        };
+        Ok(Some(step))
     }
 
     /// Queue a logarithmic collective's steps inside its span.
     fn expand(&mut self, c: SmallColl) {
         let p = self.p;
-        self.micro.push_back(Step::CollBegin(c.kind().scope_name()));
+        self.micro.push_back(Step::CollBegin(c.kind()));
         let micro = &mut self.micro;
         c.expand(p, self.rank, &mut self.coll_seq, |a| {
-            micro.push_back(coll_step(p, a));
+            micro.push_back(coll_step(a));
         });
-        self.micro.push_back(Step::CollEnd);
+        micro.push_back(Step::CollEnd);
     }
 
+    /// Open an O(p) collective's span and start streaming it (closed at
+    /// once at `p == 1`).
     fn start_big(&mut self, kind: CollKind, bytes: &'p Expr) {
         let big = BigColl::new(kind, &mut self.coll_seq, bytes);
-        self.micro.push_back(Step::CollBegin(kind.scope_name()));
+        self.micro.push_back(Step::CollBegin(kind));
         if self.p > 1 {
             self.big = Some(big);
         } else {
@@ -425,34 +423,32 @@ impl<'p> TimedCursor<'p> {
 
     /// Stream the next exchange of the in-flight O(p) collective into
     /// `micro`, closing the collective when its iterations are exhausted.
-    fn refill_big(&mut self) {
+    fn refill_big(&mut self) -> Result<(), ShapeIssue> {
         let big = self.big.as_mut().expect("big collective in flight");
         let Some(x) = big.next(self.p, self.rank) else {
             self.big = None;
             self.micro.push_back(Step::CollEnd);
-            return;
+            return Ok(());
         };
         let bytes = big.bytes;
-        let bytes = self.eval_bytes(bytes, Some(x.peer));
-        let send = Act::Send(x.to, x.tag, bytes);
-        self.micro.push_back(coll_step(self.p, send));
+        let bytes = self.eval_count(bytes, Some(x.peer))?;
+        self.micro.push_back(Step::Send {
+            to: x.to,
+            tag: x.tag,
+            bytes,
+        });
         self.micro.push_back(Step::Recv {
             from: x.from,
             tag: x.tag,
         });
+        Ok(())
     }
 }
 
-/// The step of one collective action in a world of `p` (the contention
-/// concurrency of every collective message).
-fn coll_step(p: usize, a: Act) -> Step {
+/// The step of one collective action.
+fn coll_step<'p>(a: Act) -> Step<'p> {
     match a {
-        Act::Send(to, tag, bytes) => Step::Send {
-            to,
-            tag,
-            bytes,
-            concurrency: p,
-        },
+        Act::Send(to, tag, bytes) => Step::Send { to, tag, bytes },
         Act::Recv(from, tag) => Step::Recv { from, tag },
         #[allow(clippy::cast_precision_loss)]
         Act::Combine(elems) => Step::Compute {
@@ -464,72 +460,235 @@ fn coll_step(p: usize, a: Act) -> Step {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check::analyze_plan;
-    use crate::ir::CommPlan;
+    use crate::expr::Cond;
 
-    /// Drain a cursor, returning all steps.
-    fn drain(plan: &CommPlan, p: usize, rank: usize) -> Vec<Step> {
+    /// Drain a clean cursor, returning all steps.
+    fn drain(plan: &CommPlan, p: usize, rank: usize) -> Vec<Step<'_>> {
         let mut c = TimedCursor::new(plan, p, rank);
         let mut out = Vec::new();
-        while let Some(s) = c.next_step() {
+        while let Some(s) = c.next_step().expect("clean plan") {
             out.push(s);
             assert!(out.len() < 1_000_000, "runaway cursor");
         }
         out
     }
 
+    /// The message steps of a drain.
+    fn messages<'p>(steps: &[Step<'p>]) -> Vec<Step<'p>> {
+        steps
+            .iter()
+            .copied()
+            .filter(|s| matches!(s, Step::Send { .. } | Step::Recv { .. }))
+            .collect()
+    }
+
     fn coll_plan(op: Op) -> CommPlan {
         CommPlan::new("one-coll", vec![op])
     }
 
-    /// Per-rank message/byte totals of the streamed steps match the
-    /// static checker's totals for every collective kind.
     #[test]
-    fn streamed_messages_match_static_analysis() {
-        let plans = [
-            coll_plan(Op::Barrier),
-            coll_plan(Op::Bcast {
-                root: Expr::Const(0),
-                bytes: Expr::Const(4096),
-            }),
-            coll_plan(Op::Reduce {
-                root: Expr::Const(0),
-                elems: Expr::Const(128),
-                op: mps::ReduceOp::Sum,
-            }),
-            coll_plan(Op::AllReduce {
-                elems: Expr::Const(64),
-                op: mps::ReduceOp::Sum,
-            }),
-            coll_plan(Op::AllGather {
-                bytes: (Expr::Peer + Expr::Const(1)) * Expr::Const(16),
-            }),
-            coll_plan(Op::AllToAll {
-                bytes: (Expr::Peer + Expr::Const(2)) * Expr::Const(8),
-            }),
-        ];
-        for plan in &plans {
-            for p in [1usize, 2, 3, 4, 6, 8] {
-                let analysis = analyze_plan(plan, p);
-                assert!(analysis.clean(), "{}: {:?}", plan.name, analysis.findings);
-                let mut messages = 0u64;
-                let mut bytes = 0u64;
-                for rank in 0..p {
-                    for step in drain(plan, p, rank) {
-                        if let Step::Send { bytes: b, .. } = step {
-                            messages += 1;
-                            bytes += b;
-                        }
-                    }
-                }
-                assert_eq!(
-                    messages, analysis.total.messages,
-                    "{} p={p} messages",
-                    plan.name
-                );
-                assert_eq!(bytes, analysis.total.bytes, "{} p={p} bytes", plan.name);
+    fn allreduce_power_of_two_is_pure_recursive_doubling() {
+        let plan = coll_plan(Op::AllReduce {
+            elems: Expr::Const(2),
+            op: mps::ReduceOp::Sum,
+        });
+        // log2(4) = 2 rounds, each an exchange plus a combine of 2 elems.
+        let tag = |round| mps::internal_tag(0, round);
+        let (send, recv, combine) = (
+            |to, round| Step::Send {
+                to,
+                tag: tag(round),
+                bytes: 16,
+            },
+            |from, round| Step::Recv {
+                from,
+                tag: tag(round),
+            },
+            Step::Compute { instr: 2.0 },
+        );
+        assert_eq!(
+            drain(&plan, 4, 1),
+            vec![
+                Step::CollBegin(CollKind::AllReduce),
+                send(0, 1),
+                recv(0, 1),
+                combine,
+                send(3, 2),
+                recv(3, 2),
+                combine,
+                Step::CollEnd,
+            ]
+        );
+    }
+
+    #[test]
+    fn allreduce_non_power_of_two_folds_extras() {
+        let plan = coll_plan(Op::AllReduce {
+            elems: Expr::Const(1),
+            op: mps::ReduceOp::Sum,
+        });
+        // p = 3: m = 2, r = 1. Rank 2 folds into rank 0 and gets the
+        // result back.
+        assert_eq!(
+            messages(&drain(&plan, 3, 2)),
+            vec![
+                Step::Send {
+                    to: 0,
+                    tag: mps::internal_tag(0, 0),
+                    bytes: 8,
+                },
+                Step::Recv {
+                    from: 0,
+                    tag: mps::internal_tag(0, 63),
+                },
+            ]
+        );
+        // Rank 0 pre-folds, one doubling round with rank 1, posts back.
+        let ops0 = messages(&drain(&plan, 3, 0));
+        assert_eq!(ops0.len(), 4);
+        assert_eq!(
+            ops0[0],
+            Step::Recv {
+                from: 2,
+                tag: mps::internal_tag(0, 0),
             }
+        );
+    }
+
+    #[test]
+    fn barrier_skips_seq_at_p1_but_bcast_consumes_it() {
+        // Mirrors mps: barrier_inner returns before next_coll_seq() at p=1,
+        // bcast_inner consumes the seq first. Each call is an empty span.
+        let plan = CommPlan::new(
+            "seq",
+            vec![
+                Op::Barrier,
+                Op::Bcast {
+                    root: Expr::Const(0),
+                    bytes: Expr::Const(4),
+                },
+                Op::AllReduce {
+                    elems: Expr::Const(1),
+                    op: mps::ReduceOp::Sum,
+                },
+            ],
+        );
+        let mut c = TimedCursor::new(&plan, 1, 0);
+        let mut steps = Vec::new();
+        while let Some(s) = c.next_step().unwrap() {
+            steps.push(s);
         }
+        assert_eq!(
+            steps,
+            [CollKind::Barrier, CollKind::Bcast, CollKind::AllReduce]
+                .iter()
+                .flat_map(|&k| [Step::CollBegin(k), Step::CollEnd])
+                .collect::<Vec<_>>()
+        );
+        // Barrier consumed nothing, bcast consumed seq 0, allreduce seq 1.
+        assert_eq!(c.coll_seq, 2);
+    }
+
+    #[test]
+    fn alltoall_xor_pairing_and_peer_sizes() {
+        // Chunk for destination d has d+1 bytes.
+        let plan = coll_plan(Op::AllToAll {
+            bytes: Expr::Peer + Expr::Const(1),
+        });
+        let steps = drain(&plan, 4, 0);
+        assert_eq!(steps.len(), 8); // span + 3 partners × (send + recv)
+        let sends: Vec<(usize, u64)> = steps
+            .iter()
+            .filter_map(|s| match s {
+                Step::Send { to, bytes, .. } => Some((*to, *bytes)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(sends, vec![(1, 2), (2, 3), (3, 4)]);
+    }
+
+    #[test]
+    fn loops_bind_de_bruijn_vars_and_shape_errors_surface() {
+        let plan = CommPlan::new(
+            "loop",
+            vec![Op::Loop {
+                count: Expr::Const(3),
+                body: vec![Op::Send {
+                    to: Expr::Var(0) + Expr::Const(1),
+                    tag: TagExpr::Expr(Expr::Const(5)),
+                    bytes: Expr::Const(8),
+                }],
+            }],
+        );
+        // Rank 0 of 3: sends to 1, 2, then peer 3 is out of range.
+        let mut c = TimedCursor::new(&plan, 3, 0);
+        assert!(matches!(
+            c.next_step().unwrap(),
+            Some(Step::Send { to: 1, .. })
+        ));
+        assert!(matches!(
+            c.next_step().unwrap(),
+            Some(Step::Send { to: 2, .. })
+        ));
+        assert_eq!(c.next_step(), Err(ShapeIssue::PeerOutOfRange { peer: 3 }));
+    }
+
+    #[test]
+    fn auto_and_last_tags_follow_the_cg_discipline() {
+        let base = 0x4347_0000u64;
+        let send = |tag| Op::Send {
+            to: Expr::Const(1),
+            tag,
+            bytes: Expr::Const(0),
+        };
+        let plan = CommPlan::new(
+            "tags",
+            vec![
+                Op::BumpTag,
+                send(TagExpr::Last {
+                    base,
+                    modulo: 0xFFFF,
+                }),
+                send(TagExpr::Auto {
+                    base,
+                    modulo: 0xFFFF,
+                }),
+            ],
+        );
+        let tags: Vec<u64> = drain(&plan, 2, 0)
+            .iter()
+            .map(|s| match s {
+                Step::Send { tag, .. } => *tag,
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        // Last after one bump -> counter value 0; Auto bumps to 1.
+        assert_eq!(tags, vec![base, base + 1]);
+    }
+
+    #[test]
+    fn self_message_and_tag_limit_are_shape_errors() {
+        let selfsend = CommPlan::new(
+            "s",
+            vec![Op::Send {
+                to: Expr::Rank,
+                tag: TagExpr::Expr(Expr::Const(0)),
+                bytes: Expr::Const(1),
+            }],
+        );
+        let mut c = TimedCursor::new(&selfsend, 2, 1);
+        assert_eq!(c.next_step(), Err(ShapeIssue::SelfMessage { peer: 1 }));
+
+        let bigtag = CommPlan::new(
+            "t",
+            vec![Op::Send {
+                to: Expr::Const(1),
+                tag: TagExpr::Expr(Expr::Const(1) * Expr::Const(1 << 32)),
+                bytes: Expr::Const(1),
+            }],
+        );
+        let mut c = TimedCursor::new(&bigtag, 2, 0);
+        assert_eq!(c.next_step(), Err(ShapeIssue::TagTooLarge { tag: 1 << 32 }));
     }
 
     /// Every send streamed by one rank has a matching recv streamed by its
@@ -581,7 +740,7 @@ mod tests {
                 body: vec![
                     Op::BumpTag,
                     Op::IfElse {
-                        cond: crate::Cond::Eq(Expr::Rank, Expr::Const(0)),
+                        cond: Cond::Eq(Expr::Rank, Expr::Const(0)),
                         then: vec![Op::Send {
                             to: Expr::Const(1),
                             tag: TagExpr::Last {
@@ -620,7 +779,7 @@ mod tests {
         });
         for p in [1usize, 4, 5] {
             let steps = drain(&plan, p, 0);
-            assert_eq!(steps.first(), Some(&Step::CollBegin("mps:alltoall")));
+            assert_eq!(steps.first(), Some(&Step::CollBegin(CollKind::AllToAll)));
             assert_eq!(steps.last(), Some(&Step::CollEnd));
             let depth: i64 = steps
                 .iter()

@@ -1,19 +1,17 @@
 //! Soundness of per-`p` specialization: [`Expr::fold`] at a concrete `p`
 //! must evaluate exactly like the original expression — the same `Ok`
 //! value or the same [`EvalError`] — in every environment at that `p`,
-//! and [`CommPlan::specialize`] must leave both concrete interpreters'
-//! streams ([`RankCursor`] and [`TimedCursor`]) unchanged: same ops and
-//! steps, same shape issue at the same op, same cost totals.
+//! and [`CommPlan::specialize`] must leave the [`TimedCursor`] stream that
+//! both the checker and simrt consume unchanged: same steps, same shape
+//! issue at the same op.
 
 mod common;
-
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use common::{draw_domain, draw_plan, Stream};
 use npb::{cg_plan, ep_plan, ft_plan, CgConfig, Class, EpConfig, FtConfig};
 use plan::{
-    analyze_plan, AOp, CollStats, CommPlan, Cond, Env, EvalError, Expr, Op, PlanFinding, RankCost,
-    RankCursor, ReduceOp, ShapeIssue, Step, TimedCursor, COLL_KINDS,
+    analyze_plan, CommPlan, Cond, Env, EvalError, Expr, Op, PlanFinding, ReduceOp, ShapeIssue,
+    Step, TimedCursor,
 };
 use proptest::prelude::*;
 
@@ -81,72 +79,28 @@ fn for_each_env(p: usize, mut f: impl FnMut(&Env)) {
     }
 }
 
-/// Everything a [`RankCursor`] reports for one rank: its op stream up to
-/// the end or the first shape issue, and its accumulated accounting.
-#[derive(Debug, PartialEq)]
-struct AbstractRun {
-    ops: Vec<AOp>,
-    end: Result<(), ShapeIssue>,
-    cost: RankCost,
-    colls: [CollStats; COLL_KINDS],
-    saw_wildcard: bool,
-    emitted: u64,
-    first_wildcard_op: Option<u64>,
-}
-
-fn abstract_run(plan: &CommPlan, p: usize, rank: usize) -> AbstractRun {
-    let mut c = RankCursor::new(plan, p, rank);
-    let mut ops = Vec::new();
+/// A [`TimedCursor`] drain: the steps up to the end or the first shape
+/// issue, and how the stream ended.
+fn stream(plan: &CommPlan, p: usize, rank: usize) -> (Vec<Step<'_>>, Result<(), ShapeIssue>) {
+    let mut c = TimedCursor::new(plan, p, rank);
+    let mut steps = Vec::new();
     let end = loop {
-        match c.next_comm() {
-            Ok(Some(a)) => ops.push(a),
+        match c.next_step() {
+            Ok(Some(step)) => steps.push(step),
             Ok(None) => break Ok(()),
-            Err(e) => break Err(e),
+            Err(issue) => break Err(issue),
         }
     };
-    AbstractRun {
-        ops,
-        end,
-        cost: c.cost,
-        colls: c.colls,
-        saw_wildcard: c.saw_wildcard,
-        emitted: c.emitted,
-        first_wildcard_op: c.first_wildcard_op,
-    }
-}
-
-/// A [`TimedCursor`] drain: the steps yielded, and the panic message if
-/// the cursor stopped on a shape violation.
-fn timed_run(plan: &CommPlan, p: usize, rank: usize) -> (Vec<Step>, Option<String>) {
-    let mut steps = Vec::new();
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut c = TimedCursor::new(plan, p, rank);
-        while let Some(step) = c.next_step() {
-            steps.push(step);
-        }
-    }));
-    let panic = outcome.err().map(|e| {
-        e.downcast_ref::<String>()
-            .cloned()
-            .or_else(|| e.downcast_ref::<&str>().map(ToString::to_string))
-            .unwrap_or_default()
-    });
-    (steps, panic)
+    (steps, end)
 }
 
 fn assert_streams_agree(plan: &CommPlan, p: usize) {
     let spec = plan.specialize(p);
     for rank in 0..p {
         assert_eq!(
-            abstract_run(&spec, p, rank),
-            abstract_run(plan, p, rank),
-            "{} p={p} rank={rank}: RankCursor stream",
-            plan.name
-        );
-        assert_eq!(
-            timed_run(&spec, p, rank),
-            timed_run(plan, p, rank),
-            "{} p={p} rank={rank}: TimedCursor stream",
+            stream(&spec, p, rank),
+            stream(plan, p, rank),
+            "{} p={p} rank={rank}",
             plan.name
         );
     }
@@ -290,7 +244,7 @@ fn a_subtree_failing_at_one_p_keeps_its_shape_finding() {
         }]
     );
     assert_eq!(
-        abstract_run(&plan, 4, 2).end,
+        stream(&plan, 4, 2).1,
         Err(ShapeIssue::Eval(EvalError::DivByZero)),
         "the unspecialized plan fails on the same rank"
     );

@@ -378,110 +378,6 @@ where
     unwrap_slots(out)
 }
 
-/// Run `f(index, &mut item)` over every element of `items` in parallel.
-///
-/// The mutable-slice analogue of [`parallel_map_indexed`], built for the
-/// `simrt` superstep engine (each item is a simulated rank task resumed in
-/// place). The slice is split into contiguous index chunks with
-/// `split_at_mut`, so every task owns its element exclusively and the
-/// determinism contract carries over: for a per-element pure `f` the final
-/// slice contents are bit-identical at any thread count.
-///
-/// Chunks are claimed from one shared queue (no stealing — rank-resume
-/// slices are orders of magnitude above the claim cost). Reports
-/// `pool.workers` and bumps `pool.mut_tasks_executed`, a counter distinct
-/// from `pool.tasks_executed` so `analyze`'s sweep-accounting cross-check
-/// is not perturbed by engine supersteps.
-///
-/// # Panics
-///
-/// A panicking task sets the shared abort flag (peers stop claiming new
-/// chunks) and the panic re-raises on the caller when the scope joins.
-pub fn parallel_for_each_mut<T, F>(cfg: &PoolConfig, items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let len = items.len();
-    if len == 0 {
-        return;
-    }
-    let reg = obs::global();
-    let tasks = reg.counter("pool.mut_tasks_executed");
-
-    // Sequential path: run inline on the caller, in index order. This is
-    // the reference schedule the differential tests compare against.
-    if cfg.threads <= 1 || len == 1 {
-        reg.gauge("pool.workers").set(1.0);
-        let t0 = std::time::Instant::now();
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        tasks.add(len as u64);
-        record_task_latency(t0.elapsed(), len as u64);
-        return;
-    }
-
-    let chunk = cfg.chunk_size(len);
-    let mut queue: VecDeque<(usize, &mut [T])> = VecDeque::new();
-    let mut rest = items;
-    let mut start = 0usize;
-    while !rest.is_empty() {
-        let take = chunk.min(rest.len());
-        let (head, tail) = rest.split_at_mut(take);
-        queue.push_back((start, head));
-        rest = tail;
-        start += take;
-    }
-
-    let workers = cfg.threads.min(queue.len());
-    let queue = Mutex::new(queue);
-    let abort = AtomicBool::new(false);
-
-    #[allow(clippy::cast_precision_loss)]
-    reg.gauge("pool.workers").set(workers as f64);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let queue = &queue;
-            let abort = &abort;
-            let f = &f;
-            let tasks = &tasks;
-            scope.spawn(move || {
-                // If this worker unwinds, tell the others to stop claiming;
-                // the scope join re-raises the panic on the caller.
-                let _guard = AbortOnPanic(abort);
-                loop {
-                    if abort.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    let next = queue.lock().expect("pool queue poisoned").pop_front();
-                    let Some((base, slots)) = next else { return };
-                    let t0 = std::time::Instant::now();
-                    let ran = slots.len() as u64;
-                    for (offset, slot) in slots.iter_mut().enumerate() {
-                        f(base + offset, slot);
-                    }
-                    tasks.add(ran);
-                    record_task_latency(t0.elapsed(), ran);
-                }
-            });
-        }
-    });
-}
-
-/// Sets the flag when dropped during an unwind, leaving it untouched on a
-/// normal exit.
-struct AbortOnPanic<'a>(&'a AtomicBool);
-
-impl Drop for AbortOnPanic<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.store(true, Ordering::Relaxed);
-        }
-    }
-}
-
 /// Run `slots.len()` tasks in index order on the caller thread, starting
 /// at global index `base`. Panics re-raise as [`TaskPanic`] immediately —
 /// execution is in order, so the first panic is the lowest-indexed one.
@@ -814,44 +710,5 @@ mod tests {
         let cfg = PoolConfig::with_threads(3);
         let _ = parallel_map_indexed(&cfg, 500, |i| i);
         assert!(tasks.get() - before >= 500);
-    }
-
-    #[test]
-    fn for_each_mut_matches_sequential_at_any_thread_count() {
-        let baseline: Vec<u64> = (0..777u64).map(|i| i * i + 7).collect();
-        for threads in [1, 2, 3, 8] {
-            let cfg = PoolConfig::with_threads(threads).with_chunk_size(13);
-            let mut items: Vec<u64> = (0..777u64).collect();
-            parallel_for_each_mut(&cfg, &mut items, |i, v| {
-                assert_eq!(*v, i as u64, "each task sees its own element");
-                *v = *v * *v + 7;
-            });
-            assert_eq!(items, baseline, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn for_each_mut_handles_empty_and_single() {
-        let cfg = PoolConfig::with_threads(4);
-        let mut empty: Vec<u8> = Vec::new();
-        parallel_for_each_mut(&cfg, &mut empty, |_, _| unreachable!());
-        let mut one = vec![41u8];
-        parallel_for_each_mut(&cfg, &mut one, |i, v| {
-            assert_eq!(i, 0);
-            *v += 1;
-        });
-        assert_eq!(one, vec![42]);
-    }
-
-    #[test]
-    fn for_each_mut_propagates_task_panics() {
-        let cfg = PoolConfig::with_threads(4).with_chunk_size(8);
-        let mut items: Vec<usize> = (0..256).collect();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            parallel_for_each_mut(&cfg, &mut items, |i, _| {
-                assert!(i != 100, "task 100 exploded");
-            });
-        }));
-        assert!(result.is_err(), "panic must reach the caller");
     }
 }

@@ -1,5 +1,5 @@
 //! The discrete-event engine: rank tasks driven from one FIFO ready
-//! queue, sequentially or in pooled supersteps.
+//! queue on the caller's thread.
 //!
 //! ## Why the schedule cannot change the answer
 //!
@@ -11,16 +11,14 @@
 //! sender's program order, so the envelope a receive matches — and hence
 //! every clock value, counter, and segment — is independent of the order
 //! in which the engine happens to resume runnable tasks. Any resume order
-//! gives the same bits, so the sequential engine uses the cheapest one: a
-//! FIFO queue of runnable ranks, seeded `0..p` and appended to by the
-//! deposit that unblocks a parked receiver. Pooled supersteps are
-//! bit-identical to it.
+//! gives the same bits, so the engine uses the cheapest one: a FIFO queue
+//! of runnable ranks, seeded `0..p` and appended to by the deposit that
+//! unblocks a parked receiver.
 //!
 //! Wildcard plans are where the order shows: a `recv_any` matches the
 //! first envelope with its tag in the receiver's inbox, and which sender
 //! got there first depends on the schedule. Their schedule is defined
-//! here and nowhere else: they always run on the sequential engine (a
-//! pool is ignored), and the FIFO order above is a pure function of the
+//! here and nowhere else: the FIFO order above is a pure function of the
 //! plan and `p`, so a wildcard run is the same run-to-run. It is not the
 //! virtual-time order, and `plan::analyze_plan` marks such plans inexact
 //! beyond two ranks for the same reason.
@@ -41,12 +39,20 @@ use std::collections::VecDeque;
 use mps::{DeadlockInfo, RunError, RunReport, WaitEdge, World};
 use obs::Timeline;
 use plan::CommPlan;
-use pool::PoolConfig;
 
 use crate::task::{Blocked, Links, Paused, RankTask};
 use crate::{EngineConfig, EngineReport, EngineStats};
 
+/// Samples kept per timeline series (a ring: the newest win).
+const TIMELINE_CAPACITY: usize = 4096;
+
 /// Execute `plan` on `p` rank tasks over `world`.
+///
+/// One FIFO queue of runnable ranks: every rank starts in it; a task
+/// leaves it to run until it blocks or finishes, and the deposit that
+/// unblocks a parked receiver appends it again. A task is in the queue at
+/// most once: only a blocked task is re-queued, and queueing it unblocks
+/// it.
 pub(crate) fn run(
     cfg: &EngineConfig,
     world: &World,
@@ -60,26 +66,40 @@ pub(crate) fn run(
         .map(|r| RankTask::new(r, p, world, plan, detail))
         .collect();
     let mut stats = EngineStats::default();
-    let mut timeline = Timeline::new(cfg.timeline_capacity);
+    let mut timeline = Timeline::new(TIMELINE_CAPACITY);
 
-    // A one-worker pool would run each superstep inline, paying O(p)
-    // scans per barrier for nothing: it takes the sequential engine.
-    let pooled = cfg
-        .pool
-        .as_ref()
-        .filter(|pool_cfg| pool_cfg.threads() > 1 && !plan.has_wildcard() && p > 1);
-    if let Some(pool_cfg) = pooled {
-        superstep(
-            pool_cfg,
-            world,
-            &links,
-            &mut tasks,
-            &mut stats,
-            &mut timeline,
-            cfg,
-        );
-    } else {
-        sequential(world, &links, &mut tasks, &mut stats, &mut timeline, cfg);
+    let mut ready: VecDeque<usize> = (0..p).collect();
+    let mut live = p;
+    let mut executed: u64 = 0;
+    let mut next_sample = cfg.timeline_every;
+    let mut t_hi = 0.0f64;
+    // The one send buffer: filled by the running task's slice, then
+    // drained. It keeps its capacity, so sends stop reallocating after
+    // the first slices.
+    let mut outbox = Vec::new();
+
+    while let Some(r) = ready.pop_front() {
+        let task = &mut tasks[r];
+        let before = task.steps;
+        let paused = task.advance(&links, &mut outbox);
+        executed += task.steps - before;
+        t_hi = t_hi.max(task.core.now());
+        if paused == Paused::Finished {
+            live -= 1;
+        }
+        for (dst, env) in outbox.drain(..) {
+            let dst_task = &mut tasks[dst];
+            if dst_task.wants(&env) {
+                dst_task.blocked = Blocked::No;
+                ready.push_back(dst);
+                stats.wakes += 1;
+            }
+            dst_task.inbox.push(env);
+        }
+        if cfg.timeline_every > 0 && executed >= next_sample {
+            next_sample += cfg.timeline_every;
+            sample(&mut timeline, &tasks, t_hi, ready.len(), live);
+        }
     }
 
     stats.steps = tasks.iter().map(|t| t.steps).sum();
@@ -104,107 +124,6 @@ pub(crate) fn run(
         timeline,
         stats,
     })
-}
-
-/// The sequential engine: one FIFO queue of runnable ranks. Every rank
-/// starts in it; a task leaves it to run until it blocks or finishes, and
-/// the deposit that unblocks a parked receiver appends it again. A task is
-/// in the queue at most once: only a blocked task is re-queued, and
-/// queueing it unblocks it.
-fn sequential(
-    world: &World,
-    links: &Links,
-    tasks: &mut [RankTask],
-    stats: &mut EngineStats,
-    timeline: &mut Timeline,
-    cfg: &EngineConfig,
-) {
-    let p = tasks.len();
-    let mut ready: VecDeque<usize> = (0..p).collect();
-    let mut live = p;
-    let mut executed: u64 = 0;
-    let mut next_sample = cfg.timeline_every;
-    let mut t_hi = 0.0f64;
-    // The one send buffer: lent to the running task for its slice, then
-    // taken back and drained. It keeps its capacity, so sends stop
-    // reallocating after every slice, and idle tasks hold no capacity.
-    let mut outbox = Vec::new();
-
-    while let Some(r) = ready.pop_front() {
-        let before = tasks[r].steps;
-        std::mem::swap(&mut outbox, &mut tasks[r].outbox);
-        let paused = tasks[r].advance(world, links);
-        std::mem::swap(&mut outbox, &mut tasks[r].outbox);
-        executed += tasks[r].steps - before;
-        t_hi = t_hi.max(tasks[r].core.now());
-        if paused == Paused::Finished {
-            live -= 1;
-        }
-        for (dst, env) in outbox.drain(..) {
-            let dst_task = &mut tasks[dst];
-            if dst_task.wants(&env) {
-                dst_task.blocked = Blocked::No;
-                dst_task.runnable = true;
-                ready.push_back(dst);
-                stats.wakes += 1;
-            }
-            dst_task.inbox.push(env);
-        }
-        if cfg.timeline_every > 0 && executed >= next_sample {
-            next_sample += cfg.timeline_every;
-            sample(timeline, tasks, t_hi, ready.len(), live);
-        }
-    }
-}
-
-/// The pooled engine: advance every runnable task in parallel (each slice
-/// runs until its task blocks), then deposit all outboxes in sender-rank
-/// order and wake the tasks they unblock. One barrier per superstep.
-fn superstep(
-    pool_cfg: &PoolConfig,
-    world: &World,
-    links: &Links,
-    tasks: &mut [RankTask],
-    stats: &mut EngineStats,
-    timeline: &mut Timeline,
-    cfg: &EngineConfig,
-) {
-    let p = tasks.len();
-    let mut ready = p;
-    let mut t_hi = 0.0f64;
-
-    while ready > 0 {
-        stats.supersteps += 1;
-        pool::parallel_for_each_mut(pool_cfg, tasks, |_, task| {
-            if task.runnable {
-                task.advance(world, links);
-            }
-        });
-        // Deposits in sender-rank order: arbitrary but fixed, and — for
-        // the wildcard-free plans this mode accepts — irrelevant to what
-        // any receive matches (per-source order is all that counts).
-        for src in 0..p {
-            if tasks[src].outbox.is_empty() {
-                continue;
-            }
-            let outbox = std::mem::take(&mut tasks[src].outbox);
-            for (dst, env) in outbox {
-                let dst_task = &mut tasks[dst];
-                if dst_task.wants(&env) {
-                    dst_task.blocked = Blocked::No;
-                    dst_task.runnable = true;
-                    stats.wakes += 1;
-                }
-                dst_task.inbox.push(env);
-            }
-        }
-        ready = tasks.iter().filter(|t| t.runnable).count();
-        if cfg.timeline_every > 0 && stats.supersteps.is_multiple_of(cfg.timeline_every) {
-            let live = tasks.iter().filter(|t| !t.done()).count();
-            t_hi = tasks.iter().map(|t| t.core.now()).fold(t_hi, f64::max);
-            sample(timeline, tasks, t_hi, ready, live);
-        }
-    }
 }
 
 /// Record one timeline sample at virtual time `t_s` (a running maximum,

@@ -4,9 +4,8 @@
 //! tops out around the host's thread limits long before the paper's
 //! `p = 1024+` scaling studies. This crate runs the *same* rank programs —
 //! [`plan::CommPlan`]s, streamed by [`plan::TimedCursor`] — as resumable
-//! state-machine tasks driven from one ready queue, multiplexed
-//! on the caller thread or a [`pool`] of workers. One process simulates
-//! NPB FT/EP/CG at `p = 4096`.
+//! state-machine tasks driven from one ready queue on the caller thread.
+//! One process simulates NPB FT/EP/CG at `p = 4096`.
 //!
 //! Accounting is shared with the thread runtime through [`mps::RankCore`],
 //! so per-collective message/byte counters, segment logs, energy, and span
@@ -30,22 +29,16 @@
 //! assert!(out.report.span() > 0.0);
 //! ```
 //!
-//! ## Execution modes
+//! ## Execution
 //!
-//! * **Sequential** (default): one FIFO queue of runnable ranks; one task
-//!   runs until it blocks, its sends wake parked receivers, and a woken
-//!   task joins the back of the queue. Deterministic run-to-run.
-//! * **Superstep** ([`EngineConfig::with_pool`] with two or more
-//!   workers): every runnable task is advanced in parallel via
-//!   [`pool::parallel_for_each_mut`], then all sends are deposited in rank
-//!   order. Bit-identical to sequential for wildcard-free plans. A
-//!   one-worker pool runs the sequential engine.
+//! One FIFO queue of runnable ranks: one task runs until it blocks, its
+//! sends wake parked receivers, and a woken task joins the back of the
+//! queue. Deterministic run-to-run.
 //!
-//! Resume order cannot change a wildcard-free run, so neither mode keeps
-//! a virtual-time order. Wildcard plans are the exception: which sender a
-//! `recv_any` matches depends on the schedule, so they always run on the
-//! sequential engine (a pool is ignored) and their schedule is its FIFO
-//! order — the same on every run, but not virtual-time order. The
+//! Resume order cannot change a wildcard-free run, so the engine keeps no
+//! virtual-time order. Wildcard plans are the exception: which sender a
+//! `recv_any` matches depends on the schedule, and their schedule is the
+//! FIFO order — the same on every run, but not virtual-time order. The
 //! argument for both is in `src/engine.rs`.
 //!
 //! Schedule-space exploration (a [`mps::SchedulerHook`] installed in
@@ -60,7 +53,6 @@ mod task;
 use mps::{RunError, RunReport, World};
 use obs::Timeline;
 use plan::CommPlan;
-use pool::PoolConfig;
 
 /// With [`Detail::Auto`], runs at `p` up to this keep full per-segment
 /// logs, span tracks and comm traces; larger runs aggregate.
@@ -79,32 +71,15 @@ pub enum Detail {
     Off,
 }
 
-/// Engine tuning knobs. The default — sequential, auto detail, no
-/// timeline — is right for tests and differential comparisons.
-#[derive(Debug, Clone)]
+/// Engine tuning knobs. The default — auto detail, no timeline — is
+/// right for tests and differential comparisons.
+#[derive(Debug, Clone, Default)]
 pub struct EngineConfig {
     /// Per-rank logging fidelity.
     pub detail: Detail,
-    /// Advance runnable tasks on a worker pool, one superstep per
-    /// barrier. `None`, a one-worker pool, or a wildcard plan runs
-    /// sequentially on the caller.
-    pub pool: Option<PoolConfig>,
-    /// Sample the engine timeline every this many steps (sequential) or
-    /// supersteps (pooled). `0` disables the timeline.
+    /// Sample the engine timeline every this many steps. `0` disables the
+    /// timeline.
     pub timeline_every: u64,
-    /// Ring capacity per timeline series.
-    pub timeline_capacity: usize,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        Self {
-            detail: Detail::Auto,
-            pool: None,
-            timeline_every: 0,
-            timeline_capacity: 4096,
-        }
-    }
 }
 
 impl EngineConfig {
@@ -115,16 +90,7 @@ impl EngineConfig {
         self
     }
 
-    /// Advance tasks in pooled supersteps with this pool configuration.
-    /// A pool of one worker runs the sequential engine instead: inline
-    /// supersteps would only add an `O(p)` scan per barrier.
-    #[must_use]
-    pub fn with_pool(mut self, pool: PoolConfig) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
-    /// Enable timeline sampling every `every` steps/supersteps.
+    /// Enable timeline sampling every `every` steps.
     #[must_use]
     pub fn with_timeline_every(mut self, every: u64) -> Self {
         self.timeline_every = every;
@@ -150,8 +116,6 @@ pub struct EngineStats {
     pub sends: u64,
     /// Blocked tasks woken by a deposit.
     pub wakes: u64,
-    /// Supersteps executed (pooled mode only).
-    pub supersteps: u64,
     /// Host wall-clock time of the run, seconds.
     pub wall_s: f64,
 }

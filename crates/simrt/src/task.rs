@@ -47,8 +47,6 @@ pub(crate) struct Delivery {
 /// or `p` (inside collectives); [`netsim::ContentionModel::effective`] is
 /// pure, so each cached model is the same value a per-send call returns.
 pub(crate) struct Links {
-    base: Hockney,
-    p: usize,
     pair: Hockney,
     all: Hockney,
 }
@@ -57,19 +55,8 @@ impl Links {
     pub(crate) fn new(world: &World, p: usize) -> Self {
         let base = world.hockney();
         Self {
-            base,
-            p,
             pair: world.contention.effective(&base, 2),
             all: world.contention.effective(&base, p),
-        }
-    }
-
-    /// The link model of a send at contention `concurrency`.
-    fn at(&self, world: &World, concurrency: usize) -> Hockney {
-        match concurrency {
-            2 => self.pair,
-            c if c == self.p => self.all,
-            c => world.contention.effective(&self.base, c),
         }
     }
 }
@@ -113,16 +100,11 @@ pub(crate) struct RankTask<'a> {
     pub(crate) blocked: Blocked,
     /// The step whose effect could not complete (a blocked receive),
     /// re-executed first on resume.
-    pending: Option<Step>,
+    pending: Option<Step<'a>>,
     /// Open collective scopes, innermost last.
     scopes: Vec<CollScope>,
     vclock: Vec<u64>,
     pub(crate) comm: CommLog,
-    /// Sends produced by the current resume slice, `(dst, envelope)`;
-    /// drained and deposited by the engine after the slice.
-    pub(crate) outbox: Vec<(usize, SimEnvelope)>,
-    /// Superstep-mode flag: advance this task in the next batch.
-    pub(crate) runnable: bool,
     /// Steps executed so far (engine stats).
     pub(crate) steps: u64,
     /// Sends executed so far (engine stats).
@@ -147,8 +129,6 @@ impl<'a> RankTask<'a> {
             scopes: Vec::new(),
             vclock: if detail { vec![0; p] } else { Vec::new() },
             comm: CommLog::new(rank),
-            outbox: Vec::new(),
-            runnable: true,
             steps: 0,
             sends: 0,
             detail,
@@ -173,34 +153,44 @@ impl<'a> RankTask<'a> {
     }
 
     /// Run the rank until it blocks or finishes. Work charges go straight
-    /// into the core; sends are buffered into [`RankTask::outbox`] for the
-    /// engine to deposit.
-    pub(crate) fn advance(&mut self, world: &World, links: &Links) -> Paused {
+    /// into the core; sends are buffered into `outbox` as `(dst,
+    /// envelope)` for the engine to deposit.
+    ///
+    /// # Panics
+    /// On a plan shape violation, naming the rank and the issue: run
+    /// `plan::analyze_plan` first.
+    pub(crate) fn advance(
+        &mut self,
+        links: &Links,
+        outbox: &mut Vec<(usize, SimEnvelope)>,
+    ) -> Paused {
         loop {
             let step = match self.pending.take() {
                 Some(s) => s,
                 None => match self.cursor.next_step() {
-                    Some(s) => s,
-                    None => {
+                    Ok(Some(s)) => s,
+                    Ok(None) => {
                         assert!(
                             self.scopes.is_empty(),
                             "rank {} finished inside a collective scope",
                             self.rank()
                         );
                         self.blocked = Blocked::Done;
-                        self.runnable = false;
                         return Paused::Finished;
                     }
+                    Err(issue) => panic!(
+                        "rank {}: plan shape violation: {issue} (run `plan::analyze_plan` first)",
+                        self.rank()
+                    ),
                 },
             };
             match step {
                 Step::Compute { instr } => self.core.compute(instr),
                 Step::MemStream { touches, ws } => self.core.mem_stream(touches, ws),
                 Step::MemAccess { accesses, ws } => self.core.mem_access(accesses, ws),
-                Step::Io { seconds } => self.core.io(seconds),
-                Step::Phase(name) => self.core.phase(&name),
-                Step::CollBegin(name) => {
-                    let scope = self.core.collective_begin(name);
+                Step::Phase(name) => self.core.phase(name),
+                Step::CollBegin(kind) => {
+                    let scope = self.core.collective_begin(kind.scope_name());
                     self.scopes.push(scope);
                 }
                 Step::CollEnd => {
@@ -210,18 +200,20 @@ impl<'a> RankTask<'a> {
                         .expect("CollEnd without a matching CollBegin");
                     self.core.collective_end(scope);
                 }
-                Step::Send {
-                    to,
-                    tag,
-                    bytes,
-                    concurrency,
-                } => self.execute_send(world, links, to, tag, bytes, concurrency),
+                Step::Send { to, tag, bytes } => {
+                    // Collective messages contend with all `p` ranks.
+                    let link = if self.scopes.is_empty() {
+                        &links.pair
+                    } else {
+                        &links.all
+                    };
+                    outbox.push((to, self.execute_send(link, to, tag, bytes)));
+                }
                 Step::Recv { from, tag } => match self.inbox.take(from, tag) {
                     Some(env) => self.consume(env),
                     None => {
                         self.blocked = Blocked::On { from, tag };
-                        self.runnable = false;
-                        self.pending = Some(Step::Recv { from, tag });
+                        self.pending = Some(step);
                         return Paused::Blocked;
                     }
                 },
@@ -229,8 +221,7 @@ impl<'a> RankTask<'a> {
                     Some(env) => self.consume(env),
                     None => {
                         self.blocked = Blocked::Any { tag };
-                        self.runnable = false;
-                        self.pending = Some(Step::RecvAny { tag });
+                        self.pending = Some(step);
                         return Paused::Blocked;
                     }
                 },
@@ -239,22 +230,12 @@ impl<'a> RankTask<'a> {
         }
     }
 
-    /// The effect of one send: the same accounting sequence as
-    /// `mps::Ctx::send_raw`, with the deposit deferred to the engine.
-    fn execute_send(
-        &mut self,
-        world: &World,
-        links: &Links,
-        to: usize,
-        tag: u64,
-        bytes: u64,
-        concurrency: usize,
-    ) {
+    /// The effect of one send over `link`: the same accounting sequence as
+    /// `mps::Ctx::send_raw`, returning the envelope for the engine to
+    /// deposit.
+    fn execute_send(&mut self, link: &Hockney, to: usize, tag: u64, bytes: u64) -> SimEnvelope {
         let rank = self.rank();
-        assert!(to < self.core.size(), "send to rank {to} out of range");
-        assert!(to != rank, "self-sends are not allowed (rank {to})");
-        let h = links.at(world, concurrency);
-        let t_net = Seconds::new(h.p2p(bytes));
+        let t_net = Seconds::new(link.p2p(bytes));
         let arrival = self.core.account_send(bytes, t_net);
         let vc = if self.detail {
             self.vclock[rank] += 1;
@@ -271,18 +252,15 @@ impl<'a> RankTask<'a> {
             Vec::new()
         };
         self.sends += 1;
-        self.outbox.push((
-            to,
-            SimEnvelope {
-                src: rank,
-                tag,
-                body: Delivery {
-                    arrival_s: arrival.raw(),
-                    bytes,
-                    vc,
-                },
+        SimEnvelope {
+            src: rank,
+            tag,
+            body: Delivery {
+                arrival_s: arrival.raw(),
+                bytes,
+                vc,
             },
-        ));
+        }
     }
 
     /// Consume an envelope taken from the inbox: advance to its arrival,

@@ -6,9 +6,10 @@
 //! [`plan::TimedCursor`] (state-machine tasks, FIFO ready queue) —
 //! over the same [`mps::RankCore`] accounting. For every kernel and every
 //! small `p` we require exact equality of per-collective counters,
-//! run-wide totals, per-rank finish times, spans, and metered energy. At
-//! `p` beyond the thread runtime's reach the engine is pinned against the
-//! static analyzer's whole-plan message/byte counts instead.
+//! run-wide totals, per-rank finish times, spans, and metered energy. The
+//! static checker, which drains the same cursor, must agree with the
+//! engine rank for rank and family for family, up to `p` beyond the
+//! thread runtime's reach.
 
 use std::sync::{Mutex, OnceLock};
 
@@ -147,58 +148,10 @@ fn engine_is_bit_identical_to_thread_runtime_on_npb() {
     }
 }
 
-/// The `threads = 1` row compares the sequential engine with itself: a
-/// one-worker pool runs the sequential engine, not inline supersteps.
-#[test]
-fn pooled_supersteps_are_bit_identical_to_sequential() {
-    let _guard = registry_lock().lock().unwrap();
-    let w = world();
-    for (name, plan) in plans() {
-        let sequential = observe_engine(&w, 8, &plan, &EngineConfig::default());
-        for threads in [1usize, 2, 4] {
-            let cfg = EngineConfig::default().with_pool(pool::PoolConfig::with_threads(threads));
-            let pooled = observe_engine(&w, 8, &plan, &cfg);
-            assert_identical(&format!("{name} pool={threads}"), &sequential, &pooled, &w);
-        }
-    }
-}
-
-/// Resume order cannot change a wildcard-free run, at `p` well past the
-/// small differential sizes too: the sequential engine's FIFO schedule
-/// and 2-thread pooled supersteps give the same bits on every rank.
-#[test]
-fn fifo_and_pooled_schedules_agree_at_p_64() {
-    let w = World::new(simcluster::system_g(), 2.8e9);
-    let sequential = EngineConfig::default().with_detail(Detail::Off);
-    let pooled = sequential
-        .clone()
-        .with_pool(pool::PoolConfig::with_threads(2));
-    for (name, plan) in [
-        ("ft", ft_plan(&FtConfig::class(Class::S))),
-        ("cg", cg_plan(&CgConfig::class(Class::S))),
-    ] {
-        let a = simrt::try_run_plan_with(&sequential, &w, 64, &plan).expect("sequential");
-        let b = simrt::try_run_plan_with(&pooled, &w, 64, &plan).expect("pooled");
-        assert_eq!(a.stats.supersteps, 0, "{name}: sequential engine");
-        assert!(b.stats.supersteps > 0, "{name}: superstep engine");
-        assert_eq!(a.stats.steps, b.stats.steps, "{name}: steps");
-        assert_eq!(a.stats.sends, b.stats.sends, "{name}: sends");
-        for (x, y) in a.report.ranks.iter().zip(&b.report.ranks) {
-            assert_eq!(
-                x.finish_s.to_bits(),
-                y.finish_s.to_bits(),
-                "{name}: rank {} finish",
-                x.rank
-            );
-            assert_eq!(x.stats, y.stats, "{name}: rank {} counters", x.rank);
-        }
-    }
-}
-
-/// Wildcard plans always run on the sequential engine, whose FIFO
-/// schedule is a function of the plan and `p` alone: a plan whose
-/// `recv_any`s can match senders in more than one order completes the
-/// same way on every run, with the static checker's totals.
+/// A wildcard plan's schedule is the engine's FIFO order, a function of
+/// the plan and `p` alone: a plan whose `recv_any`s can match senders in
+/// more than one order completes the same way on every run, with the
+/// static checker's totals.
 #[test]
 fn wildcard_runs_repeat_and_match_static_totals() {
     let p = 8;
@@ -229,14 +182,8 @@ fn wildcard_runs_repeat_and_match_static_totals() {
     );
     assert!(plan.has_wildcard());
     let w = World::new(simcluster::system_g(), 2.8e9);
-    // A pool is ignored for wildcard plans.
-    let pooled = EngineConfig::default().with_pool(pool::PoolConfig::with_threads(2));
     let first = simrt::try_run_plan(&w, p, &plan).expect("first run");
-    let second = simrt::try_run_plan_with(&pooled, &w, p, &plan).expect("second run");
-    assert_eq!(
-        second.stats.supersteps, 0,
-        "wildcard plans run sequentially"
-    );
+    let second = simrt::try_run_plan(&w, p, &plan).expect("second run");
     let (a, b) = (first.report, second.report);
     for (x, y) in a.ranks.iter().zip(&b.ranks) {
         assert_eq!(
@@ -319,22 +266,61 @@ fn aggregate_detail_preserves_energy_and_counters() {
     );
 }
 
-/// At `p` far beyond the thread runtime, the engine's dynamic message and
-/// byte totals must land exactly on the static analyzer's whole-plan
-/// counts (debug-build-sized `p`; the `large_p` suite covers 1024+).
+/// The checker and the engine drain the same cursor, so on every clean
+/// NPB plan they must count the same work: per rank, the checker's
+/// messages, bytes and `Wc` are the engine's counters; per collective
+/// family, the checker's calls, messages and bytes are the engine's
+/// `mps.collective.*` metric deltas. The node has no caches, so every
+/// memory access is off-chip: none adds on-chip time to the engine's
+/// `Wc`, and its `Wm` is the checker's access count. `p = 256` runs FT
+/// only, far beyond the thread runtime.
 #[test]
-fn engine_matches_static_analysis_at_p_256() {
-    // Its metrics-on world bumps the global collective counters too.
+fn checker_and_engine_agree_on_clean_npb_plans() {
+    // The metrics-on world bumps the global collective counters.
     let _guard = registry_lock().lock().unwrap();
-    let plan = ft_plan(&FtConfig::class(Class::S));
-    let p = 256;
-    let analysis = analyze_plan(&plan, p);
-    assert!(analysis.clean(), "{:?}", analysis.findings);
-    let out = simrt::run_plan(&world(), p, &plan);
-    let totals = out.report.total_counters();
-    #[allow(clippy::cast_precision_loss)]
-    {
-        assert_eq!(totals.messages, analysis.total.messages as f64);
-        assert_eq!(totals.bytes, analysis.total.bytes as f64);
+    let mut cluster = simcluster::system_g();
+    cluster.node.memory.levels.clear();
+    let w = World::new(cluster, 2.8e9).with_obs(ObsConfig::disabled().with_metrics(true));
+    let cfg = EngineConfig::default().with_detail(Detail::Off);
+    let mut cases: Vec<(&str, CommPlan, usize)> = Vec::new();
+    for (name, plan) in plans() {
+        for p in [2usize, 4, 8, 64] {
+            cases.push((name, plan.clone(), p));
+        }
+    }
+    cases.push(("ft", ft_plan(&FtConfig::class(Class::S)), 256));
+    for (name, plan, p) in &cases {
+        let analysis = analyze_plan(plan, *p);
+        assert!(analysis.clean(), "{name} p={p}: {:?}", analysis.findings);
+        let engine = observe_engine(&w, *p, plan, &cfg);
+        for (r, (cost, outcome)) in analysis
+            .per_rank
+            .iter()
+            .zip(&engine.report.ranks)
+            .enumerate()
+        {
+            let c = &outcome.stats;
+            #[allow(clippy::cast_precision_loss)]
+            {
+                assert_eq!(
+                    c.messages, cost.messages as f64,
+                    "{name} p={p} rank {r}: messages"
+                );
+                assert_eq!(c.bytes, cost.bytes as f64, "{name} p={p} rank {r}: bytes");
+            }
+            assert_eq!(
+                c.wc.to_bits(),
+                cost.wc.to_bits(),
+                "{name} p={p} rank {r}: Wc"
+            );
+        }
+        for (k, (s, e)) in analysis.colls.iter().zip(&engine.colls).enumerate() {
+            assert_eq!(
+                [s.calls, s.messages, s.bytes],
+                *e,
+                "{name} p={p}: {} counters",
+                CollKind::ALL[k].scope_name()
+            );
+        }
     }
 }

@@ -67,27 +67,3 @@ fn ft_completes_at_p_4096_within_budget() {
     let cfg = npb::FtConfig::class(npb::Class::S);
     run_and_check("ft", &npb::ft_plan(&cfg), 4096, 60.0);
 }
-
-/// The pooled superstep engine must agree with sequential at scale too —
-/// totals and span, compared at aggregate fidelity.
-#[test]
-#[ignore = "release-only: thousand-rank kernels are slow in debug builds"]
-fn pooled_matches_sequential_at_p_1024() {
-    let cfg = npb::FtConfig::class(npb::Class::S);
-    let plan = npb::ft_plan(&cfg);
-    let w = world();
-    let base = EngineConfig::default().with_detail(Detail::Off);
-    let seq = simrt::try_run_plan_with(&base, &w, 1024, &plan).expect("sequential");
-    let pooled_cfg = base.clone().with_pool(pool::PoolConfig::with_threads(4));
-    let pooled = simrt::try_run_plan_with(&pooled_cfg, &w, 1024, &plan).expect("pooled");
-    assert_eq!(
-        seq.report.total_counters(),
-        pooled.report.total_counters(),
-        "totals"
-    );
-    assert_eq!(seq.report.span(), pooled.report.span(), "span bits");
-    for (a, b) in seq.report.ranks.iter().zip(&pooled.report.ranks) {
-        assert_eq!(a.finish_s, b.finish_s, "rank {} finish", a.rank);
-    }
-    assert!(pooled.stats.supersteps > 0, "pooled mode actually ran");
-}
