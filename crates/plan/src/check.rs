@@ -354,7 +354,16 @@ impl<'p> Rank<'p> {
     /// rank's program is complete.
     #[inline]
     fn next_message(&mut self) -> Result<Option<Step<'p>>, ShapeIssue> {
-        while let Some(step) = self.cursor.next_step()? {
+        loop {
+            // Most steps are already expanded; popping them directly skips
+            // `next_step`'s `Result` wrapping, measurably on CG.
+            let step = match self.cursor.pop_expanded() {
+                Some(step) => step,
+                None => match self.cursor.next_step()? {
+                    Some(step) => step,
+                    None => return Ok(None),
+                },
+            };
             if self.fold(step) {
                 if matches!(step, Step::RecvAny { .. }) && self.first_wildcard_op.is_none() {
                     self.first_wildcard_op = Some(self.emitted);
@@ -363,7 +372,6 @@ impl<'p> Rank<'p> {
                 return Ok(Some(step));
             }
         }
-        Ok(None)
     }
 
     /// Charge one step; whether it is a message step.
@@ -397,8 +405,7 @@ impl<'p> Rank<'p> {
 
     /// Charge the expanded rest of the collective a blocked rank waits in.
     fn charge_rest_of_call(&mut self) {
-        let rest: Vec<Step<'p>> = self.cursor.drain_expanded().collect();
-        for step in rest {
+        while let Some(step) = self.cursor.pop_expanded() {
             self.fold(step);
         }
     }

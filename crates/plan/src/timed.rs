@@ -164,11 +164,13 @@ impl<'p> TimedCursor<'p> {
         }
     }
 
-    /// The steps expanded and not yet taken: for a rank blocked on a
-    /// receive, the rest of the logarithmic collective it waits in (none
-    /// outside one).
-    pub(crate) fn drain_expanded(&mut self) -> impl Iterator<Item = Step<'p>> + '_ {
-        self.micro.drain(..)
+    /// The next step already expanded, if any: [`TimedCursor::next_step`]
+    /// without walking the plan. For a rank blocked on a receive, these are
+    /// the rest of the logarithmic collective it waits in (none outside
+    /// one).
+    #[inline]
+    pub(crate) fn pop_expanded(&mut self) -> Option<Step<'p>> {
+        self.micro.pop_front()
     }
 
     /// [`TimedCursor::next_step`] once the expansion queue is empty.

@@ -313,6 +313,11 @@ fn checker_and_engine_agree_on_clean_npb_plans() {
                 cost.wc.to_bits(),
                 "{name} p={p} rank {r}: Wc"
             );
+            assert_eq!(
+                c.wm.to_bits(),
+                cost.mem_accesses.to_bits(),
+                "{name} p={p} rank {r}: Wm"
+            );
         }
         for (k, (s, e)) in analysis.colls.iter().zip(&engine.colls).enumerate() {
             assert_eq!(
