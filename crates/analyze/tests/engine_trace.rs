@@ -4,8 +4,12 @@
 //! runtime (shared `RankCore` recording) plus its own virtual-time
 //! counter timeline. Both must satisfy every invariant `analyze --trace`
 //! enforces — in particular the timeline's running-max timestamping must
-//! keep each counter series monotone.
+//! keep each counter series monotone. An engine deadlock report must
+//! read as the thread runtime's does.
 
+use analyze::Finding;
+use mps::RunError;
+use plan::{CommPlan, Cond, Expr, Op, TagExpr};
 use simrt::{Detail, EngineConfig};
 
 fn world() -> mps::World {
@@ -48,4 +52,70 @@ fn counters_only_engine_trace_passes_conformance() {
     assert!(!trace.counters.is_empty());
     let findings = analyze::check_trace(&trace);
     assert!(findings.is_empty(), "conformance findings: {findings:?}");
+}
+
+/// Ranks 0 and 1 wait on each other and rank 2 waits on rank 1: the
+/// engine's witness is the two-rank cycle, so the analyzer's
+/// `DeadlockCycle` holds exactly its two edges, not the bystander's.
+#[test]
+fn engine_deadlock_cycle_leaves_out_a_bystander() {
+    let on = |rank: i64, ops: Vec<Op>| Op::IfElse {
+        cond: Cond::Eq(Expr::Rank, Expr::Const(rank)),
+        then: ops,
+        els: vec![],
+    };
+    let tag = |t: i64| TagExpr::Expr(Expr::Const(t));
+    let plan = CommPlan::new(
+        "cycle-with-bystander",
+        vec![
+            on(
+                0,
+                vec![
+                    Op::Recv {
+                        from: Expr::Const(1),
+                        tag: tag(1),
+                    },
+                    Op::Send {
+                        to: Expr::Const(1),
+                        tag: tag(2),
+                        bytes: Expr::Const(8),
+                    },
+                ],
+            ),
+            on(
+                1,
+                vec![
+                    Op::Recv {
+                        from: Expr::Const(0),
+                        tag: tag(2),
+                    },
+                    Op::Send {
+                        to: Expr::Const(0),
+                        tag: tag(1),
+                        bytes: Expr::Const(8),
+                    },
+                ],
+            ),
+            on(
+                2,
+                vec![Op::Recv {
+                    from: Expr::Const(1),
+                    tag: tag(3),
+                }],
+            ),
+        ],
+    );
+    let w = mps::World::new(simcluster::system_g(), 2.8e9);
+    let Err(RunError::Deadlock(info)) = simrt::try_run_plan(&w, 3, &plan) else {
+        panic!("the plan must deadlock");
+    };
+    let findings = analyze::check_deadlock(&info);
+    let cycles: Vec<usize> = findings
+        .iter()
+        .filter_map(|f| match f {
+            Finding::DeadlockCycle { edges } => Some(edges.len()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(cycles, vec![2], "{findings:?}");
 }

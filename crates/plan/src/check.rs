@@ -1,20 +1,16 @@
 //! Whole-plan static analysis: matching/shape checking and deadlock
 //! detection over the abstract message semantics of `mps`.
 //!
-//! The checker drains every rank's [`TimedCursor`] to quiescence under
-//! the runtime's own matching rules — eager sends that never block, per
-//! `(src, dst)` FIFO order with tag-skipping receives, matched through one
-//! [`Inbox`] per receiver — without executing any user code or spawning
-//! any thread, in O(p) memory plus the messages in flight. For
-//! wildcard-free plans this canonical run is **exact**: matching is
-//! structural (the k-th receive of tag `t` on a channel always pairs with
-//! the k-th send of tag `t`), so enabledness is schedule-independent and
-//! one run decides deadlock for *all* schedules. A
-//! [`Op::RecvAny`](crate::Op::RecvAny) breaks confluence; the checker
-//! then proceeds with the lowest matching source (still a feasible
-//! schedule, so reported deadlocks remain real) but marks the verdict
-//! conservative ([`PlanAnalysis::exact`] = false): a clean conservative
-//! verdict does **not** prove other schedules safe.
+//! The checker runs every rank's [`TimedCursor`] to quiescence on the
+//! plan [`Schedule`] — `mps`'s matching rules, no user code, no threads,
+//! O(p) memory plus the messages in flight. For wildcard-free plans this
+//! canonical run is **exact**: the k-th receive of tag `t` on a channel
+//! always pairs with the k-th send of tag `t`, so one run decides
+//! deadlock for *all* schedules. A [`Op::RecvAny`](crate::Op::RecvAny)
+//! breaks confluence: the schedule's wildcard rule (lowest source) is
+//! still a feasible schedule, so reported deadlocks are real, but the
+//! verdict is conservative ([`PlanAnalysis::exact`] = false) and a clean
+//! one does **not** prove other schedules safe.
 //!
 //! Quiescence with unfinished ranks yields findings with witnesses: the
 //! wait-for cycle for circular waits, unmatched receives for dead-end
@@ -34,8 +30,8 @@ use mps::USER_TAG_LIMIT;
 
 use crate::coll::{CollKind, CollStats, COLL_KINDS};
 use crate::expr::EvalError;
-use crate::inbox::{Envelope, Inbox};
 use crate::ir::CommPlan;
+use crate::sched::{Effects, Envelope, Schedule};
 use crate::timed::{Step, TimedCursor};
 
 /// Cost totals accumulated while checking one rank.
@@ -140,7 +136,7 @@ pub struct PlanWaitEdge {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanFinding {
     /// A shape violation (bad peer, self-message, oversized tag, failed
-    /// expression) on one rank; the rank stops elaborating there.
+    /// expression) on one rank; the rank stops there.
     Shape {
         /// The offending rank.
         rank: usize,
@@ -321,18 +317,6 @@ impl PlanAnalysis {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Status {
-    Running,
-    /// Blocked receiving `tag`; `from = None` is a wildcard.
-    Blocked {
-        from: Option<usize>,
-        tag: u64,
-    },
-    Finished,
-    Faulted,
-}
-
 /// One rank's cursor and the accounting folded from its steps.
 struct Rank<'p> {
     cursor: TimedCursor<'p>,
@@ -411,22 +395,46 @@ impl<'p> Rank<'p> {
     }
 }
 
+/// The checker's effects: ranks fold their steps into costs, sends carry
+/// byte counts, and shape issues and wildcard races become findings.
 struct Checker<'p> {
-    p: usize,
     ranks: Vec<Rank<'p>>,
-    status: Vec<Status>,
-    /// One inbox per receiving rank; envelope bodies are byte counts.
-    inboxes: Vec<Inbox<u64>>,
-    /// The receive a blocked rank must retry when woken (a blocked rank's
-    /// cursor has already moved past it).
-    pending: Vec<Option<Step<'p>>>,
     findings: Vec<PlanFinding>,
     findings_truncated: bool,
-    exact: bool,
-    steps: u64,
 }
 
-impl<'p> Checker<'p> {
+impl<'p> Effects<'p> for Checker<'p> {
+    type Body = u64;
+
+    #[inline]
+    fn next_message(&mut self, r: usize) -> Result<Option<Step<'p>>, ShapeIssue> {
+        self.ranks[r].next_message()
+    }
+
+    #[inline]
+    fn send(&mut self, _r: usize, _to: usize, _tag: u64, bytes: u64) -> u64 {
+        bytes
+    }
+
+    #[inline]
+    fn recv(&mut self, _r: usize, _env: Envelope<u64>) {}
+
+    fn fault(&mut self, r: usize, issue: ShapeIssue) {
+        self.push_finding(PlanFinding::Shape { rank: r, issue });
+    }
+
+    fn wildcard(&mut self, r: usize, tag: u64, sources: &[usize]) {
+        if sources.len() > 1 {
+            self.push_finding(PlanFinding::WildcardChoice {
+                rank: r,
+                tag,
+                sources: sources.to_vec(),
+            });
+        }
+    }
+}
+
+impl Checker<'_> {
     fn push_finding(&mut self, f: PlanFinding) {
         if self.findings.len() < MAX_FINDINGS {
             self.findings.push(f);
@@ -435,199 +443,57 @@ impl<'p> Checker<'p> {
         }
     }
 
-    /// Run rank `r` until it blocks, finishes, or faults. Returns ranks to
-    /// wake.
-    fn run_rank(&mut self, r: usize, wake: &mut Vec<usize>) {
-        loop {
-            // A rank woken from a block retries its stashed receive; its
-            // cursor already consumed that op.
-            let next = match self.pending[r].take() {
-                Some(op) => Ok(Some(op)),
-                None => self.ranks[r].next_message(),
-            };
-            match next {
-                Err(issue) => {
-                    self.push_finding(PlanFinding::Shape { rank: r, issue });
-                    self.status[r] = Status::Faulted;
-                    return;
-                }
-                Ok(None) => {
-                    self.status[r] = Status::Finished;
-                    return;
-                }
-                Ok(Some(op)) => {
-                    self.steps += 1;
-                    match op {
-                        Step::Send { to, tag, bytes, .. } => {
-                            if let Status::Blocked { from, tag: want } = self.status[to] {
-                                if tag == want && from == Some(r) {
-                                    // Rendezvous fast path: the destination
-                                    // is blocked on exactly this message
-                                    // (its inbox held no matching envelope,
-                                    // so this send is the FIFO match) —
-                                    // satisfy the stashed receive directly,
-                                    // skipping the channel round-trip.
-                                    debug_assert!(matches!(
-                                        self.pending[to],
-                                        Some(Step::Recv { .. })
-                                    ));
-                                    self.pending[to] = None;
-                                    self.status[to] = Status::Running;
-                                    wake.push(to);
-                                    continue;
-                                }
-                                // Wildcard waits re-scan their inbox on
-                                // wake, so queue first, then wake.
-                                if tag == want && from.is_none() {
-                                    self.status[to] = Status::Running;
-                                    wake.push(to);
-                                }
-                            }
-                            self.inboxes[to].push(Envelope {
-                                src: r,
-                                tag,
-                                body: bytes,
-                            });
-                        }
-                        Step::Recv { from, tag } => {
-                            if self.inboxes[r].take(from, tag).is_none() {
-                                self.pending[r] = Some(op);
-                                self.status[r] = Status::Blocked {
-                                    from: Some(from),
-                                    tag,
-                                };
-                                return;
-                            }
-                        }
-                        Step::RecvAny { tag } => {
-                            let sources = self.inboxes[r].sources(tag);
-                            if sources.is_empty() {
-                                self.pending[r] = Some(op);
-                                self.status[r] = Status::Blocked { from: None, tag };
-                                return;
-                            }
-                            // A wildcard at p > 2 is schedule-dependent in
-                            // general, even when only one source matches
-                            // right now (another could have arrived first
-                            // under a different interleaving).
-                            if self.p > 2 {
-                                self.exact = false;
-                            }
-                            if sources.len() > 1 {
-                                self.push_finding(PlanFinding::WildcardChoice {
-                                    rank: r,
-                                    tag,
-                                    sources: sources.clone(),
-                                });
-                            }
-                            // The checker's wildcard rule: lowest source.
-                            let took = self.inboxes[r].take(sources[0], tag);
-                            debug_assert!(took.is_some(), "source just scanned non-empty");
-                        }
-                        _ => unreachable!("next_message yields message steps only"),
-                    }
-                }
-            }
+    /// Findings for a run that stopped with blocked ranks: each wait-for
+    /// cycle, then every blocked rank outside one as an unmatchable
+    /// receive, with tag-mismatch evidence when the awaited source's
+    /// messages carry other tags.
+    fn report_wait_for(&mut self, sched: &Schedule<u64>) {
+        let wf = sched.wait_for();
+        for cycle in wf.cycles {
+            let cycle = cycle
+                .iter()
+                .map(|e| PlanWaitEdge {
+                    rank: e.from_rank,
+                    on: e.on_rank.expect("cycle edges are specific"),
+                    tag: e.tag,
+                })
+                .collect();
+            self.push_finding(PlanFinding::DeadlockCycle { cycle });
         }
-    }
-
-    /// Post-quiescence deadlock analysis over the blocked ranks.
-    fn report_blocked(&mut self) {
-        // Wait-for graph restricted to specific waits on unfinished ranks.
-        let next = |checker: &Self, r: usize| -> Option<usize> {
-            match checker.status[r] {
-                Status::Blocked { from: Some(s), .. }
-                    if matches!(checker.status[s], Status::Blocked { .. }) =>
-                {
-                    Some(s)
+        for e in wf.stranded {
+            let (r, tag) = (e.from_rank, e.tag);
+            self.push_finding(PlanFinding::UnmatchedRecv {
+                rank: r,
+                from: e.on_rank,
+                tag,
+            });
+            let Some(s) = e.on_rank else { continue };
+            let mut available: Vec<u64> = Vec::new();
+            for env in sched.inbox(r).iter().filter(|env| env.src == s) {
+                if !available.contains(&env.tag) {
+                    available.push(env.tag);
                 }
-                _ => None,
-            }
-        };
-
-        let mut color = vec![0u8; self.p]; // 0 unvisited, 1 on path, 2 done
-        let mut in_cycle = vec![false; self.p];
-        for start in 0..self.p {
-            if color[start] != 0 || !matches!(self.status[start], Status::Blocked { .. }) {
-                continue;
-            }
-            let mut path: Vec<usize> = Vec::new();
-            let mut cur = start;
-            loop {
-                if color[cur] == 1 {
-                    // Found a cycle: the path suffix starting at `cur`.
-                    let pos = path.iter().position(|&x| x == cur).expect("on path");
-                    let cycle: Vec<PlanWaitEdge> = path[pos..]
-                        .iter()
-                        .map(|&rank| {
-                            let Status::Blocked { from, tag } = self.status[rank] else {
-                                unreachable!("cycle members are blocked")
-                            };
-                            in_cycle[rank] = true;
-                            PlanWaitEdge {
-                                rank,
-                                on: from.expect("cycle edges are specific"),
-                                tag,
-                            }
-                        })
-                        .collect();
-                    self.push_finding(PlanFinding::DeadlockCycle { cycle });
+                if available.len() >= 4 {
                     break;
                 }
-                if color[cur] == 2 {
-                    break;
-                }
-                color[cur] = 1;
-                path.push(cur);
-                match next(self, cur) {
-                    Some(n) => cur = n,
-                    None => break,
-                }
             }
-            for &x in &path {
-                color[x] = 2;
-            }
-        }
-
-        // Every blocked rank outside a cycle: an unmatchable receive.
-        for (r, cyclic) in in_cycle.iter().enumerate() {
-            let Status::Blocked { from, tag } = self.status[r] else {
-                continue;
-            };
-            if *cyclic {
-                continue;
-            }
-            self.push_finding(PlanFinding::UnmatchedRecv { rank: r, from, tag });
-            // Tag-mismatch evidence: the awaited channel holds messages,
-            // just not the wanted tag.
-            if let Some(s) = from {
-                let mut available: Vec<u64> = Vec::new();
-                for e in self.inboxes[r].iter().filter(|e| e.src == s) {
-                    if !available.contains(&e.tag) {
-                        available.push(e.tag);
-                    }
-                    if available.len() >= 4 {
-                        break;
-                    }
-                }
-                if !available.is_empty() {
-                    self.push_finding(PlanFinding::TagMismatch {
-                        receiver: r,
-                        sender: s,
-                        wanted: tag,
-                        available,
-                    });
-                }
+            if !available.is_empty() {
+                self.push_finding(PlanFinding::TagMismatch {
+                    receiver: r,
+                    sender: s,
+                    wanted: tag,
+                    available,
+                });
             }
         }
     }
 
     /// Leftover never-received messages, aggregated per `(src, dst, tag)`,
     /// in `(src, dst)` order and each channel's first-arrival tag order.
-    fn report_leftovers(&mut self) {
+    fn report_leftovers(&mut self, sched: &Schedule<u64>) {
         let mut left: Vec<(usize, usize, u64, u64)> = Vec::new(); // (src, dst, tag, bytes)
-        for (dst, inbox) in self.inboxes.iter_mut().enumerate() {
-            left.extend(inbox.drain().map(|e| (e.src, dst, e.tag, e.body)));
+        for dst in 0..self.ranks.len() {
+            left.extend(sched.inbox(dst).iter().map(|e| (e.src, dst, e.tag, e.body)));
         }
         // Stable: each channel keeps its arrival order.
         left.sort_by_key(|&(src, dst, ..)| (src, dst));
@@ -665,7 +531,6 @@ pub fn analyze_plan(plan: &CommPlan, p: usize) -> PlanAnalysis {
     // step; the specialized plan streams identically at this `p`.
     let plan = &plan.specialize(p);
     let mut checker = Checker {
-        p,
         ranks: (0..p)
             .map(|r| Rank {
                 cursor: TimedCursor::new(plan, p, r),
@@ -676,43 +541,23 @@ pub fn analyze_plan(plan: &CommPlan, p: usize) -> PlanAnalysis {
                 first_wildcard_op: None,
             })
             .collect(),
-        status: vec![Status::Running; p],
-        inboxes: (0..p).map(|_| Inbox::default()).collect(),
-        pending: vec![None; p],
         findings: Vec::new(),
         findings_truncated: false,
-        exact: true,
-        steps: 0,
     };
-
-    let mut worklist: Vec<usize> = (0..p).rev().collect();
-    let mut wake: Vec<usize> = Vec::new();
-    while let Some(r) = worklist.pop() {
-        if checker.status[r] != Status::Running {
-            continue;
-        }
-        checker.run_rank(r, &mut wake);
-        worklist.append(&mut wake);
-    }
-
-    let any_blocked = checker
-        .status
-        .iter()
-        .any(|s| matches!(s, Status::Blocked { .. }));
-    if any_blocked {
-        checker.report_blocked();
+    let sched = Schedule::run(p, &mut checker);
+    if (0..p).any(|r| sched.wait(r).is_some()) {
+        checker.report_wait_for(&sched);
     } else {
-        checker.report_leftovers();
+        checker.report_leftovers(&sched);
     }
 
-    let completed = checker.status.iter().all(|s| *s == Status::Finished);
     let mut total = RankCost::default();
     let mut colls = [CollStats::default(); COLL_KINDS];
     let mut per_rank = Vec::with_capacity(p);
-    let mut exact = checker.exact;
+    let mut exact = true;
     let mut first_inexact = None;
     for (rank, c) in checker.ranks.iter_mut().enumerate() {
-        if matches!(checker.status[rank], Status::Blocked { .. }) {
+        if sched.wait(rank).is_some() {
             c.charge_rest_of_call();
         }
         total.absorb(&c.cost);
@@ -722,8 +567,8 @@ pub fn analyze_plan(plan: &CommPlan, p: usize) -> PlanAnalysis {
             t.bytes += s.bytes;
         }
         per_rank.push(c.cost);
-        // A wildcard that was emitted but never matched (the rank stayed
-        // blocked on it) still poisons exactness conservatively.
+        // Any wildcard the rank emitted — matched, or left blocked on —
+        // makes the verdict conservative beyond two ranks.
         if let Some(op_index) = c.first_wildcard_op.filter(|_| p > 2) {
             exact = false;
             first_inexact.get_or_insert(InexactWitness { rank, op_index });
@@ -736,8 +581,8 @@ pub fn analyze_plan(plan: &CommPlan, p: usize) -> PlanAnalysis {
         findings_truncated: checker.findings_truncated,
         exact,
         first_inexact,
-        completed,
-        steps: checker.steps,
+        completed: sched.completed(),
+        steps: sched.steps,
         total,
         colls,
         per_rank,

@@ -21,8 +21,9 @@
 //!   runtime, so dynamic runs (and the `verify` explorer) execute exactly
 //!   the messages the statics reasoned about.
 //!
-//! The `simrt` event engine steps the same cursors to simulate thousands
-//! of ranks in one process.
+//! The `simrt` event engine steps the same cursors on the same
+//! [`Schedule`] — one run loop, one wildcard rule, one terminal wait-for
+//! walk — to simulate thousands of ranks in one process.
 //!
 //! ```
 //! use plan::{analyze_plan, CommPlan, Expr, Op, TagExpr};
@@ -52,9 +53,9 @@
 mod check;
 mod coll;
 mod expr;
-mod inbox;
 mod ir;
 mod lower;
+mod sched;
 mod symbolic;
 mod timed;
 
@@ -63,9 +64,9 @@ pub use check::{
 };
 pub use coll::{CollKind, CollStats, COLL_KINDS};
 pub use expr::{Cond, Env, EvalError, Expr, RankTable};
-pub use inbox::{Envelope, Inbox};
 pub use ir::{CommPlan, Op, TagExpr};
 pub use lower::lower;
+pub use sched::{Effects, Envelope, Load, Schedule, WaitFor};
 pub use symbolic::{
     certify_plan, certify_plan_with, CountRange, Domain, Obligation, ParametricCert, SymCounts,
     SymFailure, DEFAULT_CUTOFF,

@@ -1,8 +1,9 @@
 //! Ignored-by-default timing probes for the static checker at p = 1024
 //! (`cargo test -p plan --release -- --ignored --nocapture perf_`).
-//! They separate the three cost components of an abstract run: channel
-//! traffic (ring), collective elaboration (alltoall with constant sizes),
-//! and symbolic size evaluation (alltoall with `BlockLen` sizes).
+//! They separate the three cost components of an abstract run: inbox
+//! matching (ring), `coll.rs` collective expansion (alltoall with
+//! constant sizes), and symbolic size evaluation (alltoall with
+//! `BlockLen` sizes).
 
 use std::time::Instant;
 

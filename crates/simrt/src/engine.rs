@@ -1,5 +1,5 @@
-//! The discrete-event engine: rank tasks driven from one FIFO ready
-//! queue on the caller's thread.
+//! The discrete-event engine: rank tasks run on the [`plan::Schedule`],
+//! the run loop it shares with `plan::analyze_plan`.
 //!
 //! ## Why the schedule cannot change the answer
 //!
@@ -11,48 +11,92 @@
 //! sender's program order, so the envelope a receive matches — and hence
 //! every clock value, counter, and segment — is independent of the order
 //! in which the engine happens to resume runnable tasks. Any resume order
-//! gives the same bits, so the engine uses the cheapest one: a FIFO queue
-//! of runnable ranks, seeded `0..p` and appended to by the deposit that
-//! unblocks a parked receiver.
+//! gives the same bits, so the engine takes the checker's: rank 0 runs
+//! first, a task runs until it blocks or finishes, and the tasks its sends
+//! woke run next, the last woken first.
 //!
-//! Wildcard plans are where the order shows: a `recv_any` matches the
-//! first envelope with its tag in the receiver's inbox, and which sender
-//! got there first depends on the schedule. Their schedule is defined
-//! here and nowhere else: the FIFO order above is a pure function of the
-//! plan and `p`, so a wildcard run is the same run-to-run. It is not the
-//! virtual-time order, and `plan::analyze_plan` marks such plans inexact
-//! beyond two ranks for the same reason.
+//! ## Wildcard plans
+//!
+//! Wildcard plans are where the order shows: which envelopes sit in a
+//! `recv_any`'s inbox when it runs depends on the schedule. Order and
+//! wildcard rule (lowest source) are the checker's, so the engine and
+//! `plan::analyze_plan` choose alike at every wildcard and reach the same
+//! verdict, the same on every run. It is not virtual-time order, which is
+//! why `plan::analyze_plan` marks such plans inexact beyond two ranks.
 //!
 //! ## Deadlock
 //!
-//! Deposits are instantaneous (a send's envelope is buffered at its
-//! receiver before the sender's next step executes), so there are never
-//! undelivered messages "in flight" between tasks. The starved-host
-//! condition that makes the thread runtime's detector hedge is therefore
-//! trivially decidable here: an empty ready queue with live tasks *is*
-//! the terminal wait-for graph. The engine reports the same
-//! [`DeadlockInfo`] shape — edges, cyclicity, per-rank partial traces —
-//! as `mps::try_run`.
+//! A send's envelope is in its receiver's inbox before the sender's next
+//! step, so nothing is ever in flight between tasks, and the starved-host
+//! hedging of the thread runtime's detector is not needed: no ready task
+//! with live tasks left *is* the terminal wait-for graph. The schedule
+//! walks it once ([`plan::Schedule::wait_for`]); the engine reports the
+//! [`DeadlockInfo`] `mps` documents — the first cycle in wait order, else
+//! the chain from the lowest blocked rank to a finished rank or a
+//! wildcard wait — with every rank's partial trace.
 
-use std::collections::VecDeque;
-
-use mps::{DeadlockInfo, RunError, RunReport, WaitEdge, World};
+use mps::{DeadlockInfo, RunError, RunReport, World};
+use netsim::Hockney;
 use obs::Timeline;
-use plan::CommPlan;
+use plan::{CommPlan, Effects, Envelope, Load, Schedule, ShapeIssue, Step};
 
-use crate::task::{Blocked, Links, Paused, RankTask};
+use crate::task::{Delivery, RankTask};
 use crate::{EngineConfig, EngineReport, EngineStats};
 
 /// Samples kept per timeline series (a ring: the newest win).
 const TIMELINE_CAPACITY: usize = 4096;
 
+/// The engine's effects on the schedule: each rank charges its steps to
+/// its `RankCore`, and envelopes carry a [`Delivery`].
+struct Engine<'a> {
+    tasks: Vec<RankTask<'a>>,
+    /// The contention-adjusted links at concurrency 2 and `p`, computed
+    /// once: [`netsim::ContentionModel::effective`] is pure.
+    links: [Hockney; 2],
+    stats: EngineStats,
+    timeline: Timeline,
+    /// Sample the timeline every this many steps (`0`: never).
+    every: u64,
+    next_sample: u64,
+    /// The latest virtual time a task reached when its run ended.
+    t_hi: f64,
+}
+
+impl<'a> Effects<'a> for Engine<'a> {
+    type Body = Delivery;
+
+    #[inline]
+    fn next_message(&mut self, r: usize) -> Result<Option<Step<'a>>, ShapeIssue> {
+        self.tasks[r].next_message(&mut self.stats.steps)
+    }
+
+    #[inline]
+    fn send(&mut self, r: usize, to: usize, tag: u64, bytes: u64) -> Delivery {
+        self.stats.steps += 1;
+        self.stats.sends += 1;
+        self.tasks[r].send(&self.links, to, tag, bytes)
+    }
+
+    #[inline]
+    fn recv(&mut self, r: usize, env: Envelope<Delivery>) {
+        self.stats.steps += 1;
+        self.tasks[r].consume(env);
+    }
+
+    fn fault(&mut self, r: usize, issue: ShapeIssue) {
+        panic!("rank {r}: plan shape violation: {issue} (run `plan::analyze_plan` first)");
+    }
+
+    fn paused(&mut self, r: usize, load: Load) {
+        self.t_hi = self.t_hi.max(self.tasks[r].core.now());
+        if self.every > 0 && self.stats.steps >= self.next_sample {
+            self.next_sample += self.every;
+            sample(&mut self.timeline, self.t_hi, load);
+        }
+    }
+}
+
 /// Execute `plan` on `p` rank tasks over `world`.
-///
-/// One FIFO queue of runnable ranks: every rank starts in it; a task
-/// leaves it to run until it blocks or finishes, and the deposit that
-/// unblocks a parked receiver appends it again. A task is in the queue at
-/// most once: only a blocked task is re-queued, and queueing it unblocks
-/// it.
 pub(crate) fn run(
     cfg: &EngineConfig,
     world: &World,
@@ -61,108 +105,66 @@ pub(crate) fn run(
 ) -> Result<EngineReport, RunError> {
     let t0 = std::time::Instant::now();
     let detail = cfg.resolve_detail(p);
-    let links = Links::new(world, p);
-    let mut tasks: Vec<RankTask> = (0..p)
-        .map(|r| RankTask::new(r, p, world, plan, detail))
-        .collect();
-    let mut stats = EngineStats::default();
-    let mut timeline = Timeline::new(TIMELINE_CAPACITY);
-
-    let mut ready: VecDeque<usize> = (0..p).collect();
-    let mut live = p;
-    let mut executed: u64 = 0;
-    let mut next_sample = cfg.timeline_every;
-    let mut t_hi = 0.0f64;
-    // The one send buffer: filled by the running task's slice, then
-    // drained. It keeps its capacity, so sends stop reallocating after
-    // the first slices.
-    let mut outbox = Vec::new();
-
-    while let Some(r) = ready.pop_front() {
-        let task = &mut tasks[r];
-        let before = task.steps;
-        let paused = task.advance(&links, &mut outbox);
-        executed += task.steps - before;
-        t_hi = t_hi.max(task.core.now());
-        if paused == Paused::Finished {
-            live -= 1;
-        }
-        for (dst, env) in outbox.drain(..) {
-            let dst_task = &mut tasks[dst];
-            if dst_task.wants(&env) {
-                dst_task.blocked = Blocked::No;
-                ready.push_back(dst);
-                stats.wakes += 1;
-            }
-            dst_task.inbox.push(env);
-        }
-        if cfg.timeline_every > 0 && executed >= next_sample {
-            next_sample += cfg.timeline_every;
-            sample(&mut timeline, &tasks, t_hi, ready.len(), live);
-        }
+    let mut engine = Engine {
+        tasks: (0..p)
+            .map(|r| RankTask::new(r, p, world, plan, detail))
+            .collect(),
+        links: [2, p].map(|n| world.contention.effective(&world.hockney(), n)),
+        stats: EngineStats::default(),
+        timeline: Timeline::new(TIMELINE_CAPACITY),
+        every: cfg.timeline_every,
+        next_sample: cfg.timeline_every,
+        t_hi: 0.0,
+    };
+    let sched = Schedule::run(p, &mut engine);
+    engine.stats.wakes = sched.wakes;
+    engine.stats.wall_s = t0.elapsed().as_secs_f64();
+    if !sched.completed() {
+        return Err(deadlock(&sched, engine.tasks));
     }
 
-    stats.steps = tasks.iter().map(|t| t.steps).sum();
-    stats.sends = tasks.iter().map(|t| t.sends).sum();
-    stats.wall_s = t0.elapsed().as_secs_f64();
-
-    if tasks.iter().any(|t| !t.done()) {
-        return Err(deadlock(&mut tasks));
-    }
-
-    debug_assert!(
-        tasks.iter().all(|t| t.inbox.is_empty()),
+    debug_assert_eq!(
+        sched.load.in_flight, 0,
         "a completed run must have consumed every message"
     );
     let report = RunReport {
-        ranks: tasks.into_iter().map(RankTask::into_outcome).collect(),
+        ranks: engine
+            .tasks
+            .into_iter()
+            .map(RankTask::into_outcome)
+            .collect(),
         f_hz: world.f_hz,
     };
-    write_trace_outputs(world, &report, &timeline);
+    write_trace_outputs(world, &report, &engine.timeline);
     Ok(EngineReport {
         report,
-        timeline,
-        stats,
+        timeline: engine.timeline,
+        stats: engine.stats,
     })
 }
 
 /// Record one timeline sample at virtual time `t_s` (a running maximum,
 /// so every series stays monotone for `analyze --trace`).
-fn sample(timeline: &mut Timeline, tasks: &[RankTask], t_s: f64, ready: usize, live: usize) {
-    let inflight: usize = tasks.iter().map(|t| t.inbox.len()).sum();
+fn sample(timeline: &mut Timeline, t_s: f64, load: Load) {
     #[allow(clippy::cast_precision_loss)]
     {
-        timeline.record("simrt.ready_tasks", "tasks", t_s, ready as f64);
+        timeline.record("simrt.ready_tasks", "tasks", t_s, load.ready as f64);
         timeline.record(
             "simrt.blocked_tasks",
             "tasks",
             t_s,
-            live.saturating_sub(ready) as f64,
+            load.live.saturating_sub(load.ready) as f64,
         );
-        timeline.record("simrt.inflight_msgs", "", t_s, inflight as f64);
+        timeline.record("simrt.inflight_msgs", "", t_s, load.in_flight as f64);
     }
 }
 
-/// Assemble the terminal wait-for graph: every live task is parked on a
-/// receive that no remaining send can satisfy.
-fn deadlock(tasks: &mut [RankTask]) -> RunError {
-    let mut edges = Vec::new();
-    for t in tasks.iter() {
-        match t.blocked {
-            Blocked::On { from, tag } => edges.push(WaitEdge {
-                from_rank: t.rank(),
-                on_rank: Some(from),
-                tag,
-            }),
-            Blocked::Any { tag } => edges.push(WaitEdge {
-                from_rank: t.rank(),
-                on_rank: None,
-                tag,
-            }),
-            Blocked::No | Blocked::Done => {}
-        }
-    }
-    let cyclic = has_cycle(tasks);
+/// The deadlock report of a run that stopped with blocked tasks: the
+/// schedule's witness, and every rank's partial trace with what was left
+/// in its inbox as `unconsumed` (the analyzer infers tag mismatches from
+/// it).
+fn deadlock(sched: &Schedule<Delivery>, tasks: Vec<RankTask>) -> RunError {
+    let (edges, cyclic) = sched.wait_for().witness();
     obs::flight::record(
         "simrt.deadlock",
         "event",
@@ -181,10 +183,14 @@ fn deadlock(tasks: &mut [RankTask]) -> RunError {
     );
     let _ = obs::flight::dump("simrt-deadlock");
     let comm = tasks
-        .iter_mut()
-        .map(|t| {
-            t.drain_unconsumed();
-            std::mem::take(&mut t.comm)
+        .into_iter()
+        .enumerate()
+        .map(|(r, t)| {
+            let mut comm = t.comm;
+            let left = sched.inbox(r).iter();
+            comm.unconsumed
+                .extend(left.map(|e| (e.src, e.tag, e.body.bytes)));
+            comm
         })
         .collect();
     RunError::Deadlock(DeadlockInfo {
@@ -194,51 +200,11 @@ fn deadlock(tasks: &mut [RankTask]) -> RunError {
     })
 }
 
-/// Is there a cycle in the wait-for graph? Each blocked task has at most
-/// one successor (the rank it waits on, when that rank is itself still
-/// live), so a stamped walk per start node suffices.
-fn has_cycle(tasks: &[RankTask]) -> bool {
-    let succ: Vec<Option<usize>> = tasks
-        .iter()
-        .map(|t| match t.blocked {
-            Blocked::On { from, .. } if !tasks[from].done() => Some(from),
-            _ => None,
-        })
-        .collect();
-    // 0 = unvisited, 1 = on the current walk, 2 = exhausted.
-    let mut state = vec![0u8; tasks.len()];
-    for start in 0..tasks.len() {
-        if state[start] != 0 {
-            continue;
-        }
-        let mut path = Vec::new();
-        let mut node = start;
-        loop {
-            if state[node] == 1 {
-                return true; // walked back into the current path
-            }
-            if state[node] == 2 {
-                break; // joins an already-exhausted walk
-            }
-            state[node] = 1;
-            path.push(node);
-            match succ[node] {
-                Some(next) => node = next,
-                None => break,
-            }
-        }
-        for visited in path {
-            state[visited] = 2;
-        }
-    }
-    false
-}
-
 /// Write the configured trace files at run end, with the engine's
 /// timeline attached as counter tracks. Mirrors the thread runtime:
 /// output failures go to stderr, never fail the run.
 fn write_trace_outputs(world: &World, report: &RunReport<()>, timeline: &Timeline) {
-    if !world.obs.trace || (world.obs.perfetto_path.is_none() && world.obs.jsonl_path.is_none()) {
+    if !world.obs.writes_trace() {
         return;
     }
     let name = format!(
@@ -247,25 +213,8 @@ fn write_trace_outputs(world: &World, report: &RunReport<()>, timeline: &Timelin
         report.ranks.len(),
         world.f_hz / 1e9
     );
-    let Some(mut trace) = report.trace(&name) else {
-        return;
-    };
-    timeline.attach(&mut trace);
-    if let Some(path) = &world.obs.perfetto_path {
-        if let Err(e) = obs::perfetto::write_file(&trace, path) {
-            eprintln!(
-                "simrt: failed to write Perfetto trace {}: {e}",
-                path.display()
-            );
-        }
-    }
-    if let Some(path) = &world.obs.jsonl_path {
-        let result = std::fs::File::create(path).and_then(|f| {
-            let mut sink = obs::JsonlSink::new(std::io::BufWriter::new(f));
-            trace.emit(&mut sink)
-        });
-        if let Err(e) = result {
-            eprintln!("simrt: failed to write JSONL trace {}: {e}", path.display());
-        }
+    if let Some(mut trace) = report.trace(&name) {
+        timeline.attach(&mut trace);
+        world.obs.write_trace(&trace, "simrt");
     }
 }

@@ -4,7 +4,7 @@
 //! tops out around the host's thread limits long before the paper's
 //! `p = 1024+` scaling studies. This crate runs the *same* rank programs —
 //! [`plan::CommPlan`]s, streamed by [`plan::TimedCursor`] — as resumable
-//! state-machine tasks driven from one ready queue on the caller thread.
+//! state-machine tasks on the caller thread.
 //! One process simulates NPB FT/EP/CG at `p = 4096`.
 //!
 //! Accounting is shared with the thread runtime through [`mps::RankCore`],
@@ -31,15 +31,13 @@
 //!
 //! ## Execution
 //!
-//! One FIFO queue of runnable ranks: one task runs until it blocks, its
-//! sends wake parked receivers, and a woken task joins the back of the
-//! queue. Deterministic run-to-run.
-//!
-//! Resume order cannot change a wildcard-free run, so the engine keeps no
-//! virtual-time order. Wildcard plans are the exception: which sender a
-//! `recv_any` matches depends on the schedule, and their schedule is the
-//! FIFO order — the same on every run, but not virtual-time order. The
-//! argument for both is in `src/engine.rs`.
+//! Tasks run on [`plan::Schedule`], the run loop `plan::analyze_plan`
+//! runs on too: one order (rank 0 first; a task runs until it blocks, and
+//! the tasks it woke run next), one wildcard rule (lowest source), one
+//! deadlock walk. Deterministic run-to-run. Resume order cannot change a
+//! wildcard-free run, so the engine keeps no virtual-time order; a
+//! wildcard plan's schedule is the checker's, so both reach the same
+//! verdict. The argument is in `src/engine.rs`.
 //!
 //! Schedule-space exploration (a [`mps::SchedulerHook`] installed in
 //! `world.sched`) is the thread runtime's job: the engine fixes its own

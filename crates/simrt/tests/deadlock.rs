@@ -7,42 +7,14 @@
 //! scenario (a send/recv chain that merely *looks* stuck to a sampling
 //! detector) and requires it to complete.
 
+mod common;
+
+use common::{rank_branch, recv, send};
 use mps::{RunError, World};
-use plan::{CommPlan, Cond, Expr, Op, TagExpr};
+use plan::{CommPlan, Expr, Op, TagExpr};
 
 fn world() -> World {
     World::new(simcluster::system_g(), 2.8e9)
-}
-
-#[allow(clippy::cast_possible_wrap)]
-fn send(to: usize, tag: u64, bytes: i64) -> Op {
-    Op::Send {
-        to: Expr::Const(to as i64),
-        tag: TagExpr::Expr(Expr::Const(tag as i64)),
-        bytes: Expr::Const(bytes),
-    }
-}
-
-#[allow(clippy::cast_possible_wrap)]
-fn recv(from: usize, tag: u64) -> Op {
-    Op::Recv {
-        from: Expr::Const(from as i64),
-        tag: TagExpr::Expr(Expr::Const(tag as i64)),
-    }
-}
-
-/// Nested rank dispatch: `if rank == c0 { body0 } else if rank == c1 ...`
-#[allow(clippy::cast_possible_wrap)]
-fn rank_branch(cases: Vec<(usize, Vec<Op>)>) -> Vec<Op> {
-    let mut out: Vec<Op> = Vec::new();
-    for (rank, body) in cases.into_iter().rev() {
-        out = vec![Op::IfElse {
-            cond: Cond::Eq(Expr::Rank, Expr::Const(rank as i64)),
-            then: body,
-            els: out,
-        }];
-    }
-    out
 }
 
 /// The PR 3 false-positive scenario: rank 1 sends then receives, rank 0
@@ -155,4 +127,31 @@ fn starved_wildcard_recv_reports_any_edge() {
     assert_eq!(info.edges.len(), 1);
     assert_eq!(info.edges[0].on_rank, None);
     assert_eq!(info.edges[0].tag, 5);
+}
+
+/// Ranks 0 and 1 wait on each other; rank 2 waits on rank 1 from
+/// outside the cycle. The report names the cycle alone, in wait order:
+/// the last edge waits on the first edge's rank.
+#[test]
+fn bystander_waiting_into_a_cycle_is_not_in_the_cycle() {
+    let plan = CommPlan::new(
+        "cycle-with-bystander",
+        rank_branch(vec![
+            (0, vec![recv(1, 1), send(1, 2, 8)]),
+            (1, vec![recv(0, 2), send(0, 1, 8)]),
+            (2, vec![recv(1, 3)]),
+        ]),
+    );
+    let err = simrt::try_run_plan(&world(), 3, &plan).expect_err("must deadlock");
+    let RunError::Deadlock(info) = err else {
+        panic!("expected Deadlock, got {err}");
+    };
+    assert!(info.cyclic);
+    let edges: Vec<(usize, Option<usize>, u64)> = info
+        .edges
+        .iter()
+        .map(|e| (e.from_rank, e.on_rank, e.tag))
+        .collect();
+    assert_eq!(edges, vec![(0, Some(1), 1), (1, Some(0), 2)]);
+    assert_eq!(info.comm.len(), 3, "partial traces for every rank");
 }

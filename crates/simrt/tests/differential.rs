@@ -3,20 +3,26 @@
 //!
 //! Both runtimes execute the same [`plan::CommPlan`]s — the thread runtime
 //! through [`plan::lower`] (real channels, OS threads), the engine through
-//! [`plan::TimedCursor`] (state-machine tasks, FIFO ready queue) —
+//! [`plan::TimedCursor`] (state-machine tasks on [`plan::Schedule`]) —
 //! over the same [`mps::RankCore`] accounting. For every kernel and every
 //! small `p` we require exact equality of per-collective counters,
 //! run-wide totals, per-rank finish times, spans, and metered energy. The
-//! static checker, which drains the same cursor, must agree with the
-//! engine rank for rank and family for family, up to `p` beyond the
-//! thread runtime's reach.
+//! static checker, which drains the same cursor on the same schedule,
+//! must agree with the engine rank for rank and family for family, up to
+//! `p` beyond the thread runtime's reach, and on the verdict of wildcard
+//! plans.
+
+mod common;
 
 use std::sync::{Mutex, OnceLock};
 
-use mps::World;
+use common::{rank_branch, recv, recv_any, send};
+use mps::{RunError, World};
 use npb::{cg_plan, ep_plan, ft_plan, CgConfig, Class, EpConfig, FtConfig};
 use obs::ObsConfig;
-use plan::{analyze_plan, lower, CollKind, CommPlan, Cond, Expr, Op, TagExpr, COLL_KINDS};
+use plan::{
+    analyze_plan, lower, CollKind, CommPlan, Cond, Expr, Op, PlanFinding, TagExpr, COLL_KINDS,
+};
 use simrt::{Detail, EngineConfig};
 
 /// The metrics registry is process-global; serialize observed runs so
@@ -148,10 +154,10 @@ fn engine_is_bit_identical_to_thread_runtime_on_npb() {
     }
 }
 
-/// A wildcard plan's schedule is the engine's FIFO order, a function of
-/// the plan and `p` alone: a plan whose `recv_any`s can match senders in
-/// more than one order completes the same way on every run, with the
-/// static checker's totals.
+/// A wildcard plan's schedule is the one the engine shares with the
+/// checker, a function of the plan and `p` alone: a plan whose
+/// `recv_any`s can match senders in more than one order completes the
+/// same way on every run, with the static checker's totals.
 #[test]
 fn wildcard_runs_repeat_and_match_static_totals() {
     let p = 8;
@@ -211,6 +217,80 @@ fn wildcard_runs_repeat_and_match_static_totals() {
         assert_eq!(totals.bytes, analysis.total.bytes as f64);
     }
     assert_eq!(totals.wc, analysis.total.wc);
+}
+
+/// The checker and the engine run one schedule with one wildcard rule,
+/// so they reach the same verdict on wildcard plans, including plans
+/// where the wildcard's choice decides completion. On a deadlock the
+/// checker's blocked ranks (cycle members and unmatched receivers) are
+/// the ranks of the engine's witness: in these plans every blocked rank
+/// lies on it.
+#[test]
+fn checker_and_engine_agree_on_wildcard_plans() {
+    // Rank 2 sends rank 0 a tag-5 message, then releases rank 1 to send
+    // one too. Rank 2's arrives first, but rank 1 runs before rank 0
+    // retries its wildcard, which takes the lowest source: rank 1.
+    let relay = |rank0: Vec<Op>| {
+        rank_branch(vec![
+            (1, vec![recv(2, 9), send(0, 5, 8)]),
+            (2, vec![send(0, 5, 8), send(1, 9, 8)]),
+            (0, rank0),
+        ])
+    };
+    let table: Vec<(&str, Vec<Op>, bool)> = vec![
+        // Rank 2's message is left for the specific receive.
+        (
+            "relay-then-other",
+            relay(vec![recv_any(5), recv(2, 5)]),
+            true,
+        ),
+        // The second receive from rank 1 waits on a finished rank.
+        (
+            "relay-then-same",
+            relay(vec![recv_any(5), recv(1, 5)]),
+            false,
+        ),
+        // Whatever the wildcard takes, ranks 0 and 1 then wait on each
+        // other.
+        (
+            "any-then-cycle",
+            rank_branch(vec![
+                (1, vec![send(0, 5, 8), recv(0, 7), send(0, 6, 8)]),
+                (2, vec![send(0, 5, 8)]),
+                (0, vec![recv_any(5), recv(1, 6), send(1, 7, 8)]),
+            ]),
+            false,
+        ),
+    ];
+    let w = World::new(simcluster::system_g(), 2.8e9);
+    for (name, body, completes) in table {
+        let plan = CommPlan::new(name, body);
+        assert!(plan.has_wildcard(), "{name}");
+        for p in [3usize, 4, 8] {
+            let analysis = analyze_plan(&plan, p);
+            let run = simrt::try_run_plan(&w, p, &plan);
+            assert_eq!(analysis.completed, completes, "{name} p={p}: checker");
+            assert_eq!(run.is_ok(), completes, "{name} p={p}: engine");
+            let Err(err) = run else { continue };
+            let RunError::Deadlock(info) = err else {
+                panic!("{name} p={p}: expected Deadlock, got {err}");
+            };
+            let mut checker: Vec<usize> = Vec::new();
+            for f in &analysis.findings {
+                match f {
+                    PlanFinding::DeadlockCycle { cycle } => {
+                        checker.extend(cycle.iter().map(|e| e.rank));
+                    }
+                    PlanFinding::UnmatchedRecv { rank, .. } => checker.push(*rank),
+                    _ => {}
+                }
+            }
+            let mut engine: Vec<usize> = info.edges.iter().map(|e| e.from_rank).collect();
+            checker.sort_unstable();
+            engine.sort_unstable();
+            assert_eq!(checker, engine, "{name} p={p}: blocked ranks");
+        }
+    }
 }
 
 fn close(a: f64, b: f64) -> bool {
