@@ -351,7 +351,7 @@ where
 /// reported on stderr rather than failing the run — the simulation result
 /// is still valid without its trace.
 fn write_trace_outputs<R>(world: &World, report: &RunReport<R>) {
-    if !world.obs.writes_trace() {
+    if !world.obs.trace || (world.obs.perfetto_path.is_none() && world.obs.jsonl_path.is_none()) {
         return;
     }
     let name = format!(
@@ -360,7 +360,24 @@ fn write_trace_outputs<R>(world: &World, report: &RunReport<R>) {
         report.ranks.len(),
         world.f_hz / 1e9
     );
-    if let Some(trace) = report.trace(&name) {
-        world.obs.write_trace(&trace, "mps");
+    let Some(trace) = report.trace(&name) else {
+        return;
+    };
+    if let Some(path) = &world.obs.perfetto_path {
+        if let Err(e) = obs::perfetto::write_file(&trace, path) {
+            eprintln!(
+                "mps: failed to write Perfetto trace {}: {e}",
+                path.display()
+            );
+        }
+    }
+    if let Some(path) = &world.obs.jsonl_path {
+        let result = std::fs::File::create(path).and_then(|f| {
+            let mut sink = obs::JsonlSink::new(std::io::BufWriter::new(f));
+            trace.emit(&mut sink)
+        });
+        if let Err(e) = result {
+            eprintln!("mps: failed to write JSONL trace {}: {e}", path.display());
+        }
     }
 }

@@ -70,34 +70,6 @@ impl ObsConfig {
     pub fn any_enabled(&self) -> bool {
         self.trace || self.metrics
     }
-
-    /// True when a run should assemble its trace for [`Self::write_trace`].
-    #[must_use]
-    pub fn writes_trace(&self) -> bool {
-        self.trace && (self.perfetto_path.is_some() || self.jsonl_path.is_some())
-    }
-
-    /// Write `trace` to the configured Perfetto and JSONL files at run end.
-    /// Failures go to stderr, prefixed with `who`, and never fail the run.
-    pub fn write_trace(&self, trace: &crate::Trace, who: &str) {
-        if let Some(path) = &self.perfetto_path {
-            if let Err(e) = crate::perfetto::write_file(trace, path) {
-                eprintln!(
-                    "{who}: failed to write Perfetto trace {}: {e}",
-                    path.display()
-                );
-            }
-        }
-        if let Some(path) = &self.jsonl_path {
-            let result = std::fs::File::create(path).and_then(|f| {
-                let mut sink = crate::JsonlSink::new(std::io::BufWriter::new(f));
-                trace.emit(&mut sink)
-            });
-            if let Err(e) = result {
-                eprintln!("{who}: failed to write JSONL trace {}: {e}", path.display());
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -11,8 +11,9 @@
 //!   inbox (arrival order, O(messages in flight)) before the sender's next
 //!   step. A receive takes the oldest envelope from its source with its
 //!   tag — exactly `mps`'s per-`(src, dst)` FIFO channels with tag
-//!   skipping, since senders deposit in program order. A send to a rank
-//!   blocked on exactly that `(src, tag)` is received at once.
+//!   skipping, since senders deposit in program order, without `mps`'s
+//!   `p²` channels (16.7M at `p = 4096`). A send to a rank blocked on
+//!   exactly that `(src, tag)` is received at once.
 //! * **The wildcard rule.** A `RecvAny` takes from the **lowest** source
 //!   holding its tag. A rank blocked on one is woken by any deposit with
 //!   the tag and retries when it next runs, when more sources may hold
@@ -179,13 +180,7 @@ impl<B> Schedule<B> {
             self.steps += 1;
             let inbox = &mut self.inboxes[r];
             let src = from.or_else(|| {
-                let mut sources: Vec<usize> = inbox
-                    .iter()
-                    .filter(|e| e.tag == tag)
-                    .map(|e| e.src)
-                    .collect();
-                sources.sort_unstable();
-                sources.dedup();
+                let sources = sources(inbox, tag);
                 let lowest = *sources.first()?;
                 effects.wildcard(r, tag, &sources);
                 Some(lowest)
@@ -295,6 +290,19 @@ fn take<B>(inbox: &mut Vec<Envelope<B>>, src: usize, tag: u64) -> Option<Envelop
     Some(inbox.remove(i))
 }
 
+/// The distinct sources holding an envelope with `tag`, ascending: the
+/// wildcard rule takes the first.
+fn sources<B>(inbox: &[Envelope<B>], tag: u64) -> Vec<usize> {
+    let mut s: Vec<usize> = inbox
+        .iter()
+        .filter(|e| e.tag == tag)
+        .map(|e| e.src)
+        .collect();
+    s.sort_unstable();
+    s.dedup();
+    s
+}
+
 /// The terminal wait-for graph of a run ([`Schedule::wait_for`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WaitFor {
@@ -336,6 +344,8 @@ mod tests {
         // The oldest (1, 6) is behind a (1, 5) and a (2, 6).
         assert_eq!(take(&mut inbox, 1, 6), Some(env(1, 6)));
         assert_eq!(take(&mut inbox, 3, 6), None);
+        // Ascending and distinct, although the (2, 6) arrived first.
+        assert_eq!(sources(&inbox, 6), vec![1, 2]);
         assert_eq!(inbox, vec![env(1, 5), env(2, 6), env(1, 6)]);
     }
 }

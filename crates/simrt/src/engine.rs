@@ -11,9 +11,7 @@
 //! sender's program order, so the envelope a receive matches — and hence
 //! every clock value, counter, and segment — is independent of the order
 //! in which the engine happens to resume runnable tasks. Any resume order
-//! gives the same bits, so the engine takes the checker's: rank 0 runs
-//! first, a task runs until it blocks or finishes, and the tasks its sends
-//! woke run next, the last woken first.
+//! gives the same bits, so the engine takes the checker's.
 //!
 //! ## Wildcard plans
 //!
@@ -182,15 +180,11 @@ fn deadlock(sched: &Schedule<Delivery>, tasks: Vec<RankTask>) -> RunError {
         ],
     );
     let _ = obs::flight::dump("simrt-deadlock");
-    let comm = tasks
-        .into_iter()
-        .enumerate()
-        .map(|(r, t)| {
-            let mut comm = t.comm;
-            let left = sched.inbox(r).iter();
-            comm.unconsumed
-                .extend(left.map(|e| (e.src, e.tag, e.body.bytes)));
-            comm
+    let comm = (tasks.into_iter().zip(0..))
+        .map(|(mut t, r)| {
+            let left = sched.inbox(r).iter().map(|e| (e.src, e.tag, e.body.bytes));
+            t.comm.unconsumed.extend(left);
+            t.comm
         })
         .collect();
     RunError::Deadlock(DeadlockInfo {
@@ -204,7 +198,7 @@ fn deadlock(sched: &Schedule<Delivery>, tasks: Vec<RankTask>) -> RunError {
 /// timeline attached as counter tracks. Mirrors the thread runtime:
 /// output failures go to stderr, never fail the run.
 fn write_trace_outputs(world: &World, report: &RunReport<()>, timeline: &Timeline) {
-    if !world.obs.writes_trace() {
+    if !world.obs.trace || (world.obs.perfetto_path.is_none() && world.obs.jsonl_path.is_none()) {
         return;
     }
     let name = format!(
@@ -213,8 +207,25 @@ fn write_trace_outputs(world: &World, report: &RunReport<()>, timeline: &Timelin
         report.ranks.len(),
         world.f_hz / 1e9
     );
-    if let Some(mut trace) = report.trace(&name) {
-        timeline.attach(&mut trace);
-        world.obs.write_trace(&trace, "simrt");
+    let Some(mut trace) = report.trace(&name) else {
+        return;
+    };
+    timeline.attach(&mut trace);
+    if let Some(path) = &world.obs.perfetto_path {
+        if let Err(e) = obs::perfetto::write_file(&trace, path) {
+            eprintln!(
+                "simrt: failed to write Perfetto trace {}: {e}",
+                path.display()
+            );
+        }
+    }
+    if let Some(path) = &world.obs.jsonl_path {
+        let result = std::fs::File::create(path).and_then(|f| {
+            let mut sink = obs::JsonlSink::new(std::io::BufWriter::new(f));
+            trace.emit(&mut sink)
+        });
+        if let Err(e) = result {
+            eprintln!("simrt: failed to write JSONL trace {}: {e}", path.display());
+        }
     }
 }

@@ -31,13 +31,10 @@
 //!
 //! ## Execution
 //!
-//! Tasks run on [`plan::Schedule`], the run loop `plan::analyze_plan`
-//! runs on too: one order (rank 0 first; a task runs until it blocks, and
-//! the tasks it woke run next), one wildcard rule (lowest source), one
-//! deadlock walk. Deterministic run-to-run. Resume order cannot change a
-//! wildcard-free run, so the engine keeps no virtual-time order; a
-//! wildcard plan's schedule is the checker's, so both reach the same
-//! verdict. The argument is in `src/engine.rs`.
+//! Tasks run on [`plan::Schedule`], the run loop of `plan::analyze_plan`
+//! too: one resume order, one wildcard rule, one deadlock walk, the same
+//! on every run. `src/engine.rs` argues why the order cannot change a
+//! wildcard-free run, and why wildcard plans get the checker's verdict.
 //!
 //! Schedule-space exploration (a [`mps::SchedulerHook`] installed in
 //! `world.sched`) is the thread runtime's job: the engine fixes its own

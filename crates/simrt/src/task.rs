@@ -8,17 +8,6 @@
 //! charges: [`RankTask::next_message`] applies the rank's steps up to its
 //! next message step, [`RankTask::send`] builds the [`Delivery`] a send
 //! deposits, and [`RankTask::consume`] takes one.
-//!
-//! ## Why no channels
-//!
-//! The thread runtime keeps one channel per ordered rank pair — `p²`
-//! channels, fine at `p ≤` a few hundred, fatal at `p = 4096` (16.7M
-//! `VecDeque`s). The schedule instead keeps one arrival-ordered inbox per
-//! rank, matched by `(src, tag)`. Because deposits preserve each sender's
-//! program order, that match is exactly the per-source-FIFO-with-tag-skip
-//! match the thread runtime performs, so the two transports consume
-//! identical message sequences. Memory is O(envelopes in flight), bounded
-//! by ~`p` for the NPB collectives.
 
 use mps::{CollScope, CommEvent, CommLog, CommOp, RankCore, World};
 use netsim::Hockney;

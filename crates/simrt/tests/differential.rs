@@ -229,66 +229,59 @@ fn wildcard_runs_repeat_and_match_static_totals() {
 fn checker_and_engine_agree_on_wildcard_plans() {
     // Rank 2 sends rank 0 a tag-5 message, then releases rank 1 to send
     // one too. Rank 2's arrives first, but rank 1 runs before rank 0
-    // retries its wildcard, which takes the lowest source: rank 1.
-    let relay = |rank0: Vec<Op>| {
+    // retries its wildcard, which takes the lowest source: rank 1. Rank
+    // 0's second receive completes from rank 2 and strands on rank 1.
+    let relay = |second: usize| {
         rank_branch(vec![
             (1, vec![recv(2, 9), send(0, 5, 8)]),
             (2, vec![send(0, 5, 8), send(1, 9, 8)]),
-            (0, rank0),
+            (0, vec![recv_any(5), recv(second, 5)]),
         ])
     };
-    let table: Vec<(&str, Vec<Op>, bool)> = vec![
-        // Rank 2's message is left for the specific receive.
-        (
-            "relay-then-other",
-            relay(vec![recv_any(5), recv(2, 5)]),
-            true,
-        ),
-        // The second receive from rank 1 waits on a finished rank.
-        (
-            "relay-then-same",
-            relay(vec![recv_any(5), recv(1, 5)]),
-            false,
-        ),
-        // Whatever the wildcard takes, ranks 0 and 1 then wait on each
-        // other.
-        (
-            "any-then-cycle",
-            rank_branch(vec![
-                (1, vec![send(0, 5, 8), recv(0, 7), send(0, 6, 8)]),
-                (2, vec![send(0, 5, 8)]),
-                (0, vec![recv_any(5), recv(1, 6), send(1, 7, 8)]),
-            ]),
-            false,
-        ),
-    ];
+    // Whatever the wildcard takes, ranks 0 and 1 then wait on each other.
+    let cycle = rank_branch(vec![
+        (1, vec![send(0, 5, 8), recv(0, 7), send(0, 6, 8)]),
+        (2, vec![send(0, 5, 8)]),
+        (0, vec![recv_any(5), recv(1, 6), send(1, 7, 8)]),
+    ]);
     let w = World::new(simcluster::system_g(), 2.8e9);
+    let table = [
+        ("relay-then-other", relay(2), true),
+        ("relay-then-same", relay(1), false),
+        ("any-then-cycle", cycle, false),
+    ];
     for (name, body, completes) in table {
         let plan = CommPlan::new(name, body);
-        assert!(plan.has_wildcard(), "{name}");
         for p in [3usize, 4, 8] {
             let analysis = analyze_plan(&plan, p);
             let run = simrt::try_run_plan(&w, p, &plan);
-            assert_eq!(analysis.completed, completes, "{name} p={p}: checker");
-            assert_eq!(run.is_ok(), completes, "{name} p={p}: engine");
+            let at = format!("{name} p={p}");
+            assert_eq!(analysis.completed, completes, "{at}: checker");
+            assert_eq!(run.is_ok(), completes, "{at}: engine");
+            if name.starts_with("relay") {
+                // Ascending, although rank 2's message arrived first.
+                let choice = PlanFinding::WildcardChoice {
+                    rank: 0,
+                    tag: 5,
+                    sources: vec![1, 2],
+                };
+                assert!(analysis.findings.contains(&choice), "{at}");
+            }
             let Err(err) = run else { continue };
             let RunError::Deadlock(info) = err else {
-                panic!("{name} p={p}: expected Deadlock, got {err}");
+                panic!("{at}: expected Deadlock, got {err}");
             };
-            let mut checker: Vec<usize> = Vec::new();
-            for f in &analysis.findings {
-                match f {
-                    PlanFinding::DeadlockCycle { cycle } => {
-                        checker.extend(cycle.iter().map(|e| e.rank));
-                    }
-                    PlanFinding::UnmatchedRecv { rank, .. } => checker.push(*rank),
-                    _ => {}
-                }
-            }
+            let mut checker: Vec<usize> = (analysis.findings.iter())
+                .flat_map(|f| match f {
+                    PlanFinding::DeadlockCycle { cycle } => cycle.iter().map(|e| e.rank).collect(),
+                    PlanFinding::UnmatchedRecv { rank, .. } => vec![*rank],
+                    _ => Vec::new(),
+                })
+                .collect();
             let mut engine: Vec<usize> = info.edges.iter().map(|e| e.from_rank).collect();
             checker.sort_unstable();
             engine.sort_unstable();
-            assert_eq!(checker, engine, "{name} p={p}: blocked ranks");
+            assert_eq!(checker, engine, "{at}: blocked ranks");
         }
     }
 }
