@@ -119,3 +119,54 @@ fn engine_deadlock_cycle_leaves_out_a_bystander() {
         .collect();
     assert_eq!(cycles, vec![2], "{findings:?}");
 }
+
+/// Rank 0 sends rank 1 one tag-9 message that rank 1 never receives. The
+/// run completes (in debug and release builds alike), the envelope lands
+/// in rank 1's `unconsumed` list instead of being dropped, and the comm
+/// pass flags it as `analyze_plan` flags the unmatched send.
+#[test]
+fn unreceived_message_is_reported_on_a_completed_run() {
+    let plan = CommPlan::new(
+        "orphan-send",
+        vec![Op::IfElse {
+            cond: Cond::Eq(Expr::Rank, Expr::Const(0)),
+            then: vec![Op::Send {
+                to: Expr::Const(1),
+                tag: TagExpr::Expr(Expr::Const(9)),
+                bytes: Expr::Const(64),
+            }],
+            els: vec![],
+        }],
+    );
+    let checked = plan::analyze_plan(&plan, 2);
+    assert!(checked.completed && checked.deadlock_free());
+    assert!(
+        matches!(
+            checked.findings.as_slice(),
+            [plan::PlanFinding::UnmatchedSend {
+                src: 0,
+                dst: 1,
+                tag: 9,
+                ..
+            }]
+        ),
+        "{:?}",
+        checked.findings
+    );
+
+    let w = mps::World::new(simcluster::system_g(), 2.8e9);
+    let run = simrt::try_run_plan(&w, 2, &plan).map(|out| out.report);
+    let report = run.as_ref().expect("an unreceived message is no deadlock");
+    assert_eq!(report.ranks[1].comm.unconsumed, vec![(0, 9, 64)]);
+    assert!(report.ranks[0].comm.unconsumed.is_empty());
+    let findings = analyze::check_run(&run);
+    assert!(
+        findings.contains(&Finding::UnconsumedMessage {
+            sender: 0,
+            receiver: 1,
+            tag: 9,
+            bytes: 64,
+        }),
+        "{findings:?}"
+    );
+}

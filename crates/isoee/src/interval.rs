@@ -484,14 +484,19 @@ impl ModelEnclosure {
 /// Panics when `p == 0`.
 #[must_use]
 pub fn evaluate(m: &MachBox, a: &AppBox, p: usize) -> ModelEnclosure {
-    enclose(&Factors::of_boxes(m, a), &Row::of_box(m), p)
+    assert!(p > 0, "need at least one processor");
+    enclose(
+        &Factors::of_boxes(m, a),
+        &Row::of_box(m),
+        Interval::point(p as f64),
+    )
 }
 
-/// [`evaluate`] from already-derived column factors.
-pub(crate) fn enclose(f: &Factors<Interval>, r: &Row<Interval>, p: usize) -> ModelEnclosure {
-    assert!(p > 0, "need at least one processor");
+/// [`evaluate`] from already-derived column factors, over a range of
+/// processor counts `p` (a point for one `p`).
+pub(crate) fn enclose(f: &Factors<Interval>, r: &Row<Interval>, p: Interval) -> ModelEnclosure {
     let (t1, e1) = f.seq.sequential(r);
-    let (tp, ep) = f.par.parallel(&f.seq, r, Interval::point(p as f64));
+    let (tp, ep) = f.par.parallel(&f.seq, r, p);
     let mut out = ModelEnclosure {
         t1,
         tp,

@@ -58,11 +58,16 @@ pub fn app_box(analysis: &PlanAnalysis) -> AppBox {
     }
 }
 
-/// Price an application box on `mach` at `p`: the enclosures of the
-/// Hockney time `M·ts + B·tw`, of its NIC energy, and of the full model.
-/// [`cost_bounds`] and [`crate::symcost::sym_cost_bounds`] differ only in
-/// where the counts behind `a` come from.
-pub(crate) fn price(a: &AppBox, mach: &MachBox, p: usize) -> (Interval, Interval, ModelEnclosure) {
+/// Price an application box on `mach` at `p` (or over a range of `p`):
+/// the enclosures of the Hockney time `M·ts + B·tw`, of its NIC energy,
+/// and of the full model. [`cost_bounds`] and
+/// [`crate::symcost::sym_cost_bounds`] differ only in where the counts
+/// behind `a` come from.
+pub(crate) fn price(
+    a: &AppBox,
+    mach: &MachBox,
+    p: Interval,
+) -> (Interval, Interval, ModelEnclosure) {
     let f = Factors::of_boxes(mach, a);
     (
         f.par.t_net,
@@ -74,7 +79,8 @@ pub(crate) fn price(a: &AppBox, mach: &MachBox, p: usize) -> (Interval, Interval
 /// Evaluate the static cost/energy bounds of an analyzed plan on `mach`.
 #[must_use]
 pub fn cost_bounds(analysis: &PlanAnalysis, mach: &MachBox) -> PlanCost {
-    let (t_comm, e_comm, enclosure) = price(&app_box(analysis), mach, analysis.p);
+    let p = Interval::point(analysis.p as f64);
+    let (t_comm, e_comm, enclosure) = price(&app_box(analysis), mach, p);
     PlanCost {
         messages: analysis.total.messages,
         bytes: analysis.total.bytes,

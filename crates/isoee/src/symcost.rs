@@ -11,17 +11,26 @@
 //! On top of that sits [`power_cap_verdict`]: a static decision of
 //! "plan × machine box never draws more than `cap` watts of average
 //! power for any `p` in the declared domain". Bounded domains are decided
-//! by exhaustive enclosure evaluation (still milliseconds — each point is
-//! a closed-form formula). Unbounded domains are decided by the
-//! **idle-floor lemma**: Eq. 15's `Ep` includes the term
-//! `Tp · p · P_sys_idle` and every other summand is non-negative, so
-//! average power `Ep/Tp ≥ p · P_sys_idle.lo` — for any positive idle
-//! floor there is a `p` beyond which *every* plan busts the cap, and the
-//! verdict names the violating range.
+//! by **branch and bound over ranges of `p`**. The certificate's counts
+//! over a range `[a, b]` ([`ParametricCert::counts_over`]), priced with
+//! `p ∈ [a, b]`, enclose the enclosure of every point in it (outward
+//! rounding keeps a point's enclosure inside any box containing the
+//! point). So a range whose average-power lower bound exceeds the cap
+//! violates at every `p` in it, a range whose upper bound stays under the
+//! cap is safe at every `p`, and a range that straddles is bisected down
+//! to single points, priced exactly as [`sym_cost_bounds`] prices them.
+//! The verdict and its witness are what a scan of every admissible `p`
+//! returns, at `O(segments · log p)` enclosures when few points straddle
+//! the cap. Unbounded domains are decided by the **idle-floor lemma**:
+//! Eq. 15's `Ep` includes the term `Tp · p · P_sys_idle` and every other
+//! summand is non-negative, so average power `Ep/Tp ≥ p · P_sys_idle.lo`
+//! — for any positive idle floor there is a `p` beyond which *every* plan
+//! busts the cap, and the verdict names the violating range.
 
 use plan::{ParametricCert, SymCounts};
 
 use crate::interval::{AppBox, Interval, MachBox, ModelEnclosure};
+use crate::plancost::price;
 
 /// Symbolic cost/energy bounds for one certified plan at one admissible
 /// `p`, derived from the certificate's count enclosures.
@@ -66,10 +75,9 @@ pub fn sym_app_box(counts: &SymCounts) -> AppBox {
 /// count enclosure fails to evaluate at this `p`.
 #[must_use]
 pub fn sym_cost_bounds(cert: &ParametricCert, p: u64, mach: &MachBox) -> Option<SymPlanCost> {
-    let counts = cert.counts(p)?;
-    let pu = usize::try_from(p).ok()?;
-    let a = sym_app_box(&counts);
-    let (t_comm, e_comm, enclosure) = crate::plancost::price(&a, mach, pu);
+    usize::try_from(p).ok()?;
+    let a = sym_app_box(&cert.counts(p)?);
+    let (t_comm, e_comm, enclosure) = price(&a, mach, p_range(p, p));
     Some(SymPlanCost {
         p,
         messages: a.messages,
@@ -78,6 +86,22 @@ pub fn sym_cost_bounds(cert: &ParametricCert, p: u64, mach: &MachBox) -> Option<
         e_comm,
         enclosure,
     })
+}
+
+impl SymPlanCost {
+    /// The average-power bounds `(Ep.lo / Tp.hi, Ep.hi / Tp.lo)` that
+    /// [`power_cap_verdict`] compares with the cap; `None` unless `Tp` is
+    /// positive and finite and `Ep` non-negative and finite.
+    #[must_use]
+    pub fn avg_power(&self) -> Option<(f64, f64)> {
+        avg_power(&self.enclosure)
+    }
+}
+
+/// The processor-count interval `[lo, hi]` (a point when `lo == hi`).
+#[allow(clippy::cast_precision_loss)]
+fn p_range(lo: u64, hi: u64) -> Interval {
+    Interval::new(lo as f64, hi as f64)
 }
 
 /// The static for-all-`p` power-cap decision.
@@ -126,23 +150,31 @@ pub fn power_cap_verdict(cert: &ParametricCert, mach: &MachBox, cap_watts: f64) 
         return PowerCapVerdict::Uncertified;
     }
 
-    let Some(ps) = cert.domain.admissible() else {
+    let Some(segments) = cert.domain.segments() else {
         return unbounded_verdict(cert, mach, cap_watts);
     };
 
-    // Scan the whole domain before deciding: one *proven* violation
-    // anywhere refutes the for-all claim even if the enclosure merely
-    // straddles the cap at other points.
+    // Decide every admissible p, whole ranges at a time where a range's
+    // enclosure allows, smallest p first. One *proven* violation anywhere
+    // refutes the for-all claim even if the enclosure merely straddles
+    // the cap at other points.
     let mut violating: Option<(u64, u64)> = None;
     let mut undecided: Option<u64> = None;
-    for &p in &ps {
-        match avg_power_bounds(cert, mach, p) {
-            Some((lo, _)) if lo > cap_watts => match &mut violating {
-                None => violating = Some((p, p)),
-                Some((_, to)) => *to = p,
-            },
+    let mut todo: Vec<(u64, u64)> = segments.iter().rev().copied().collect();
+    while let Some((a, b)) = todo.pop() {
+        match avg_power_over(cert, mach, a, b) {
+            Some((lo, _)) if lo > cap_watts => {
+                violating = Some((violating.map_or(a, |(from, _)| from), b));
+            }
             Some((_, hi)) if hi <= cap_watts => {}
-            _ => undecided = undecided.or(Some(p)),
+            _ if a == b => {
+                undecided.get_or_insert(a);
+            }
+            _ => {
+                let mid = a + (b - a) / 2;
+                todo.push((mid + 1, b));
+                todo.push((a, mid));
+            }
         }
     }
     match (violating, undecided) {
@@ -151,17 +183,29 @@ pub fn power_cap_verdict(cert: &ParametricCert, mach: &MachBox, cap_watts: f64) 
             to_p: Some(to_p),
         },
         (None, Some(at_p)) => PowerCapVerdict::Undecided { at_p },
-        (None, None) => PowerCapVerdict::AcceptedForAll {
-            ps_checked: ps.len(),
-        },
+        (None, None) => {
+            let count = segments.iter().fold(0u64, |n, &(a, b)| {
+                n.saturating_add((b - a).saturating_add(1))
+            });
+            PowerCapVerdict::AcceptedForAll {
+                ps_checked: usize::try_from(count).unwrap_or(usize::MAX),
+            }
+        }
     }
 }
 
-/// Average-power enclosure `Ep / Tp` at `p`, as `(lo, hi)`.
-fn avg_power_bounds(cert: &ParametricCert, mach: &MachBox, p: u64) -> Option<(f64, f64)> {
-    let cost = sym_cost_bounds(cert, p, mach)?;
-    let ep = cost.enclosure.ep;
-    let tp = cost.enclosure.tp;
+/// Average-power bounds holding at every `p ∈ [a, b]`; at `a == b`
+/// exactly those of [`sym_cost_bounds`] at `a`.
+fn avg_power_over(cert: &ParametricCert, mach: &MachBox, a: u64, b: u64) -> Option<(f64, f64)> {
+    let app = sym_app_box(&cert.counts_over(a, b)?);
+    let (_, _, enclosure) = price(&app, mach, p_range(a, b));
+    avg_power(&enclosure)
+}
+
+/// Average-power enclosure `Ep / Tp` as `(lo, hi)`.
+fn avg_power(enclosure: &ModelEnclosure) -> Option<(f64, f64)> {
+    let ep = enclosure.ep;
+    let tp = enclosure.tp;
     if !(tp.lo > 0.0 && ep.lo >= 0.0 && ep.hi.is_finite() && tp.hi.is_finite()) {
         return None;
     }
@@ -312,7 +356,9 @@ mod tests {
                 assert_eq!(to_p, Some(256), "violation persists to the domain max");
                 // The named start really is a proven violation, and its
                 // predecessor (if admissible) was not.
-                let (lo, _) = avg_power_bounds(&cert, &m, from_p).expect("bounds");
+                let (lo, _) = sym_cost_bounds(&cert, from_p, &m)
+                    .and_then(|c| c.avg_power())
+                    .expect("bounds");
                 assert!(lo > cap);
             }
             other => panic!("expected rejection, got {other:?}"),

@@ -343,41 +343,13 @@ where
             rank.comm.unconsumed
         );
     }
-    write_trace_outputs(world, &report);
+    world.obs.write_trace_files("mps", || {
+        report.trace(&format!(
+            "{} p={} f={:.2}GHz",
+            world.cluster.name,
+            report.ranks.len(),
+            world.f_hz / 1e9
+        ))
+    });
     Ok(report)
-}
-
-/// Write the configured trace files at run end. Output failures are
-/// reported on stderr rather than failing the run — the simulation result
-/// is still valid without its trace.
-fn write_trace_outputs<R>(world: &World, report: &RunReport<R>) {
-    if !world.obs.trace || (world.obs.perfetto_path.is_none() && world.obs.jsonl_path.is_none()) {
-        return;
-    }
-    let name = format!(
-        "{} p={} f={:.2}GHz",
-        world.cluster.name,
-        report.ranks.len(),
-        world.f_hz / 1e9
-    );
-    let Some(trace) = report.trace(&name) else {
-        return;
-    };
-    if let Some(path) = &world.obs.perfetto_path {
-        if let Err(e) = obs::perfetto::write_file(&trace, path) {
-            eprintln!(
-                "mps: failed to write Perfetto trace {}: {e}",
-                path.display()
-            );
-        }
-    }
-    if let Some(path) = &world.obs.jsonl_path {
-        let result = std::fs::File::create(path).and_then(|f| {
-            let mut sink = obs::JsonlSink::new(std::io::BufWriter::new(f));
-            trace.emit(&mut sink)
-        });
-        if let Err(e) = result {
-            eprintln!("mps: failed to write JSONL trace {}: {e}", path.display());
-        }
-    }
 }

@@ -6,6 +6,8 @@
 
 use std::path::{Path, PathBuf};
 
+use crate::Trace;
+
 /// What to record and where to write it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ObsConfig {
@@ -70,6 +72,37 @@ impl ObsConfig {
     pub fn any_enabled(&self) -> bool {
         self.trace || self.metrics
     }
+
+    /// Write the trace `build` returns to the configured Perfetto and
+    /// JSON Lines paths at run end; `build` runs only when tracing is on
+    /// and a path is set. A failed write is reported on stderr as
+    /// `{who}: failed to write …` and never fails the caller: the run's
+    /// result is valid without its trace.
+    pub fn write_trace_files(&self, who: &str, build: impl FnOnce() -> Option<Trace>) {
+        if !self.trace || (self.perfetto_path.is_none() && self.jsonl_path.is_none()) {
+            return;
+        }
+        let Some(trace) = build() else {
+            return;
+        };
+        if let Some(path) = &self.perfetto_path {
+            if let Err(e) = crate::perfetto::write_file(&trace, path) {
+                eprintln!(
+                    "{who}: failed to write Perfetto trace {}: {e}",
+                    path.display()
+                );
+            }
+        }
+        if let Some(path) = &self.jsonl_path {
+            let result = std::fs::File::create(path).and_then(|f| {
+                let mut sink = crate::JsonlSink::new(std::io::BufWriter::new(f));
+                trace.emit(&mut sink)
+            });
+            if let Err(e) = result {
+                eprintln!("{who}: failed to write JSONL trace {}: {e}", path.display());
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -86,5 +119,31 @@ mod tests {
         let j = ObsConfig::jsonl("run.jsonl").with_metrics(false);
         assert!(j.trace && !j.metrics);
         assert_eq!(j.jsonl_path.as_deref(), Some(Path::new("run.jsonl")));
+    }
+
+    #[test]
+    fn trace_files_are_written_only_when_tracing_to_a_path() {
+        let dir = std::env::temp_dir().join(format!("obs-config-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let mut cfg = ObsConfig::perfetto(dir.join("run.json"));
+        cfg.jsonl_path = Some(dir.join("run.jsonl"));
+        let trace = || {
+            let mut t = Trace::new("run");
+            t.add_counter_track("power", "W", vec![(0.0, 30.0), (0.5, 55.0)]);
+            Some(t)
+        };
+        let unbuilt = || -> Option<Trace> { panic!("built a trace nobody writes") };
+        ObsConfig::enabled().write_trace_files("test", unbuilt);
+        ObsConfig {
+            trace: false,
+            ..cfg.clone()
+        }
+        .write_trace_files("test", unbuilt);
+        cfg.write_trace_files("test", trace);
+        let doc = std::fs::read_to_string(dir.join("run.json")).expect("Perfetto file");
+        assert!(crate::perfetto::validate(&doc).is_ok());
+        let lines = std::fs::read_to_string(dir.join("run.jsonl")).expect("JSONL file");
+        assert_eq!(lines.lines().count(), 2, "{lines}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -51,9 +51,12 @@
 //! ([`ParametricCert::counts`]): for any admissible `p`, message/byte/
 //! work totals as intervals evaluated in `O(plan size)` — no per-`p`
 //! elaboration — which `isoee`'s symbolic cost lowering turns into Eq. 13/15
-//! time/energy enclosures and static power-cap verdicts. Each base case
-//! also cross-checks the enclosure against the concrete totals, so a
-//! count bug is caught at certification time, not at verdict time.
+//! time/energy enclosures and static power-cap verdicts.
+//! [`ParametricCert::counts_over`] encloses them over a whole range of `p`
+//! at the same cost, which lets those verdicts decide ranges of `p` at a
+//! time. Each base case also cross-checks the enclosure against the
+//! concrete totals, so a count bug is caught at certification time, not
+//! at verdict time.
 
 use std::fmt;
 
@@ -197,6 +200,39 @@ impl Domain {
                 } else {
                     (*min..=hi).collect()
                 }
+            }
+        }
+    }
+
+    /// The admissible `p` as ranges `[a, b]`, smallest first, split at
+    /// `p = 1` and at every power of two: each range lies inside one
+    /// `[2^k, 2^(k+1) − 1]`, where `floor(lg p)` and the largest power of
+    /// two `≤ p` are constant. Every integer in a range is admissible (a
+    /// power-of-two domain gives one range per member). `None` when
+    /// unbounded.
+    #[must_use]
+    pub fn segments(&self) -> Option<Vec<(u64, u64)>> {
+        match self {
+            Domain::Pow2 { .. } => Some(self.admissible()?.iter().map(|&p| (p, p)).collect()),
+            Domain::Any { min, max } => {
+                let max = (*max)?;
+                let mut out = Vec::new();
+                let mut a = *min;
+                while a <= max {
+                    // One below the next power of two above `a`.
+                    let lg = 63 - a.max(1).leading_zeros();
+                    let b = if lg == 63 {
+                        max
+                    } else {
+                        max.min((2 << lg) - 1)
+                    };
+                    out.push((a, b));
+                    match b.checked_add(1) {
+                        Some(next) => a = next,
+                        None => break,
+                    }
+                }
+                Some(out)
             }
         }
     }
@@ -350,10 +386,22 @@ impl ParametricCert {
     /// domain, or the enclosure fails to evaluate at this `p`.
     #[must_use]
     pub fn counts(&self, p: u64) -> Option<SymCounts> {
-        if !self.certified || !self.domain.contains(p) {
+        self.counts_over(p, p)
+    }
+
+    /// Count enclosures over a range of world sizes: for every admissible
+    /// `p` in `[lo, hi]` they contain [`Self::counts`]`(p)` (and at
+    /// `lo == hi` they are it). `P` takes the range, ranks and peers
+    /// `[0, hi − 1]`, and the collectives' closed forms in `p` their values
+    /// at the two ends (each is non-decreasing in `p`). `None` when
+    /// uncertified, `lo > hi`, an end lies outside the domain, or the
+    /// enclosure fails to evaluate over the range.
+    #[must_use]
+    pub fn counts_over(&self, lo: u64, hi: u64) -> Option<SymCounts> {
+        if !self.certified || lo > hi || !self.domain.contains(lo) || !self.domain.contains(hi) {
             return None;
         }
-        eval_counts(self.summary.as_ref()?, p)
+        eval_counts(self.summary.as_ref()?, lo, hi)
     }
 
     /// Re-run the certification against `plan` and compare: the machine
@@ -490,7 +538,7 @@ pub fn certify_plan_with(plan: &CommPlan, domain: &Domain, cutoff: u64) -> Param
             }
             // Self-validate the count enclosure against the concrete run.
             if let Some(items) = &summary {
-                let Some(c) = eval_counts(items, bp) else {
+                let Some(c) = eval_counts(items, bp, bp) else {
                     failure = Some(SymFailure {
                         site: format!("base case p={bp}"),
                         reason: "count enclosure failed to evaluate".into(),
@@ -668,18 +716,21 @@ fn cancel_terms(mut terms: Vec<(Expr, i64)>) -> Vec<(Expr, i64)> {
 // ---------------------------------------------------------------------
 
 /// One certified plan construct, carrying just enough to evaluate counts.
+/// Sums over ranks are compiled when the item is built ([`Sum`]), so
+/// evaluation never asks which subtrees mention `Rank` or `Peer`.
+/// `OnePerRank` is a shift round or an unguarded exchange, `AllPairs` an
+/// allgather or all-to-all.
 #[derive(Debug, Clone, PartialEq)]
 enum SymItem {
-    Compute { units: Expr, scale: f64 },
-    Mem { accesses: Expr, scale: f64 },
-    ShiftRound { bytes: Expr },
-    Exchange { guarded: bool, bytes: Expr },
+    Compute { units: Sum, scale: f64 },
+    Mem { accesses: Sum, scale: f64 },
+    OnePerRank { bytes: Sum },
+    GuardedExchange { bytes: Expr },
     Barrier,
     Bcast { bytes: Expr },
     Reduce { elems: Expr },
     AllReduce { elems: Expr },
-    AllGather { bytes: Expr },
-    AllToAll { bytes: Expr },
+    AllPairs { bytes: PairBytes },
     Loop { count: Expr, body: Vec<SymItem> },
     Branch { arms: [Vec<SymItem>; 2] },
 }
@@ -723,7 +774,7 @@ impl Walker<'_> {
                         return Err(self.fail("Peer in a compute charge"));
                     }
                     items.push(SymItem::Compute {
-                        units: units.clone(),
+                        units: Sum::over_ranks(units),
                         scale: *scale,
                     });
                 }
@@ -732,7 +783,7 @@ impl Walker<'_> {
                         return Err(self.fail("Peer in a memory charge"));
                     }
                     items.push(SymItem::Mem {
-                        accesses: elems.clone(),
+                        accesses: Sum::over_ranks(elems),
                         scale: *scale / 8.0,
                     });
                 }
@@ -745,7 +796,7 @@ impl Walker<'_> {
                         return Err(self.fail("Peer in a memory charge"));
                     }
                     items.push(SymItem::Mem {
-                        accesses: accesses.clone(),
+                        accesses: Sum::over_ranks(accesses),
                         scale: *scale,
                     });
                 }
@@ -763,8 +814,8 @@ impl Walker<'_> {
                         ));
                     };
                     self.certify_shift_round(to, tag, bytes, from, rtag)?;
-                    items.push(SymItem::ShiftRound {
-                        bytes: bytes.clone(),
+                    items.push(SymItem::OnePerRank {
+                        bytes: Sum::over_ranks(bytes),
                     });
                     consumed = 2;
                 }
@@ -785,9 +836,8 @@ impl Walker<'_> {
                     bytes,
                 } => {
                     self.certify_exchange(partner, tag, bytes, false)?;
-                    items.push(SymItem::Exchange {
-                        guarded: false,
-                        bytes: bytes.clone(),
+                    items.push(SymItem::OnePerRank {
+                        bytes: Sum::over_ranks(bytes),
                     });
                 }
                 Op::Loop { count, body } => {
@@ -866,14 +916,14 @@ impl Walker<'_> {
                 }
                 Op::AllGather { bytes } => {
                     self.discharge("collective-lemma:allgather");
-                    items.push(SymItem::AllGather {
-                        bytes: bytes.clone(),
+                    items.push(SymItem::AllPairs {
+                        bytes: PairBytes::of(bytes),
                     });
                 }
                 Op::AllToAll { bytes } => {
                     self.discharge("collective-lemma:alltoall");
-                    items.push(SymItem::AllToAll {
-                        bytes: bytes.clone(),
+                    items.push(SymItem::AllPairs {
+                        bytes: PairBytes::of(bytes),
                     });
                 }
             }
@@ -911,8 +961,7 @@ impl Walker<'_> {
             return Err(self.fail("guard condition and exchange partner expressions differ"));
         }
         self.certify_exchange(partner, tag, bytes, true)?;
-        Ok(Some(SymItem::Exchange {
-            guarded: true,
+        Ok(Some(SymItem::GuardedExchange {
             bytes: bytes.clone(),
         }))
     }
@@ -1252,20 +1301,21 @@ fn r_block_len(total: R, parts: R, idx: R) -> RRes {
     })
 }
 
-/// Evaluation context: `p` concrete, rank/peer/loop-vars as ranges.
+/// Evaluation context: `p` ranges over an interval of world sizes (a
+/// point for [`ParametricCert::counts`]), and ranks, peers and loop
+/// variables over ranges that hold at every `p` in it.
 struct Cx {
-    p: i128,
-    rank: Option<R>,
-    peer: Option<R>,
+    p: R,
+    /// Every rank or peer index any `p` in range has: `[0, p.hi − 1]`.
+    ids: R,
     vars: Vec<R>,
 }
 
 fn range_of(e: &Expr, cx: &Cx) -> RRes {
     match e {
         Expr::Const(v) => Ok(R::point(i128::from(*v))),
-        Expr::P => Ok(R::point(cx.p)),
-        Expr::Rank => cx.rank.ok_or(()),
-        Expr::Peer => cx.peer.ok_or(()),
+        Expr::P => Ok(cx.p),
+        Expr::Rank | Expr::Peer => Ok(cx.ids),
         Expr::Var(d) => {
             let n = cx.vars.len();
             if *d < n {
@@ -1305,50 +1355,82 @@ fn range_of(e: &Expr, cx: &Cx) -> RRes {
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum SumVar {
-    Rank,
-    Peer,
+/// `Σ_{v = 0}^{p-1} e(v)` over one index `v` (`Rank` or `Peer`), compiled
+/// once from `e`. Distributes over `Add`/`Sub`, pulls `v`-free factors out
+/// of `Mul`, and sums `BlockLen(total, P, v)` exactly to `total`;
+/// otherwise bounds every term by the range of `e`. Which subtrees mention
+/// `v` does not depend on `p`, so the shape is fixed when the summary is
+/// built and evaluation is one walk of each range it needs.
+#[derive(Debug, Clone, PartialEq)]
+enum Sum {
+    /// `p · range(e)`: exact when `e` does not mention `v`.
+    Each(Expr),
+    /// `Σ_{i<p} i = p(p−1)/2`.
+    Index,
+    Add(Box<Sum>, Box<Sum>),
+    Sub(Box<Sum>, Box<Sum>),
+    /// `range(k) · Σ b` for a factor `k` free of `v`.
+    Scale(Expr, Box<Sum>),
+    /// `Σ_{i<p} BlockLen(t, p, i) = t`.
+    Blocks(Expr),
 }
 
-fn var_expr(v: SumVar) -> Expr {
-    match v {
-        SumVar::Rank => Expr::Rank,
-        SumVar::Peer => Expr::Peer,
+impl Sum {
+    fn over_ranks(e: &Expr) -> Sum {
+        Sum::compile(e, &Expr::Rank)
     }
-}
 
-fn uses_sumvar(e: &Expr, v: SumVar) -> bool {
-    match v {
-        SumVar::Rank => uses_rank(e),
-        SumVar::Peer => uses_peer(e),
-    }
-}
-
-/// `Σ_{v = 0}^{p-1} e(v)` as a range. Distributes over `Add`/`Sub`, pulls
-/// `v`-free factors out of `Mul`, and sums `BlockLen(total, P, v)` exactly
-/// to `total`; otherwise falls back to `p · range(e)`.
-fn sum_over(e: &Expr, v: SumVar, cx: &Cx) -> RRes {
-    if !uses_sumvar(e, v) {
-        return r_mul(range_of(e, cx)?, R::point(cx.p));
-    }
-    match e {
-        // Σ_{i<p} i = p(p-1)/2 exactly.
-        e if *e == var_expr(v) => {
-            let half = cx.p.checked_mul(cx.p - 1).ok_or(())? / 2;
-            Ok(R::point(half))
+    fn compile(e: &Expr, v: &Expr) -> Sum {
+        let free = |x: &Expr| !uses(x, &|y| y == v);
+        if free(e) {
+            return Sum::Each(e.clone());
         }
-        Expr::Add(a, b) => r_add(sum_over(a, v, cx)?, sum_over(b, v, cx)?),
-        Expr::Sub(a, b) => r_sub(sum_over(a, v, cx)?, sum_over(b, v, cx)?),
-        Expr::Mul(a, b) if !uses_sumvar(a, v) => r_mul(range_of(a, cx)?, sum_over(b, v, cx)?),
-        Expr::Mul(a, b) if !uses_sumvar(b, v) => r_mul(sum_over(a, v, cx)?, range_of(b, cx)?),
-        Expr::BlockLen { total, parts, idx }
-            if **parts == Expr::P && **idx == var_expr(v) && !uses_sumvar(total, v) =>
-        {
-            // Σ_{i<p} BlockLen(t, p, i) = t exactly.
-            range_of(total, cx)
+        let sum = |x: &Expr| Box::new(Sum::compile(x, v));
+        match e {
+            e if e == v => Sum::Index,
+            Expr::Add(a, b) => Sum::Add(sum(a), sum(b)),
+            Expr::Sub(a, b) => Sum::Sub(sum(a), sum(b)),
+            Expr::Mul(a, b) if free(a) => Sum::Scale((**a).clone(), sum(b)),
+            Expr::Mul(a, b) if free(b) => Sum::Scale((**b).clone(), sum(a)),
+            Expr::BlockLen { total, parts, idx }
+                if **parts == Expr::P && **idx == *v && free(total) =>
+            {
+                Sum::Blocks((**total).clone())
+            }
+            _ => Sum::Each(e.clone()),
         }
-        _ => r_mul(range_of(e, cx)?, R::point(cx.p)),
+    }
+
+    fn eval(&self, cx: &Cx) -> RRes {
+        match self {
+            Sum::Each(e) => r_mul(range_of(e, cx)?, cx.p),
+            Sum::Index => mono(cx.p, triangle),
+            Sum::Add(a, b) => r_add(a.eval(cx)?, b.eval(cx)?),
+            Sum::Sub(a, b) => r_sub(a.eval(cx)?, b.eval(cx)?),
+            Sum::Scale(k, s) => r_mul(range_of(k, cx)?, s.eval(cx)?),
+            Sum::Blocks(total) => range_of(total, cx),
+        }
+    }
+}
+
+/// An allgather's or all-to-all's payload total, decided once.
+#[derive(Debug, Clone, PartialEq)]
+enum PairBytes {
+    /// Rank-free chunk sizes: each owner's chunk crosses `p − 1` links,
+    /// so the total is `(p−1) · Σ_d b(d)`.
+    PerOwner(Sum),
+    /// Rank-dependent sizes: each of the `p(p−1)` chunks is bounded by
+    /// the range of `b`.
+    PerPair(Expr),
+}
+
+impl PairBytes {
+    fn of(bytes: &Expr) -> PairBytes {
+        if uses_rank(bytes) {
+            PairBytes::PerPair(bytes.clone())
+        } else {
+            PairBytes::PerOwner(Sum::compile(bytes, &Expr::Peer))
+        }
     }
 }
 
@@ -1408,7 +1490,7 @@ impl FR {
     }
 }
 
-/// Accumulated counts for a run of items at one `p`.
+/// Accumulated counts for a run of items over a range of `p`.
 #[derive(Clone, Copy)]
 struct Acc {
     msgs: R,
@@ -1469,117 +1551,132 @@ fn prev_pow2(p: i128) -> i128 {
     1i128 << (127 - p.leading_zeros())
 }
 
-#[allow(clippy::too_many_lines)]
+// The closed forms in `p` the collectives and index sums count with.
+// Each is non-decreasing in `p ≥ 1` (`closed_forms_are_non_decreasing`
+// checks every `p` up to 2^14), so `mono` encloses one over a range of `p`
+// by its values at the two ends:
+//
+// * `p − 1`, `p(p − 1)`, `p(p − 1)/2`: polynomials increasing
+//   on `p ≥ 1`;
+// * `p · ⌈lg p⌉`: a product of non-decreasing non-negative factors;
+// * the allreduce's `2r + m·lg m` messages and `m·lg m + r` combines, with
+//   `m` the largest power of two `≤ p` and `r = p − m`: they grow by 2
+//   and by 1 per step while `m` is fixed, and where `m` doubles (`2m − 1`
+//   to `2m`) they grow by `m·lg m + 2` and by `m·lg m + m + 1`.
+
+fn pred(p: i128) -> Option<i128> {
+    p.checked_sub(1)
+}
+
+fn pairs(p: i128) -> Option<i128> {
+    p.checked_mul(p - 1)
+}
+
+fn triangle(p: i128) -> Option<i128> {
+    Some(pairs(p)? / 2)
+}
+
+fn barrier_msgs(p: i128) -> Option<i128> {
+    p.checked_mul(ceil_lg(p))
+}
+
+/// Recursive doubling with `r = p − m` folded extras: `2r + m·lg m`.
+fn allreduce_msgs(p: i128) -> Option<i128> {
+    let m = prev_pow2(p);
+    (2 * (p - m)).checked_add(m.checked_mul(ceil_lg(m))?)
+}
+
+fn allreduce_combines(p: i128) -> Option<i128> {
+    let m = prev_pow2(p);
+    m.checked_mul(ceil_lg(m))?.checked_add(p - m)
+}
+
+/// A closed form in `p`; `None` on overflow.
+type ClosedForm = fn(i128) -> Option<i128>;
+
+/// A non-decreasing closed form over the range `p`: its values at the
+/// ends.
+fn mono(p: R, f: ClosedForm) -> RRes {
+    Ok(R {
+        lo: f(p.lo).ok_or(())?,
+        hi: f(p.hi).ok_or(())?,
+    })
+}
+
 fn eval_items(items: &[SymItem], cx: &mut Cx) -> Result<Acc, ()> {
     let p = cx.p;
     let mut acc = Acc::ZERO;
     for item in items {
         let contrib = match item {
-            SymItem::Compute { units, scale } => {
-                let sum = sum_over(units, SumVar::Rank, cx)?.clamp0();
-                Acc {
-                    wc: FR::from_r(sum).scale(*scale),
-                    ..Acc::ZERO
-                }
-            }
-            SymItem::Mem { accesses, scale } => {
-                let sum = sum_over(accesses, SumVar::Rank, cx)?.clamp0();
-                Acc {
-                    mem: FR::from_r(sum).scale(*scale),
-                    ..Acc::ZERO
-                }
-            }
-            SymItem::ShiftRound { bytes } => Acc {
-                msgs: R::point(p),
-                bytes: sum_over(bytes, SumVar::Rank, cx)?.clamp0(),
+            SymItem::Compute { units, scale } => Acc {
+                wc: FR::from_r(units.eval(cx)?.clamp0()).scale(*scale),
                 ..Acc::ZERO
             },
-            SymItem::Exchange { guarded, bytes } => {
-                if *guarded {
-                    // Fixed points of the involution skip the exchange:
-                    // anywhere between 0 and p messages.
-                    let hi_bytes = range_of(bytes, cx)?.clamp0().hi;
-                    Acc {
-                        msgs: R { lo: 0, hi: p },
-                        bytes: R {
-                            lo: 0,
-                            hi: hi_bytes.checked_mul(p).ok_or(())?,
-                        },
-                        ..Acc::ZERO
-                    }
-                } else {
-                    Acc {
-                        msgs: R::point(p),
-                        bytes: sum_over(bytes, SumVar::Rank, cx)?.clamp0(),
-                        ..Acc::ZERO
-                    }
+            SymItem::Mem { accesses, scale } => Acc {
+                mem: FR::from_r(accesses.eval(cx)?.clamp0()).scale(*scale),
+                ..Acc::ZERO
+            },
+            SymItem::OnePerRank { bytes } => Acc {
+                msgs: p,
+                bytes: bytes.eval(cx)?.clamp0(),
+                ..Acc::ZERO
+            },
+            SymItem::GuardedExchange { bytes } => {
+                // Fixed points of the involution skip the exchange:
+                // anywhere between 0 and p messages.
+                let hi_bytes = range_of(bytes, cx)?.clamp0().hi;
+                Acc {
+                    msgs: R { lo: 0, hi: p.hi },
+                    bytes: R {
+                        lo: 0,
+                        hi: hi_bytes.checked_mul(p.hi).ok_or(())?,
+                    },
+                    ..Acc::ZERO
                 }
             }
             SymItem::Barrier => Acc {
-                msgs: R::point(p.checked_mul(ceil_lg(p)).ok_or(())?),
+                msgs: mono(p, barrier_msgs)?,
                 ..Acc::ZERO
             },
             SymItem::Bcast { bytes } => {
                 let b = range_of(bytes, cx)?.clamp0();
+                let to = mono(p, pred)?;
                 Acc {
-                    msgs: R::point(p - 1),
-                    bytes: r_mul(b, R::point(p - 1))?,
+                    msgs: to,
+                    bytes: r_mul(b, to)?,
                     ..Acc::ZERO
                 }
             }
             SymItem::Reduce { elems } => {
                 let e = range_of(elems, cx)?.clamp0();
+                let from = mono(p, pred)?;
                 Acc {
-                    msgs: R::point(p - 1),
-                    bytes: r_mul(e, R::point((p - 1).checked_mul(8).ok_or(())?))?,
-                    wc: FR::from_r(e).mul_r(R::point(p - 1)),
+                    msgs: from,
+                    bytes: r_mul(e, r_mul(from, R::point(8))?)?,
+                    wc: FR::from_r(e).mul_r(from),
                     ..Acc::ZERO
                 }
             }
+            // One rank reduces nothing (and its size need not evaluate).
+            SymItem::AllReduce { .. } if p.hi == 1 => Acc::ZERO,
             SymItem::AllReduce { elems } => {
-                if p == 1 {
-                    Acc::ZERO
-                } else {
-                    // Recursive doubling with r = p - m folded extras:
-                    // 2r + m·lg m messages, (m·lg m + r) combines.
-                    let m = prev_pow2(p);
-                    let r = p - m;
-                    let lg = ceil_lg(m);
-                    let msgs = 2 * r + m.checked_mul(lg).ok_or(())?;
-                    let combines = m.checked_mul(lg).ok_or(())? + r;
-                    let e = range_of(elems, cx)?.clamp0();
-                    Acc {
-                        msgs: R::point(msgs),
-                        bytes: r_mul(e, R::point(msgs.checked_mul(8).ok_or(())?))?,
-                        wc: FR::from_r(e).mul_r(R::point(combines)),
-                        ..Acc::ZERO
-                    }
-                }
-            }
-            SymItem::AllGather { bytes } => {
-                let msgs = p.checked_mul(p - 1).ok_or(())?;
-                let total = if uses_rank(bytes) {
-                    r_mul(range_of(bytes, cx)?.clamp0(), R::point(msgs))?
-                } else {
-                    // Each owner's chunk traverses p-1 ring hops.
-                    r_mul(sum_over(bytes, SumVar::Peer, cx)?.clamp0(), R::point(p - 1))?
-                };
+                let e = range_of(elems, cx)?.clamp0();
+                let msgs = mono(p, allreduce_msgs)?;
                 Acc {
-                    msgs: R::point(msgs),
-                    bytes: total,
+                    msgs,
+                    bytes: r_mul(e, r_mul(msgs, R::point(8))?)?,
+                    wc: FR::from_r(e).mul_r(mono(p, allreduce_combines)?),
                     ..Acc::ZERO
                 }
             }
-            SymItem::AllToAll { bytes } => {
-                let msgs = p.checked_mul(p - 1).ok_or(())?;
-                let total = if uses_rank(bytes) {
-                    r_mul(range_of(bytes, cx)?.clamp0(), R::point(msgs))?
-                } else {
-                    // Σ_r Σ_{d≠r} b(d) = (p-1)·Σ_d b(d) when b is rank-free.
-                    r_mul(sum_over(bytes, SumVar::Peer, cx)?.clamp0(), R::point(p - 1))?
+            SymItem::AllPairs { bytes } => {
+                let msgs = mono(p, pairs)?;
+                let total = match bytes {
+                    PairBytes::PerPair(b) => r_mul(range_of(b, cx)?.clamp0(), msgs)?,
+                    PairBytes::PerOwner(sum) => r_mul(sum.eval(cx)?.clamp0(), mono(p, pred)?)?,
                 };
                 Acc {
-                    msgs: R::point(msgs),
+                    msgs,
                     bytes: total,
                     ..Acc::ZERO
                 }
@@ -1605,12 +1702,18 @@ fn eval_items(items: &[SymItem], cx: &mut Cx) -> Result<Acc, ()> {
     Ok(acc)
 }
 
-fn eval_counts(items: &[SymItem], p: u64) -> Option<SymCounts> {
-    let pi = i128::from(p);
+/// Count enclosures holding at every `p ∈ [lo, hi]` (`1 ≤ lo ≤ hi`).
+fn eval_counts(items: &[SymItem], lo: u64, hi: u64) -> Option<SymCounts> {
+    let p = R {
+        lo: i128::from(lo),
+        hi: i128::from(hi),
+    };
     let mut cx = Cx {
-        p: pi,
-        rank: Some(R { lo: 0, hi: pi - 1 }),
-        peer: Some(R { lo: 0, hi: pi - 1 }),
+        p,
+        ids: R {
+            lo: 0,
+            hi: p.hi - 1,
+        },
         vars: Vec::new(),
     };
     let acc = eval_items(items, &mut cx).ok()?;
@@ -1927,5 +2030,98 @@ mod tests {
         assert!(json.contains("\"certified\": true"));
         assert!(json.contains("shift-nonzero"));
         assert!(json.contains("\"failure\": null"));
+    }
+
+    #[test]
+    fn closed_forms_are_non_decreasing() {
+        // `mono` encloses each of these over a range of p by its two end
+        // values, which is sound only while they never decrease.
+        let forms: [(&str, ClosedForm); 6] = [
+            ("p-1", pred),
+            ("p(p-1)", pairs),
+            ("p(p-1)/2", triangle),
+            ("p*ceil_lg(p)", barrier_msgs),
+            ("allreduce messages", allreduce_msgs),
+            ("allreduce combines", allreduce_combines),
+        ];
+        for (name, f) in forms {
+            let mut prev = f(1).expect(name);
+            for p in 2..=(1i128 << 14) {
+                let v = f(p).expect(name);
+                assert!(v >= prev, "{name} drops from p={} to p={p}", p - 1);
+                prev = v;
+            }
+        }
+    }
+
+    #[test]
+    fn segments_split_at_powers_of_two_and_cover_the_domain() {
+        assert_eq!(
+            Domain::between(1, 20).segments(),
+            Some(vec![(1, 1), (2, 3), (4, 7), (8, 15), (16, 20)])
+        );
+        assert_eq!(Domain::between(5, 6).segments(), Some(vec![(5, 6)]));
+        assert_eq!(Domain::between(9, 8).segments(), Some(vec![]));
+        let pow2 = Domain::pow2().with_max(16);
+        assert_eq!(
+            pow2.segments(),
+            Some(vec![(1, 1), (2, 2), (4, 4), (8, 8), (16, 16)])
+        );
+        assert_eq!(Domain::at_least(1).segments(), None);
+        let top = Domain::between(u64::MAX - 2, u64::MAX).segments();
+        assert_eq!(top, Some(vec![(u64::MAX - 2, u64::MAX)]));
+    }
+
+    #[test]
+    fn range_counts_contain_every_point_and_equal_it_at_a_point() {
+        let plan = CommPlan::new(
+            "mixed",
+            vec![
+                Op::Compute {
+                    units: Expr::BlockLen {
+                        total: Box::new(Expr::Const(1000)),
+                        parts: Box::new(Expr::P),
+                        idx: Box::new(Expr::Rank),
+                    },
+                    scale: 1.5,
+                },
+                Op::Compute {
+                    units: Expr::Rank % Expr::Const(7),
+                    scale: 1.0,
+                },
+                Op::Barrier,
+                Op::AllReduce {
+                    elems: Expr::Const(4),
+                    op: mps::ReduceOp::Sum,
+                },
+                Op::AllToAll {
+                    bytes: Expr::Const(64) / Expr::P + Expr::Peer,
+                },
+            ],
+        );
+        let cert = certify_plan(&plan, &Domain::between(1, 40));
+        assert!(cert.certified, "{:?}", cert.failure);
+        for &(a, b) in &[(1, 1), (1, 40), (5, 7), (16, 31), (33, 33)] {
+            let range = cert.counts_over(a, b).expect("in domain");
+            for p in a..=b {
+                let c = cert.counts(p).expect("in domain");
+                for (r, v) in [
+                    (range.messages, c.messages),
+                    (range.bytes, c.bytes),
+                    (range.wc, c.wc),
+                    (range.mem_accesses, c.mem_accesses),
+                ] {
+                    assert!(
+                        r.lo <= v.lo && v.hi <= r.hi,
+                        "[{a}, {b}] p={p}: {r:?} !⊇ {v:?}"
+                    );
+                }
+            }
+            if a == b {
+                assert_eq!(Some(range), cert.counts(a));
+            }
+        }
+        assert_eq!(cert.counts_over(7, 5), None, "inverted range");
+        assert_eq!(cert.counts_over(30, 41), None, "end outside the domain");
     }
 }

@@ -59,6 +59,59 @@ proptest! {
         }
     }
 
+    /// Range counts contain point counts: for a random certified plan and
+    /// a random range `[a, b]` of its domain, `counts_over(a, b)` contains
+    /// `counts(p)` at every admissible `p` in the range, and equals it at
+    /// `a == b`. The power-cap branch and bound decides whole ranges of
+    /// `p` on this containment.
+    #[test]
+    fn range_counts_contain_the_counts_at_every_admissible_p(
+        words in proptest::collection::vec(any::<u64>(), 32),
+        i in any::<u64>(),
+        j in any::<u64>(),
+    ) {
+        let mut s = Stream { words: &words, at: 0 };
+        let (domain, pow2) = draw_domain(&mut s);
+        let mut plan = draw_plan(&mut s, pow2);
+        // A charge no closed form sums, so the rank range itself is
+        // enclosed over the range of p.
+        plan.body.push(Op::Compute {
+            units: Expr::Rank * Expr::Rank,
+            scale: 1.0,
+        });
+        let cert = certify_plan(&plan, &domain);
+        let ps = if cert.certified {
+            domain.admissible().expect("generated domains are bounded")
+        } else {
+            Vec::new()
+        };
+        if !ps.is_empty() {
+            let len = ps.len() as u64;
+            let pick = |k: u64| ps[usize::try_from(k % len).expect("small")];
+            let (a, b) = (pick(i).min(pick(j)), pick(i).max(pick(j)));
+            let range = cert.counts_over(a, b);
+            prop_assert!(range.is_some(), "[{a}, {b}] of {domain} does not evaluate");
+            let range = range.expect("checked");
+            for &p in ps.iter().filter(|&&p| a <= p && p <= b) {
+                let c = cert.counts(p).expect("admissible p evaluates");
+                for (what, r, v) in [
+                    ("messages", range.messages, c.messages),
+                    ("bytes", range.bytes, c.bytes),
+                    ("wc", range.wc, c.wc),
+                    ("mem", range.mem_accesses, c.mem_accesses),
+                ] {
+                    prop_assert!(
+                        r.lo <= v.lo && v.hi <= r.hi,
+                        "[{a}, {b}] p={p}: {what} {r:?} !⊇ {v:?}"
+                    );
+                }
+            }
+            if a == b {
+                prop_assert_eq!(Some(range), cert.counts(a));
+            }
+        }
+    }
+
     /// Anti-vacuity: skewed shifts (offsets summing to s ≠ 0 mod P) are
     /// genuinely broken at every p > 2 — the certifier must refuse them,
     /// and the concrete checker must agree they are broken.

@@ -117,14 +117,17 @@ pub(crate) fn run(
     let sched = Schedule::run(p, &mut engine);
     engine.stats.wakes = sched.wakes;
     engine.stats.wall_s = t0.elapsed().as_secs_f64();
+    // What is left in an inbox was sent but never received: it goes to
+    // the rank's `unconsumed` list, where the analyzer flags it, on a
+    // completed run as on a deadlocked one.
+    for (r, task) in engine.tasks.iter_mut().enumerate() {
+        let left = sched.inbox(r).iter().map(|e| (e.src, e.tag, e.body.bytes));
+        task.comm.unconsumed.extend(left);
+    }
     if !sched.completed() {
         return Err(deadlock(&sched, engine.tasks));
     }
 
-    debug_assert_eq!(
-        sched.load.in_flight, 0,
-        "a completed run must have consumed every message"
-    );
     let report = RunReport {
         ranks: engine
             .tasks
@@ -133,7 +136,17 @@ pub(crate) fn run(
             .collect(),
         f_hz: world.f_hz,
     };
-    write_trace_outputs(world, &report, &engine.timeline);
+    world.obs.write_trace_files("simrt", || {
+        let name = format!(
+            "{} p={} f={:.2}GHz simrt",
+            world.cluster.name,
+            report.ranks.len(),
+            world.f_hz / 1e9
+        );
+        let mut trace = report.trace(&name)?;
+        engine.timeline.attach(&mut trace);
+        Some(trace)
+    });
     Ok(EngineReport {
         report,
         timeline: engine.timeline,
@@ -158,9 +171,9 @@ fn sample(timeline: &mut Timeline, t_s: f64, load: Load) {
 }
 
 /// The deadlock report of a run that stopped with blocked tasks: the
-/// schedule's witness, and every rank's partial trace with what was left
-/// in its inbox as `unconsumed` (the analyzer infers tag mismatches from
-/// it).
+/// schedule's witness, and every rank's partial trace, whose `unconsumed`
+/// list holds what was left in its inbox (the analyzer infers tag
+/// mismatches from it).
 fn deadlock(sched: &Schedule<Delivery>, tasks: Vec<RankTask>) -> RunError {
     let (edges, cyclic) = sched.wait_for().witness();
     obs::flight::record(
@@ -180,52 +193,10 @@ fn deadlock(sched: &Schedule<Delivery>, tasks: Vec<RankTask>) -> RunError {
         ],
     );
     let _ = obs::flight::dump("simrt-deadlock");
-    let comm = (tasks.into_iter().zip(0..))
-        .map(|(mut t, r)| {
-            let left = sched.inbox(r).iter().map(|e| (e.src, e.tag, e.body.bytes));
-            t.comm.unconsumed.extend(left);
-            t.comm
-        })
-        .collect();
+    let comm = tasks.into_iter().map(|t| t.comm).collect();
     RunError::Deadlock(DeadlockInfo {
         edges,
         cyclic,
         comm,
     })
-}
-
-/// Write the configured trace files at run end, with the engine's
-/// timeline attached as counter tracks. Mirrors the thread runtime:
-/// output failures go to stderr, never fail the run.
-fn write_trace_outputs(world: &World, report: &RunReport<()>, timeline: &Timeline) {
-    if !world.obs.trace || (world.obs.perfetto_path.is_none() && world.obs.jsonl_path.is_none()) {
-        return;
-    }
-    let name = format!(
-        "{} p={} f={:.2}GHz simrt",
-        world.cluster.name,
-        report.ranks.len(),
-        world.f_hz / 1e9
-    );
-    let Some(mut trace) = report.trace(&name) else {
-        return;
-    };
-    timeline.attach(&mut trace);
-    if let Some(path) = &world.obs.perfetto_path {
-        if let Err(e) = obs::perfetto::write_file(&trace, path) {
-            eprintln!(
-                "simrt: failed to write Perfetto trace {}: {e}",
-                path.display()
-            );
-        }
-    }
-    if let Some(path) = &world.obs.jsonl_path {
-        let result = std::fs::File::create(path).and_then(|f| {
-            let mut sink = obs::JsonlSink::new(std::io::BufWriter::new(f));
-            trace.emit(&mut sink)
-        });
-        if let Err(e) = result {
-            eprintln!("simrt: failed to write JSONL trace {}: {e}", path.display());
-        }
-    }
 }

@@ -117,8 +117,13 @@ fn main() {
     for (name, plan, domain) in &plans {
         let clamped = domain.with_max(4096);
         let cert = certify_plan(plan, &clamped);
-        let (dt, verdict) = timed(|| power_cap_verdict(&cert, &mach, 2000.0));
-        println!("{name} | cap 2 kW | {verdict:?} | decided in {}", fmt_s(dt));
+        for (label, cap) in [("2 kW", 2_000.0), ("1 MW", 1_000_000.0)] {
+            let (dt, verdict) = timed(|| power_cap_verdict(&cert, &mach, cap));
+            println!(
+                "{name} | cap {label} | {verdict:?} | decided in {}",
+                fmt_s(dt)
+            );
+        }
         let c = sym_cost_bounds(
             &cert,
             4096.min(

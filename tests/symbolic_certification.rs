@@ -13,8 +13,9 @@
 //!    discrete-event engine at small `p`.
 //!
 //! Plus the power-cap acceptance criteria: a sound for-all-`p` accept
-//! confirmed by concrete sampling, and a 2 kW rejection whose witness
-//! names the violating `p` range.
+//! confirmed by concrete sampling, a 2 kW rejection whose witness names
+//! the violating `p` range, and verdicts identical to an exhaustive scan
+//! of every admissible `p`.
 
 use isoee::interval::MachBox;
 use isoee::{plancost, power_cap_verdict, sym_cost_bounds, MachineParams, PowerCapVerdict};
@@ -259,6 +260,76 @@ fn two_kw_cap_is_rejected_with_a_violating_range_witness() {
             other => panic!("{name}: expected 2 kW rejection, got {other:?}"),
         }
     }
+}
+
+/// The exhaustive scan the branch-and-bound verdict must reproduce:
+/// classify every admissible `p` (with its point bounds in `bounds`) as
+/// over the cap, under it, or undecided, then report the first and last
+/// violation, else the first undecided `p`, else acceptance.
+fn scan_verdict(bounds: &[(u64, Option<(f64, f64)>)], cap: f64) -> PowerCapVerdict {
+    let mut violating: Option<(u64, u64)> = None;
+    let mut undecided: Option<u64> = None;
+    for &(p, b) in bounds {
+        match b {
+            Some((lo, _)) if lo > cap => violating = Some((violating.map_or(p, |v| v.0), p)),
+            Some((_, hi)) if hi <= cap => {}
+            _ => {
+                undecided.get_or_insert(p);
+            }
+        }
+    }
+    match (violating, undecided) {
+        (Some((from_p, to_p)), _) => PowerCapVerdict::Rejected {
+            from_p,
+            to_p: Some(to_p),
+        },
+        (None, Some(at_p)) => PowerCapVerdict::Undecided { at_p },
+        (None, None) => PowerCapVerdict::AcceptedForAll {
+            ps_checked: bounds.len(),
+        },
+    }
+}
+
+/// The branch-and-bound verdict equals the exhaustive scan, witness and
+/// all, on every committed domain capped at 4096: at 2 kW, at 1 MW, and at
+/// caps set exactly on sampled points' lower and upper power bounds, so
+/// that rejections, undecided verdicts and acceptances all occur.
+#[test]
+fn power_cap_verdicts_equal_the_exhaustive_scan() {
+    let m = mach();
+    let mut outcomes = [0usize; 3];
+    for (name, plan, domain) in npb_plans() {
+        let clamped = domain.with_max(4096);
+        let cert = certified(name, &plan, &clamped);
+        let ps = clamped.admissible().expect("clamped domain is bounded");
+        let bounds: Vec<_> = ps
+            .iter()
+            .map(|&p| (p, sym_cost_bounds(&cert, p, &m).and_then(|c| c.avg_power())))
+            .collect();
+        let mut caps = vec![2_000.0, 1_000_000.0];
+        let mut probes = clamped.sample(6, 11);
+        probes.push(*ps.last().expect("nonempty domain"));
+        for p in probes {
+            let (lo, hi) = bounds[ps.binary_search(&p).expect("admissible")]
+                .1
+                .unwrap_or_else(|| panic!("{name} p={p}: no power bounds"));
+            caps.extend([lo, hi]);
+        }
+        for cap in caps {
+            let want = scan_verdict(&bounds, cap);
+            assert_eq!(power_cap_verdict(&cert, &m, cap), want, "{name} cap={cap}");
+            let kind = match want {
+                PowerCapVerdict::Rejected { .. } => 0,
+                PowerCapVerdict::Undecided { .. } => 1,
+                _ => 2,
+            };
+            outcomes[kind] += 1;
+        }
+    }
+    assert!(
+        outcomes.iter().all(|&n| n > 0),
+        "rejected/undecided/accepted counts {outcomes:?}"
+    );
 }
 
 /// The unbounded declared domains reject any finite cap outright via the
