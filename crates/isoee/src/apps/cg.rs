@@ -22,6 +22,7 @@ use npb::common::cg_proc_grid;
 
 use crate::interval::{AppBox, Interval};
 use crate::params::AppParams;
+use crate::terms::{App, Domain};
 
 use super::{allreduce_counts, AppModel};
 
@@ -60,20 +61,14 @@ impl CgModel {
     }
 }
 
-impl AppModel for CgModel {
-    fn name(&self) -> &'static str {
-        "CG"
-    }
-
-    fn admits(&self, p: usize) -> bool {
-        p.is_power_of_two()
-    }
-
+impl CgModel {
+    /// The Table-2 vector at workload `n` (a point or an interval) and
+    /// parallelism `p`; counts that depend on `p` alone stay in `f64`.
+    ///
     /// # Panics
     /// Panics unless `p` is a power of two (the NPB grid constraint; see
     /// [`AppModel::admits`]).
-    fn app_params(&self, n: f64, p: usize) -> AppParams {
-        assert!(n > 1.0 && p > 0, "invalid (n, p)");
+    fn table2<D: Domain>(&self, n: D, p: usize) -> App<D> {
         let (nprow, npcol) = cg_proc_grid(p);
         let (nprow_f, npcol_f) = (nprow as f64, npcol as f64);
         let pf = p as f64;
@@ -90,78 +85,59 @@ impl AppModel for CgModel {
             2.0 * nprow_f
         };
         let m_tr = spmvs * (pf - self_partners);
-        let b_tr = m_tr * 8.0 * n / npcol_f;
+        let b_tr = D::point(m_tr * 8.0) * n / D::point(npcol_f);
         // Row allreduce: p·log2(npcol) messages of 8·n/nprow.
         let m_rr = spmvs * pf * lg_npcol;
-        let b_rr = m_rr * 8.0 * n / nprow_f;
+        let b_rr = D::point(m_rr * 8.0) * n / D::point(nprow_f);
         // Scalar dot-product allreduces.
         let (m_dot_each, b_dot_each) = allreduce_counts(p, 8.0);
         let m_dot = dots * m_dot_each;
         let b_dot = dots * b_dot_each;
 
-        let wc = self.wc_lin * n;
-        let wm = self.wm_lin * n;
-        let woc = self.woc_repl * n * (npcol_f - 1.0);
-        let wom = (self.wom_coeff * n * (1.0 - 1.0 / pf.sqrt())).max(-wm);
+        let wc = D::point(self.wc_lin) * n;
+        let wm = D::point(self.wm_lin) * n;
+        let woc = D::point(self.woc_repl) * n * D::point(npcol_f - 1.0);
+        let wom = (D::point(self.wom_coeff) * n * D::point(1.0 - 1.0 / pf.sqrt())).max(-wm);
 
-        let a = AppParams::from_raw(
-            self.alpha,
+        App {
+            alpha: D::point(self.alpha),
             wc,
             wm,
             woc,
             wom,
-            m_tr + m_rr + m_dot,
-            b_tr + b_rr + b_dot,
-            0.0,
-        );
+            messages: D::point(m_tr + m_rr + m_dot),
+            bytes: b_tr + b_rr + D::point(b_dot),
+            t_io: D::point(0.0),
+        }
+    }
+}
+
+impl AppModel for CgModel {
+    fn name(&self) -> &'static str {
+        "CG"
+    }
+
+    fn admits(&self, p: usize) -> bool {
+        p.is_power_of_two()
+    }
+
+    /// # Panics
+    /// Panics unless `p` is a power of two (the NPB grid constraint; see
+    /// [`AppModel::admits`]).
+    fn app_params(&self, n: f64, p: usize) -> AppParams {
+        assert!(n > 1.0 && p > 0, "invalid (n, p)");
+        let a = self.table2(n, p).to_params();
         a.validate();
         a
     }
 
-    /// Interval mirror of the formulas above (same association order).
-    ///
     /// # Panics
     /// Panics unless `p` is a power of two, like [`Self::app_params`].
     fn app_params_box(&self, n: Interval, p: usize) -> Option<AppBox> {
         if n.lo.is_nan() || n.lo <= 1.0 || p == 0 {
             return None;
         }
-        let (nprow, npcol) = cg_proc_grid(p);
-        let (nprow_f, npcol_f) = (nprow as f64, npcol as f64);
-        let pf = p as f64;
-        let lg_npcol = if npcol > 1 { npcol_f.log2() } else { 0.0 };
-
-        let spmvs = 26.0 * self.niter;
-        let dots = 54.0 * self.niter;
-        let self_partners = if npcol == nprow {
-            nprow_f
-        } else {
-            2.0 * nprow_f
-        };
-        let m_tr = spmvs * (pf - self_partners);
-        let b_tr = Interval::point(m_tr * 8.0) * n / Interval::point(npcol_f);
-        let m_rr = spmvs * pf * lg_npcol;
-        let b_rr = Interval::point(m_rr * 8.0) * n / Interval::point(nprow_f);
-        let (m_dot_each, b_dot_each) = allreduce_counts(p, 8.0);
-        let m_dot = dots * m_dot_each;
-        let b_dot = dots * b_dot_each;
-
-        let wc = Interval::point(self.wc_lin) * n;
-        let wm = Interval::point(self.wm_lin) * n;
-        let woc = Interval::point(self.woc_repl) * n * Interval::point(npcol_f - 1.0);
-        let wom =
-            (Interval::point(self.wom_coeff) * n * Interval::point(1.0 - 1.0 / pf.sqrt())).max(-wm);
-
-        Some(AppBox {
-            alpha: Interval::point(self.alpha),
-            wc,
-            wm,
-            woc,
-            wom,
-            messages: Interval::point(m_tr + m_rr + m_dot),
-            bytes: b_tr + b_rr + Interval::point(b_dot),
-            t_io: Interval::point(0.0),
-        })
+        Some(self.table2(n, p))
     }
 }
 

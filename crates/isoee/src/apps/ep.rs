@@ -7,6 +7,7 @@
 
 use crate::interval::{AppBox, Interval};
 use crate::params::AppParams;
+use crate::terms::{App, Domain};
 
 use super::{allreduce_counts, AppModel};
 
@@ -38,6 +39,26 @@ impl EpModel {
     }
 }
 
+impl EpModel {
+    /// The Table-2 vector at workload `n` (a point or an interval) and
+    /// parallelism `p`: only `Wc` depends on `n`.
+    fn table2<D: Domain>(&self, n: D, p: usize) -> App<D> {
+        let (messages, bytes) = allreduce_counts(p, self.payload_bytes);
+        // Each message's payload is combined once on arrival.
+        let woc = messages * self.woc_round;
+        App {
+            alpha: D::point(self.alpha),
+            wc: D::point(self.wc_pair) * n,
+            wm: D::point(0.0),
+            woc: D::point(woc),
+            wom: D::point(0.0),
+            messages: D::point(messages),
+            bytes: D::point(bytes),
+            t_io: D::point(0.0),
+        }
+    }
+}
+
 impl AppModel for EpModel {
     fn name(&self) -> &'static str {
         "EP"
@@ -45,41 +66,16 @@ impl AppModel for EpModel {
 
     fn app_params(&self, n: f64, p: usize) -> AppParams {
         assert!(n > 0.0 && p > 0, "invalid (n, p)");
-        let (messages, bytes) = allreduce_counts(p, self.payload_bytes);
-        // Each message's payload is combined once on arrival.
-        let woc = messages * self.woc_round;
-        let a = AppParams::from_raw(
-            self.alpha,
-            self.wc_pair * n,
-            0.0,
-            woc,
-            0.0,
-            messages,
-            bytes,
-            0.0,
-        );
+        let a = self.table2(n, p).to_params();
         a.validate();
         a
     }
 
-    // Interval mirror: only `Wc` depends on `n`; every other entry is a
-    // scalar in `p` and carries over as a point.
     fn app_params_box(&self, n: Interval, p: usize) -> Option<AppBox> {
         if n.lo.is_nan() || n.lo <= 0.0 || p == 0 {
             return None;
         }
-        let (messages, bytes) = allreduce_counts(p, self.payload_bytes);
-        let woc = messages * self.woc_round;
-        Some(AppBox {
-            alpha: Interval::point(self.alpha),
-            wc: Interval::point(self.wc_pair) * n,
-            wm: Interval::point(0.0),
-            woc: Interval::point(woc),
-            wom: Interval::point(0.0),
-            messages: Interval::point(messages),
-            bytes: Interval::point(bytes),
-            t_io: Interval::point(0.0),
-        })
+        Some(self.table2(n, p))
     }
 }
 

@@ -23,6 +23,7 @@
 
 use crate::interval::{AppBox, Interval};
 use crate::params::AppParams;
+use crate::terms::{App, Domain};
 
 use super::{allreduce_counts, AppModel};
 
@@ -68,6 +69,43 @@ impl FtModel {
     }
 }
 
+impl FtModel {
+    /// The Table-2 vector at workload `n` (a point or an interval) and
+    /// parallelism `p`; counts that depend on `p` alone stay in `f64`.
+    fn table2<D: Domain>(&self, n: D, p: usize) -> App<D> {
+        let pf = p as f64;
+        let transposes = self.niter + 1.0;
+
+        // Pairwise exchange: every process sends p−1 chunks of 16n/p² bytes
+        // per transpose.
+        let m_a2a = transposes * pf * (pf - 1.0);
+        let b_a2a = D::point(transposes * 16.0) * n * D::point(pf - 1.0) / D::point(pf);
+        // Small allreduces: spectral energy (niter+1) + checksum (niter),
+        // payload ≤ 2 doubles.
+        let (m_red_each, b_red_each) = allreduce_counts(p, 16.0);
+        let m_red = (2.0 * self.niter + 1.0) * m_red_each;
+        let b_red = (2.0 * self.niter + 1.0) * b_red_each;
+
+        let wc =
+            (D::point(self.wc_nlogn) * n * n.log2() + D::point(self.wc_lin) * n).max(D::point(0.0));
+        let wm = D::point(self.wm_lin) * n;
+        let scale_frac = D::point(1.0 - 1.0 / pf);
+        let woc = (D::point(self.woc_coeff) * n * scale_frac).max(-wc * D::point(0.95));
+        let wom = (D::point(self.wom_coeff) * n * scale_frac).max(-wm);
+
+        App {
+            alpha: D::point(self.alpha),
+            wc,
+            wm,
+            woc,
+            wom,
+            messages: D::point(m_a2a + m_red),
+            bytes: b_a2a + D::point(b_red),
+            t_io: D::point(0.0),
+        }
+    }
+}
+
 impl AppModel for FtModel {
     fn name(&self) -> &'static str {
         "FT"
@@ -75,72 +113,16 @@ impl AppModel for FtModel {
 
     fn app_params(&self, n: f64, p: usize) -> AppParams {
         assert!(n > 1.0 && p > 0, "invalid (n, p)");
-        let pf = p as f64;
-        let transposes = self.niter + 1.0;
-
-        // Pairwise exchange: every process sends p−1 chunks of 16n/p² bytes
-        // per transpose.
-        let m_a2a = transposes * pf * (pf - 1.0);
-        let b_a2a = transposes * 16.0 * n * (pf - 1.0) / pf;
-        // Small allreduces: spectral energy (niter+1) + checksum (niter),
-        // payload ≤ 2 doubles.
-        let (m_red_each, b_red_each) = allreduce_counts(p, 16.0);
-        let m_red = (2.0 * self.niter + 1.0) * m_red_each;
-        let b_red = (2.0 * self.niter + 1.0) * b_red_each;
-
-        let wc = (self.wc_nlogn * n * n.log2() + self.wc_lin * n).max(0.0);
-        let wm = self.wm_lin * n;
-        let scale_frac = 1.0 - 1.0 / pf;
-        let woc = (self.woc_coeff * n * scale_frac).max(-wc * 0.95);
-        let wom = (self.wom_coeff * n * scale_frac).max(-wm);
-
-        let a = AppParams::from_raw(
-            self.alpha,
-            wc,
-            wm,
-            woc,
-            wom,
-            m_a2a + m_red,
-            b_a2a + b_red,
-            0.0,
-        );
+        let a = self.table2(n, p).to_params();
         a.validate();
         a
     }
 
-    // Interval mirror of the formulas above, in the same association order.
     fn app_params_box(&self, n: Interval, p: usize) -> Option<AppBox> {
         if n.lo.is_nan() || n.lo <= 1.0 || p == 0 {
             return None;
         }
-        let pf = p as f64;
-        let transposes = self.niter + 1.0;
-
-        let m_a2a = transposes * pf * (pf - 1.0);
-        let b_a2a = Interval::point(transposes * 16.0) * n * Interval::point(pf - 1.0)
-            / Interval::point(pf);
-        let (m_red_each, b_red_each) = allreduce_counts(p, 16.0);
-        let m_red = (2.0 * self.niter + 1.0) * m_red_each;
-        let b_red = (2.0 * self.niter + 1.0) * b_red_each;
-
-        let wc = (Interval::point(self.wc_nlogn) * n * n.log2() + Interval::point(self.wc_lin) * n)
-            .max(Interval::point(0.0));
-        let wm = Interval::point(self.wm_lin) * n;
-        let scale_frac = 1.0 - 1.0 / pf;
-        let woc = (Interval::point(self.woc_coeff) * n * Interval::point(scale_frac))
-            .max(-wc * Interval::point(0.95));
-        let wom = (Interval::point(self.wom_coeff) * n * Interval::point(scale_frac)).max(-wm);
-
-        Some(AppBox {
-            alpha: Interval::point(self.alpha),
-            wc,
-            wm,
-            woc,
-            wom,
-            messages: Interval::point(m_a2a + m_red),
-            bytes: b_a2a + Interval::point(b_red),
-            t_io: Interval::point(0.0),
-        })
+        Some(self.table2(n, p))
     }
 }
 

@@ -39,16 +39,17 @@ pub trait AppModel: Sync {
     /// parallelism `p`.
     fn app_params(&self, n: f64, p: usize) -> AppParams;
 
-    /// Interval mirror of [`Self::app_params`]: the Table-2 box for a whole
-    /// workload *interval* at fixed `p`, sound for the ahead-of-time
-    /// verification passes ([`crate::interval`]) — every point evaluation
-    /// `app_params(n, p)` with `n` in the interval must lie inside the
-    /// returned box.
+    /// The Table-2 box for a whole workload *interval* at fixed `p`, sound
+    /// for the ahead-of-time verification passes ([`crate::interval`]):
+    /// every point evaluation `app_params(n, p)` with `n` in the interval
+    /// must lie inside the returned box.
     ///
-    /// The default returns `None` ("no mirror available"); callers then
-    /// fall back to per-point thin boxes. Implementations must follow the
-    /// exact floating-point association order of their `app_params`, as the
-    /// built-in NPB models do.
+    /// The default returns `None` ("no box available"); callers then fall
+    /// back to per-point thin boxes. The built-in NPB models write their
+    /// formulas once, generic over the term kernel's numeric domain, so
+    /// this method and [`Self::app_params`] are the interval and `f64`
+    /// instances of one body and follow the same floating-point
+    /// association order by construction.
     fn app_params_box(&self, n: Interval, p: usize) -> Option<AppBox> {
         let _ = (n, p);
         None

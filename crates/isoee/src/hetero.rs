@@ -105,11 +105,13 @@ pub fn evaluate(classes: &[ProcClass], a: &AppParams, split: Split) -> HeteroRes
         let pc = class.count as f64;
         let busy = unit_time(m, a) * share / pc;
         let net = a.alpha * (t_net_total * share / pc);
-        tp = tp.max(busy + net);
+        let io = a.alpha * (a.t_io * share / pc);
+        tp = tp.max(busy + net + io);
         // Active deltas for this class's share.
         ep += ((a.wc + a.woc) * share) * m.tc * m.delta_pc
             + ((a.wm + a.wom) * share) * m.tm * m.delta_pm
-            + (t_net_total * share) * m.delta_pnic;
+            + (t_net_total * share) * m.delta_pnic
+            + (a.t_io * share) * m.delta_pio;
     }
     // Every processor idles (or works) for the full span.
     for class in classes {
@@ -151,18 +153,22 @@ mod tests {
 
     #[test]
     fn homogeneous_pool_matches_the_homogeneous_model() {
-        let a = app();
-        let classes = [g_class(16)];
-        let h = evaluate(&classes, &a, Split::TimeBalanced);
-        let m = MachineParams::system_g(2.8e9);
-        let ee_homog = model::ee(&m, &a, 16).expect("baseline energy is positive");
-        assert!(
-            (h.ee - ee_homog).abs() < 1e-9,
-            "hetero {} vs homogeneous {}",
-            h.ee,
-            ee_homog
-        );
-        assert!((h.tp - model::tp(&m, &a, 16)).abs() < Seconds::new(1e-12));
+        let mut with_io = app();
+        with_io.t_io = Seconds::new(2.0);
+        for a in [app(), with_io] {
+            let classes = [g_class(16)];
+            let h = evaluate(&classes, &a, Split::TimeBalanced);
+            let m = MachineParams::system_g(2.8e9);
+            let ee_homog = model::ee(&m, &a, 16).expect("baseline energy is positive");
+            assert!(
+                (h.ee - ee_homog).abs() < 1e-9,
+                "t_io = {}: hetero {} vs homogeneous {}",
+                a.t_io,
+                h.ee,
+                ee_homog
+            );
+            assert!((h.tp - model::tp(&m, &a, 16)).abs() < Seconds::new(1e-12));
+        }
     }
 
     #[test]

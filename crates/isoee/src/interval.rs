@@ -255,44 +255,15 @@ impl std::ops::Div for Interval {
 }
 
 /// The machine-dependent vector (Table 1) as intervals — the abstract
-/// counterpart of [`MachineParams`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MachBox {
-    /// Per-instruction time `tc`.
-    pub tc: Interval,
-    /// DRAM latency `tm`.
-    pub tm: Interval,
-    /// Message startup `ts`.
-    pub ts: Interval,
-    /// Per-byte time `tw`.
-    pub tw: Interval,
-    /// Idle power `P_sys_idle`.
-    pub p_sys_idle: Interval,
-    /// CPU delta `ΔPc`.
-    pub delta_pc: Interval,
-    /// Memory delta `ΔPm`.
-    pub delta_pm: Interval,
-    /// NIC delta `ΔP_NIC`.
-    pub delta_pnic: Interval,
-    /// Disk delta `ΔP_IO`.
-    pub delta_pio: Interval,
-}
+/// counterpart of [`MachineParams`], and the [`Interval`] instance of the
+/// term kernel's Table-1 struct.
+pub type MachBox = terms::Mach<Interval>;
 
 impl MachBox {
     /// The thin box `{m}` — every field a point interval.
     #[must_use]
     pub fn from_params(m: &MachineParams) -> Self {
-        Self {
-            tc: Interval::point(m.tc.raw()),
-            tm: Interval::point(m.tm.raw()),
-            ts: Interval::point(m.ts.raw()),
-            tw: Interval::point(m.tw.raw()),
-            p_sys_idle: Interval::point(m.p_sys_idle.raw()),
-            delta_pc: Interval::point(m.delta_pc.raw()),
-            delta_pm: Interval::point(m.delta_pm.raw()),
-            delta_pnic: Interval::point(m.delta_pnic.raw()),
-            delta_pio: Interval::point(m.delta_pio.raw()),
-        }
+        Self::of_params(m)
     }
 
     /// The image of `base` under [`MachineParams::at_frequency`] for every
@@ -319,48 +290,21 @@ impl MachBox {
 }
 
 /// The application-dependent vector (Table 2) as intervals — the abstract
-/// counterpart of [`AppParams`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AppBox {
-    /// Overlap factor `α`.
-    pub alpha: Interval,
-    /// Sequential on-chip workload `Wc`.
-    pub wc: Interval,
-    /// Sequential off-chip workload `Wm`.
-    pub wm: Interval,
-    /// Parallel compute overhead `Woc`.
-    pub woc: Interval,
-    /// Parallel memory overhead `Wom`.
-    pub wom: Interval,
-    /// Total messages `M`.
-    pub messages: Interval,
-    /// Total bytes `B`.
-    pub bytes: Interval,
-    /// Sequential I/O time `T_IO`.
-    pub t_io: Interval,
-}
+/// counterpart of [`AppParams`], and the [`Interval`] instance of the term
+/// kernel's Table-2 struct that the built-in app models fill.
+pub type AppBox = terms::App<Interval>;
 
 impl AppBox {
     /// The thin box `{a}` — every field a point interval.
     #[must_use]
     pub fn from_params(a: &AppParams) -> Self {
-        Self {
-            alpha: Interval::point(a.alpha),
-            wc: Interval::point(a.wc.raw()),
-            wm: Interval::point(a.wm.raw()),
-            woc: Interval::point(a.woc.raw()),
-            wom: Interval::point(a.wom.raw()),
-            messages: Interval::point(a.messages.raw()),
-            bytes: Interval::point(a.bytes.raw()),
-            t_io: Interval::point(a.t_io.raw()),
-        }
+        Self::of_params(a)
     }
 
     /// The app box for workload interval `n` at parallelism `p`: the
-    /// model's own interval mirror if it has one
-    /// ([`AppModel::app_params_box`]), else the thin box at the interval's
-    /// midpoint — only sound when `n` is a point, so a ranged `n` without
-    /// a mirror returns `None`.
+    /// model's own box if it has one ([`AppModel::app_params_box`]), else
+    /// the thin box at the interval's midpoint — only sound when `n` is a
+    /// point, so a ranged `n` without a model box returns `None`.
     #[must_use]
     pub fn of_model(app: &dyn AppModel, n: Interval, p: usize) -> Option<Self> {
         if let Some(b) = app.app_params_box(n, p) {
@@ -405,7 +349,7 @@ impl E1Factors {
     #[must_use]
     pub fn of(m: &MachBox, a: &AppBox) -> Self {
         Self {
-            factors: SeqFactors::of_boxes(m, a),
+            factors: SeqFactors::of(m, a),
             psys: m.p_sys_idle,
         }
     }
@@ -485,11 +429,7 @@ impl ModelEnclosure {
 #[must_use]
 pub fn evaluate(m: &MachBox, a: &AppBox, p: usize) -> ModelEnclosure {
     assert!(p > 0, "need at least one processor");
-    enclose(
-        &Factors::of_boxes(m, a),
-        &Row::of_box(m),
-        Interval::point(p as f64),
-    )
+    enclose(&Factors::of(m, a), &Row::of(m), Interval::point(p as f64))
 }
 
 /// [`evaluate`] from already-derived column factors, over a range of
@@ -595,7 +535,7 @@ pub fn certify_pf_grid(
 /// Certify the `(p, n)` sweep grid of [`crate::scaling::ee_surface_pn`]:
 /// rows are workloads, columns processor counts, row-major indexing.
 ///
-/// When the app model provides an interval mirror
+/// When the app model provides a workload box
 /// ([`AppModel::app_params_box`]), one evaluation per column over the
 /// workload hull can certify the column; otherwise each cell gets a thin
 /// box, with exact confirmation for the undecided ones.

@@ -26,7 +26,10 @@
 //!   of the paper's Tables 1 and 2.
 //! * [`model`] — Eqs. 5–21: times, energies, `EEF`, `EE`.
 //! * [`apps`] — closed-form application models for FT, EP and CG (§V.B),
-//!   with coefficients fitted by the calibration pipeline.
+//!   with coefficients fitted by the calibration pipeline. Each model
+//!   writes its Table-2 formulas once, generic over the kernel's numeric
+//!   domain: the `f64` instance is `app_params`, the [`Interval`] instance
+//!   `app_params_box`.
 //! * [`calibrate`] — the §IV.B methodology: derive machine parameters with
 //!   the microbenchmark suite and application parameters from instrumented
 //!   runs.
@@ -43,7 +46,9 @@
 //!   grid is free of degenerate baselines (or the exact offending cell).
 //!
 //! [`model`], [`batch`] and [`interval`] are the `f64` and [`Interval`]
-//! instances of one private term kernel, so each equation is written once.
+//! instances of one private term kernel, so each equation is written once;
+//! [`AppBox`] and [`MachBox`] are the [`Interval`] instances of its Table-1
+//! and Table-2 structs.
 //!
 //! ## Quick start
 //!

@@ -44,16 +44,35 @@ pub struct PlanCost {
 /// The application box a [`PlanAnalysis`] induces: exact comm totals,
 /// exact `Wc`, and `Wm ∈ [0, mem_accesses]`.
 #[must_use]
+#[allow(clippy::cast_precision_loss)]
 pub fn app_box(analysis: &PlanAnalysis) -> AppBox {
-    #[allow(clippy::cast_precision_loss)]
+    counts_box(
+        Interval::point(analysis.total.wc),
+        analysis.total.mem_accesses,
+        Interval::point(analysis.total.messages as f64),
+        Interval::point(analysis.total.bytes as f64),
+    )
+}
+
+/// The application box of a plan's counts, for [`app_box`] and
+/// [`crate::symcost::sym_app_box`] alike: `Wc`, `M` and `B` as counted,
+/// `Wm ∈ [0, mem_accesses]` (the dynamic cache split may classify any
+/// fraction of the charged accesses as on-chip hits), `α = 1`, and zero
+/// overheads and `T_IO`.
+pub(crate) fn counts_box(
+    wc: Interval,
+    mem_accesses: f64,
+    messages: Interval,
+    bytes: Interval,
+) -> AppBox {
     AppBox {
         alpha: Interval::point(1.0),
-        wc: Interval::point(analysis.total.wc),
-        wm: Interval::new(0.0, analysis.total.mem_accesses),
+        wc,
+        wm: Interval::new(0.0, mem_accesses),
         woc: Interval::point(0.0),
         wom: Interval::point(0.0),
-        messages: Interval::point(analysis.total.messages as f64),
-        bytes: Interval::point(analysis.total.bytes as f64),
+        messages,
+        bytes,
         t_io: Interval::point(0.0),
     }
 }
@@ -68,11 +87,11 @@ pub(crate) fn price(
     mach: &MachBox,
     p: Interval,
 ) -> (Interval, Interval, ModelEnclosure) {
-    let f = Factors::of_boxes(mach, a);
+    let f = Factors::of(mach, a);
     (
         f.par.t_net,
         f.par.e_net,
-        interval::enclose(&f, &Row::of_box(mach), p),
+        interval::enclose(&f, &Row::of(mach), p),
     )
 }
 

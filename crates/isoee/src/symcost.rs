@@ -30,7 +30,7 @@
 use plan::{ParametricCert, SymCounts};
 
 use crate::interval::{AppBox, Interval, MachBox, ModelEnclosure};
-use crate::plancost::price;
+use crate::plancost::{counts_box, price};
 
 /// Symbolic cost/energy bounds for one certified plan at one admissible
 /// `p`, derived from the certificate's count enclosures.
@@ -51,21 +51,16 @@ pub struct SymPlanCost {
 }
 
 /// The application box a certificate's count enclosures induce at one
-/// `p`: interval comm totals and `Wc`, with `Wm ∈ [0, mem_accesses.hi]`
-/// (the dynamic cache split may classify any fraction of the charged
-/// accesses as on-chip hits).
+/// `p` (or over a range of `p`): interval comm totals and `Wc`, with
+/// `Wm ∈ [0, mem_accesses.hi]`, as [`crate::plancost::app_box`] builds it.
 #[must_use]
 pub fn sym_app_box(counts: &SymCounts) -> AppBox {
-    AppBox {
-        alpha: Interval::point(1.0),
-        wc: Interval::new(counts.wc.lo, counts.wc.hi),
-        wm: Interval::new(0.0, counts.mem_accesses.hi),
-        woc: Interval::point(0.0),
-        wom: Interval::point(0.0),
-        messages: Interval::new(counts.messages.lo, counts.messages.hi),
-        bytes: Interval::new(counts.bytes.lo, counts.bytes.hi),
-        t_io: Interval::point(0.0),
-    }
+    counts_box(
+        Interval::new(counts.wc.lo, counts.wc.hi),
+        counts.mem_accesses.hi,
+        Interval::new(counts.messages.lo, counts.messages.hi),
+        Interval::new(counts.bytes.lo, counts.bytes.hi),
+    )
 }
 
 /// Evaluate the certificate's cost/energy bounds at `p` on `mach`.

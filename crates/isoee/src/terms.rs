@@ -8,24 +8,38 @@
 //! wherever it runs, and the interval instance encloses it because it
 //! performs the matching outward-rounded operation at every node.
 //!
+//! The kernel's inputs are the paper's two vectors, [`Mach`] (Table 1)
+//! and [`App`] (Table 2), over the same domain; the interval instances are
+//! the public [`crate::interval::MachBox`] and [`crate::interval::AppBox`],
+//! and the built-in app models fill [`App`] from one generic body each.
+//!
 //! The terms are factored by what the sweep axes move. [`Factors`] holds
 //! everything a column of a `(p, f)` grid shares (frequency-free): the
 //! [`SeqFactors`] `E1` reads and the [`ParFactors`] `Tp`/`Ep` add. A
 //! [`Row`] carries the two Eq. 20 terms plus `P_sys_idle`.
 
-use std::ops::{Add, Div, Mul, Sub};
+use std::ops::{Add, Div, Mul, Neg, Sub};
 
-use crate::interval::{AppBox, Interval, MachBox};
+use crate::interval::Interval;
 use crate::params::{AppParams, MachineParams};
 
 /// A numeric domain the model can be evaluated in.
 pub(crate) trait Domain:
-    Copy + Add<Output = Self> + Sub<Output = Self> + Mul<Output = Self> + Div<Output = Self>
+    Copy
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Mul<Output = Self>
+    + Div<Output = Self>
+    + Neg<Output = Self>
 {
     /// The domain element for a plain value.
     fn point(x: f64) -> Self;
     /// `self^e` for a fixed exponent.
     fn powf(self, e: f64) -> Self;
+    /// The larger of `self` and `other`.
+    fn max(self, other: Self) -> Self;
+    /// `log2(self)`.
+    fn log2(self) -> Self;
 }
 
 impl Domain for f64 {
@@ -36,6 +50,14 @@ impl Domain for f64 {
     fn powf(self, e: f64) -> Self {
         f64::powf(self, e)
     }
+
+    fn max(self, other: Self) -> Self {
+        f64::max(self, other)
+    }
+
+    fn log2(self) -> Self {
+        f64::log2(self)
+    }
 }
 
 impl Domain for Interval {
@@ -45,6 +67,14 @@ impl Domain for Interval {
 
     fn powf(self, e: f64) -> Self {
         Interval::powf(self, e)
+    }
+
+    fn max(self, other: Self) -> Self {
+        Interval::max(self, other)
+    }
+
+    fn log2(self) -> Self {
+        Interval::log2(self)
     }
 }
 
@@ -68,81 +98,109 @@ pub(crate) fn ratios<D: Domain>(e1: D, ep: D) -> (D, D) {
     (eef, D::point(1.0) / (D::point(1.0) + eef))
 }
 
-/// The frequency-invariant Table 1 entries other than `P_sys_idle`.
-struct Mach<D> {
-    tm: D,
-    ts: D,
-    tw: D,
-    delta_pm: D,
-    delta_pnic: D,
-    delta_pio: D,
+/// The machine-dependent vector (Table 1) in one numeric domain: the
+/// model's entries of [`MachineParams`] in `f64`, and
+/// [`crate::interval::MachBox`] as intervals.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Mach<D> {
+    /// Per-instruction time `tc`.
+    pub tc: D,
+    /// DRAM latency `tm`.
+    pub tm: D,
+    /// Message startup `ts`.
+    pub ts: D,
+    /// Per-byte time `tw`.
+    pub tw: D,
+    /// Idle power `P_sys_idle`.
+    pub p_sys_idle: D,
+    /// CPU delta `ΔPc`.
+    pub delta_pc: D,
+    /// Memory delta `ΔPm`.
+    pub delta_pm: D,
+    /// NIC delta `ΔP_NIC`.
+    pub delta_pnic: D,
+    /// Disk delta `ΔP_IO`.
+    pub delta_pio: D,
 }
 
-impl Mach<f64> {
-    fn of_params(m: &MachineParams) -> Self {
+// The `Domain` bounds sit on the methods, not the impls: the structs are
+// public and `Domain` is crate-private.
+impl<D> Mach<D> {
+    /// The vector of `m`, every entry a domain point.
+    pub(crate) fn of_params(m: &MachineParams) -> Self
+    where
+        D: Domain,
+    {
         Self {
-            tm: m.tm.raw(),
-            ts: m.ts.raw(),
-            tw: m.tw.raw(),
-            delta_pm: m.delta_pm.raw(),
-            delta_pnic: m.delta_pnic.raw(),
-            delta_pio: m.delta_pio.raw(),
+            tc: D::point(m.tc.raw()),
+            tm: D::point(m.tm.raw()),
+            ts: D::point(m.ts.raw()),
+            tw: D::point(m.tw.raw()),
+            p_sys_idle: D::point(m.p_sys_idle.raw()),
+            delta_pc: D::point(m.delta_pc.raw()),
+            delta_pm: D::point(m.delta_pm.raw()),
+            delta_pnic: D::point(m.delta_pnic.raw()),
+            delta_pio: D::point(m.delta_pio.raw()),
         }
     }
 }
 
-impl Mach<Interval> {
-    fn of_box(m: &MachBox) -> Self {
-        Self {
-            tm: m.tm,
-            ts: m.ts,
-            tw: m.tw,
-            delta_pm: m.delta_pm,
-            delta_pnic: m.delta_pnic,
-            delta_pio: m.delta_pio,
-        }
-    }
+/// The application-dependent vector (Table 2) in one numeric domain:
+/// [`AppParams`] in `f64`, and [`crate::interval::AppBox`] as intervals.
+/// Each built-in app model writes its formulas once, generic over the
+/// domain, and returns this struct.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct App<D> {
+    /// Overlap factor `α`.
+    pub alpha: D,
+    /// Sequential on-chip workload `Wc`.
+    pub wc: D,
+    /// Sequential off-chip workload `Wm`.
+    pub wm: D,
+    /// Parallel compute overhead `Woc`.
+    pub woc: D,
+    /// Parallel memory overhead `Wom`.
+    pub wom: D,
+    /// Total messages `M`.
+    pub messages: D,
+    /// Total bytes `B`.
+    pub bytes: D,
+    /// Sequential I/O time `T_IO`.
+    pub t_io: D,
 }
 
-/// The Table 2 vector.
-struct App<D> {
-    alpha: D,
-    wc: D,
-    wm: D,
-    woc: D,
-    wom: D,
-    messages: D,
-    bytes: D,
-    t_io: D,
+impl<D> App<D> {
+    /// The vector of `a`, every entry a domain point.
+    pub(crate) fn of_params(a: &AppParams) -> Self
+    where
+        D: Domain,
+    {
+        Self {
+            alpha: D::point(a.alpha),
+            wc: D::point(a.wc.raw()),
+            wm: D::point(a.wm.raw()),
+            woc: D::point(a.woc.raw()),
+            wom: D::point(a.wom.raw()),
+            messages: D::point(a.messages.raw()),
+            bytes: D::point(a.bytes.raw()),
+            t_io: D::point(a.t_io.raw()),
+        }
+    }
 }
 
 impl App<f64> {
-    fn of_params(a: &AppParams) -> Self {
-        Self {
-            alpha: a.alpha,
-            wc: a.wc.raw(),
-            wm: a.wm.raw(),
-            woc: a.woc.raw(),
-            wom: a.wom.raw(),
-            messages: a.messages.raw(),
-            bytes: a.bytes.raw(),
-            t_io: a.t_io.raw(),
-        }
-    }
-}
-
-impl App<Interval> {
-    fn of_box(a: &AppBox) -> Self {
-        Self {
-            alpha: a.alpha,
-            wc: a.wc,
-            wm: a.wm,
-            woc: a.woc,
-            wom: a.wom,
-            messages: a.messages,
-            bytes: a.bytes,
-            t_io: a.t_io,
-        }
+    /// The unit-typed vector (unvalidated).
+    pub(crate) fn to_params(self) -> AppParams {
+        AppParams::from_raw(
+            self.alpha,
+            self.wc,
+            self.wm,
+            self.woc,
+            self.wom,
+            self.messages,
+            self.bytes,
+            self.t_io,
+        )
     }
 }
 
@@ -155,23 +213,19 @@ pub(crate) struct Row<D> {
     pub(crate) p_sys_idle: D,
 }
 
-impl Row<f64> {
-    pub(crate) fn of_params(m: &MachineParams) -> Self {
-        Self {
-            tc: m.tc.raw(),
-            delta_pc: m.delta_pc.raw(),
-            p_sys_idle: m.p_sys_idle.raw(),
-        }
-    }
-}
-
-impl Row<Interval> {
-    pub(crate) fn of_box(m: &MachBox) -> Self {
+impl<D: Domain> Row<D> {
+    pub(crate) fn of(m: &Mach<D>) -> Self {
         Self {
             tc: m.tc,
             delta_pc: m.delta_pc,
             p_sys_idle: m.p_sys_idle,
         }
+    }
+}
+
+impl Row<f64> {
+    pub(crate) fn of_params(m: &MachineParams) -> Self {
+        Self::of(&Mach::of_params(m))
     }
 }
 
@@ -204,7 +258,7 @@ pub(crate) struct SeqFactors<D> {
 }
 
 impl<D: Domain> SeqFactors<D> {
-    fn of(m: &Mach<D>, a: &App<D>) -> Self {
+    pub(crate) fn of(m: &Mach<D>, a: &App<D>) -> Self {
         let mem_seq = a.wm * m.tm;
         Self {
             alpha: a.alpha,
@@ -301,7 +355,7 @@ pub(crate) struct Factors<D> {
 }
 
 impl<D: Domain> Factors<D> {
-    fn of(m: &Mach<D>, a: &App<D>) -> Self {
+    pub(crate) fn of(m: &Mach<D>, a: &App<D>) -> Self {
         Self {
             seq: SeqFactors::of(m, a),
             par: ParFactors::of(m, a),
@@ -327,17 +381,5 @@ impl<D: Domain> Factors<D> {
 impl Factors<f64> {
     pub(crate) fn of_params(m: &MachineParams, a: &AppParams) -> Self {
         Self::of(&Mach::of_params(m), &App::of_params(a))
-    }
-}
-
-impl Factors<Interval> {
-    pub(crate) fn of_boxes(m: &MachBox, a: &AppBox) -> Self {
-        Self::of(&Mach::of_box(m), &App::of_box(a))
-    }
-}
-
-impl SeqFactors<Interval> {
-    pub(crate) fn of_boxes(m: &MachBox, a: &AppBox) -> Self {
-        Self::of(&Mach::of_box(m), &App::of_box(a))
     }
 }

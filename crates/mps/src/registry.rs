@@ -30,7 +30,8 @@ pub(crate) struct WaitTarget {
 /// The verdict of a deadlock check.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Verdict {
-    /// Blocked chain starting at the detecting rank.
+    /// Blocked chain starting at the detecting rank; a cycle starts at its
+    /// lowest rank instead.
     pub edges: Vec<WaitEdge>,
     /// Whether the chain closes into a cycle (vs. ending at a finished rank).
     pub cyclic: bool,
@@ -166,12 +167,18 @@ impl Registry {
             on_chain[cur] = true;
             if on_chain[on] {
                 // Trim the prefix that leads into (but is not part of) the
-                // cycle so the reported edges are exactly the cycle.
+                // cycle so the reported edges are exactly the cycle, then
+                // start it at its lowest rank: every member that probes
+                // reports the same edges in the same order.
                 let pos = chain
                     .iter()
                     .position(|e| e.from_rank == on)
                     .expect("cycle entry on chain");
-                let cycle: Vec<WaitEdge> = chain[pos..].to_vec();
+                let mut cycle: Vec<WaitEdge> = chain[pos..].to_vec();
+                let first = (0..cycle.len())
+                    .min_by_key(|&i| cycle[i].from_rank)
+                    .expect("a cycle has edges");
+                cycle.rotate_left(first);
                 let progress = self.chain_progress(&cycle);
                 return Some((
                     Verdict {
@@ -334,6 +341,27 @@ mod tests {
         assert!(v.cyclic);
         assert_eq!(v.edges.len(), 2, "prefix rank 0 is not part of the cycle");
         assert!(v.edges.iter().all(|e| e.from_rank != 0));
+    }
+
+    #[test]
+    fn a_cycle_reads_the_same_from_each_of_its_ranks() {
+        let r = Registry::new(3);
+        for (rank, on) in [(0, 1), (1, 2), (2, 0)] {
+            r.set_blocked(
+                rank,
+                WaitTarget {
+                    on: Some(on),
+                    tag: 10 + rank as u64,
+                },
+            );
+        }
+        let (first, _) = r.probe(0).expect("cycle");
+        assert!(first.cyclic);
+        assert_eq!(first.edges[0].from_rank, 0, "starts at the lowest rank");
+        for start in 1..3 {
+            let (v, _) = r.probe(start).expect("cycle");
+            assert_eq!(v, first, "probed from rank {start}");
+        }
     }
 
     #[test]
