@@ -154,19 +154,23 @@ fn unreceived_message_is_reported_on_a_completed_run() {
         checked.findings
     );
 
+    // Both runtimes file the message in every build profile.
     let w = mps::World::new(simcluster::system_g(), 2.8e9);
-    let run = simrt::try_run_plan(&w, 2, &plan).map(|out| out.report);
-    let report = run.as_ref().expect("an unreceived message is no deadlock");
-    assert_eq!(report.ranks[1].comm.unconsumed, vec![(0, 9, 64)]);
-    assert!(report.ranks[0].comm.unconsumed.is_empty());
-    let findings = analyze::check_run(&run);
-    assert!(
-        findings.contains(&Finding::UnconsumedMessage {
-            sender: 0,
-            receiver: 1,
-            tag: 9,
-            bytes: 64,
-        }),
-        "{findings:?}"
-    );
+    let engine = simrt::try_run_plan(&w, 2, &plan).map(|out| out.report);
+    let thread = Ok(mps::run(&w, 2, |ctx| plan::lower(&plan, ctx)));
+    for (name, run) in [("engine", engine), ("thread", thread)] {
+        let report = run.as_ref().expect("an unreceived message is no deadlock");
+        assert_eq!(report.ranks[1].comm.unconsumed, vec![(0, 9, 64)], "{name}");
+        assert!(report.ranks[0].comm.unconsumed.is_empty(), "{name}");
+        let findings = analyze::check_run(&run);
+        assert!(
+            findings.contains(&Finding::UnconsumedMessage {
+                sender: 0,
+                receiver: 1,
+                tag: 9,
+                bytes: 64,
+            }),
+            "{name}: {findings:?}"
+        );
+    }
 }

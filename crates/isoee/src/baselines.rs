@@ -1,13 +1,13 @@
 //! Baseline models the paper positions itself against (§II).
 //!
-//! * **Performance isoefficiency** (Grama, Gupta, Kumar — the paper's [7]):
+//! * **Performance isoefficiency** (Grama, Gupta, Kumar — the paper's \[7\]):
 //!   `η(p) = T1 / (p·Tp)`; the isoefficiency function is the workload
 //!   growth needed to hold `η` constant. Performance-only — no energy.
-//! * **Power-aware speedup** (Ge & Cameron — the paper's [25]): speedup
+//! * **Power-aware speedup** (Ge & Cameron — the paper's \[25\]): speedup
 //!   generalized with DVFS-dependent execution times. Captures *some*
 //!   energy effects but, as the paper argues, gives no insight into the
 //!   root causes of poor power-performance scalability.
-//! * **Amdahl's law** (the paper's [9]): the serial-fraction bound both
+//! * **Amdahl's law** (the paper's \[9\]): the serial-fraction bound both
 //!   generalize.
 //!
 //! Implementing the baselines lets the experiments show *what the

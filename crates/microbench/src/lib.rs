@@ -10,7 +10,7 @@
 //!   observed time-per-instruction and CPI.
 //! * [`lmbench`] — a pointer-chase latency sweep over working-set sizes;
 //!   reports the latency staircase and the DRAM plateau `tm`.
-//! * [`mpptest`] — ping-pong round trips over message sizes; least-squares
+//! * [`mpptest`](mod@mpptest) — ping-pong round trips over message sizes; least-squares
 //!   fits the Hockney `ts`/`tw`.
 //! * [`powercal`] — differential power measurement: loaded vs. idle runs
 //!   give each component's active delta (`ΔPc`, `ΔPm`).

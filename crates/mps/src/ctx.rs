@@ -31,6 +31,8 @@ pub struct Ctx<'w> {
     pub(crate) senders: Vec<Sender<Envelope>>,
     pub(crate) receivers: Vec<Receiver<Envelope>>,
     pub(crate) pending: Vec<VecDeque<Envelope>>,
+    /// Next internal-collective sequence number (same on every rank because
+    /// collectives execute in program order).
     pub(crate) coll_seq: u64,
     pub(crate) hockney: Hockney,
     pub(crate) registry: Arc<Registry>,
@@ -476,26 +478,25 @@ impl<'w> Ctx<'w> {
     }
 
     /// Drain everything still sitting in this rank's inbox into the trace's
-    /// `unconsumed` list (called by the runtime after the program returns).
+    /// `unconsumed` list (called when the rank aborts).
     pub(crate) fn drain_unconsumed(&mut self) {
-        for from in 0..self.core.size {
-            if from == self.core.rank {
-                continue;
-            }
-            while let Some(env) = self.pending[from].pop_front() {
-                self.comm.unconsumed.push((env.src, env.tag, env.bytes));
-            }
-            while let Ok(env) = self.receivers[from].try_recv() {
-                self.comm.unconsumed.push((env.src, env.tag, env.bytes));
-            }
-        }
+        drain_inbox(
+            &mut self.pending,
+            &self.receivers,
+            &mut self.comm.unconsumed,
+        );
     }
+}
 
-    /// Next internal-collective sequence number (same on every rank because
-    /// collectives execute in program order).
-    pub(crate) fn next_coll_seq(&mut self) -> u64 {
-        let s = self.coll_seq;
-        self.coll_seq += 1;
-        s
+/// Move every message still in a rank's inbox, buffered or in flight, to
+/// `out` as `(src, tag, bytes)`, source by source.
+pub(crate) fn drain_inbox(
+    pending: &mut [VecDeque<Envelope>],
+    receivers: &[Receiver<Envelope>],
+    out: &mut Vec<(usize, u64, u64)>,
+) {
+    for (buffered, rx) in pending.iter_mut().zip(receivers) {
+        let left = buffered.drain(..).chain(rx.try_iter());
+        out.extend(left.map(|env| (env.src, env.tag, env.bytes)));
     }
 }

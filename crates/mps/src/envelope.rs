@@ -31,10 +31,11 @@ pub(crate) const INTERNAL_TAG_BASE: u64 = crate::trace::USER_TAG_LIMIT;
 /// program order, so sequence numbers agree across ranks and consecutive
 /// collectives can never cross-talk.
 ///
-/// Public so that static analyzers (the `plan` crate) can mirror the
-/// collective algorithms' tag choices exactly without duplicating the
-/// constant; user programs must stay below [`crate::USER_TAG_LIMIT`] and
+/// The collective schedules in [`crate::algo`] draw every tag from here;
+/// it is public so that callers can name the tags a collective's messages
+/// carry. User programs must stay below [`crate::USER_TAG_LIMIT`] and
 /// never construct these.
+#[inline]
 pub fn internal_tag(seq: u64, round: u32) -> u64 {
     INTERNAL_TAG_BASE | (seq << 8) | u64::from(round)
 }

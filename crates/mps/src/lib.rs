@@ -46,6 +46,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod algo;
 mod collect;
 mod ctx;
 mod envelope;

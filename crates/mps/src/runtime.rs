@@ -6,7 +6,7 @@ use std::sync::{Arc, Once};
 
 use simcluster::{ComponentEnergy, EnergyMeter, SegmentLog};
 
-use crate::ctx::Ctx;
+use crate::ctx::{drain_inbox, Ctx};
 use crate::envelope::Envelope;
 use crate::rankcore::RankCore;
 use crate::registry::Registry;
@@ -209,6 +209,7 @@ where
 
     let mut outcomes: Vec<Option<RankOutcome<R>>> = (0..p).map(|_| None).collect();
     let mut aborted: Vec<CommLog> = Vec::new();
+    let mut inboxes = Vec::new();
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(p);
         for (rank, rx_row) in rxs.into_iter().enumerate() {
@@ -237,9 +238,8 @@ where
                 if let Some(hook) = &world.sched {
                     hook.rank_finished(rank);
                 }
-                ctx.drain_unconsumed();
                 let fin = ctx.core.finish();
-                RankOutcome {
+                let outcome = RankOutcome {
                     rank,
                     result,
                     stats: fin.stats,
@@ -248,7 +248,10 @@ where
                     finish_s: fin.finish_s,
                     markers: fin.markers,
                     track: fin.track,
-                }
+                };
+                // The inbox outlives the rank: a peer may still send to it,
+                // and what nobody received is filed once every rank is done.
+                (outcome, ctx.pending, ctx.receivers)
             });
             handles.push(handle);
         }
@@ -258,9 +261,10 @@ where
         drop(txs);
         for handle in handles {
             match handle.join() {
-                Ok(outcome) => {
+                Ok((outcome, pending, receivers)) => {
                     let slot = outcome.rank;
                     outcomes[slot] = Some(outcome);
+                    inboxes.push((slot, pending, receivers));
                 }
                 Err(payload) => match payload.downcast::<RankAbort>() {
                     Ok(abort) => aborted.push(abort.comm),
@@ -269,6 +273,10 @@ where
             }
         }
     });
+    for (rank, mut pending, receivers) in inboxes {
+        let comm = &mut outcomes[rank].as_mut().expect("joined rank").comm;
+        drain_inbox(&mut pending, &receivers, &mut comm.unconsumed);
+    }
 
     if let Some(verdict) = registry.take_verdict() {
         // Assemble the per-rank traces: completed ranks contribute full
@@ -332,17 +340,6 @@ where
             .collect(),
         f_hz: world.f_hz,
     };
-    // Debug builds run the cheap communication-graph sanity check on every
-    // completed run: a finished program must have consumed every message.
-    #[cfg(debug_assertions)]
-    for rank in &report.ranks {
-        debug_assert!(
-            rank.comm.unconsumed.is_empty(),
-            "rank {} finished with unconsumed messages: {:?}",
-            rank.rank,
-            rank.comm.unconsumed
-        );
-    }
     world.obs.write_trace_files("mps", || {
         report.trace(&format!(
             "{} p={} f={:.2}GHz",

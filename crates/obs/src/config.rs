@@ -94,11 +94,7 @@ impl ObsConfig {
             }
         }
         if let Some(path) = &self.jsonl_path {
-            let result = std::fs::File::create(path).and_then(|f| {
-                let mut sink = crate::JsonlSink::new(std::io::BufWriter::new(f));
-                trace.emit(&mut sink)
-            });
-            if let Err(e) = result {
+            if let Err(e) = crate::perfetto::write_jsonl_file(&trace, path) {
                 eprintln!("{who}: failed to write JSONL trace {}: {e}", path.display());
             }
         }
@@ -145,5 +141,62 @@ mod tests {
         let lines = std::fs::read_to_string(dir.join("run.jsonl")).expect("JSONL file");
         assert_eq!(lines.lines().count(), 2, "{lines}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn jsonl_file_bytes_are_pinned() {
+        use crate::span::{Category, EventRecord, FieldValue, SpanRecord};
+        use crate::trace::TrackTrace;
+        use simcluster::units::Joules;
+
+        let mut trace = Trace::new("pinned");
+        trace.push_track(TrackTrace {
+            track: 1,
+            spans: vec![SpanRecord {
+                name: "mps:allreduce".into(),
+                cat: Category::Network,
+                track: 1,
+                start_s: 0.25,
+                end_s: 1.5e-3,
+                depth: 2,
+                host_start_ns: 17,
+                host_end_ns: 4_000_000_001,
+                forced_close: true,
+                fields: vec![
+                    ("bytes", FieldValue::U64(64)),
+                    ("energy", FieldValue::Joules(Joules::new(0.1))),
+                    ("note", FieldValue::Str("a \"b\"".into())),
+                ],
+            }],
+            instants: vec![EventRecord {
+                name: "marker".into(),
+                track: 1,
+                time_s: 3.0,
+                fields: vec![("ratio", FieldValue::F64(f64::NAN))],
+            }],
+        });
+        trace.add_counter_track("power cpu", "W", vec![(0.5, 42.125)]);
+        let path = std::env::temp_dir().join(format!("obs-jsonl-pin-{}.jsonl", std::process::id()));
+        ObsConfig {
+            jsonl_path: Some(path.clone()),
+            ..ObsConfig::enabled()
+        }
+        .write_trace_files("test", || Some(trace));
+        let bytes = std::fs::read_to_string(&path).expect("JSONL file");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(
+            bytes,
+            concat!(
+                r#"{"kind":"span","name":"mps:allreduce","cat":"network","track":1,"#,
+                r#""start_s":0.25,"end_s":0.0015,"depth":2,"host_start_ns":17,"#,
+                r#""host_end_ns":4000000001,"forced_close":true,"bytes":64,"#,
+                r#""energy":0.1,"note":"a \"b\""}"#,
+                "\n",
+                r#"{"kind":"instant","name":"marker","track":1,"time_s":3,"ratio":null}"#,
+                "\n",
+                r#"{"kind":"counter","name":"power cpu","unit":"W","t_s":0.5,"value":42.125}"#,
+                "\n",
+            )
+        );
     }
 }

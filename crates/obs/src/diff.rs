@@ -81,7 +81,8 @@ pub enum MetricValue {
     Counter(u64),
     /// `kind: "gauge"`.
     Gauge(f64),
-    /// `kind: "histogram"` (fixed-bucket; compared on mean).
+    /// `kind: "histogram"` (fixed-bucket, as other tools write them;
+    /// compared on mean).
     Histogram {
         /// Observation count.
         count: u64,

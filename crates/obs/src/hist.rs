@@ -1,7 +1,7 @@
 //! Log-bucketed (HDR-style) latency/size histograms.
 //!
-//! [`LogHistogram`] complements the fixed-bucket [`crate::Histogram`]:
-//! instead of caller-chosen bounds it uses a *fixed* logarithmic layout —
+//! [`LogHistogram`] needs no caller-chosen bounds: it uses a *fixed*
+//! logarithmic layout —
 //! [`SUB_BUCKETS`] buckets per power of two across [`OCTAVES`] octaves
 //! starting at [`MIN_TRACKABLE`] — so every instance shares one layout and
 //! any two histograms can be merged bucket-by-bucket. Recording is

@@ -11,12 +11,11 @@
 //!   fields reusing [`simcluster::units`], and instant events.
 //! * [`trace`] — the assembled [`Trace`] of a run: one track per rank,
 //!   counter tracks (e.g. PowerPack power samples), run metadata.
-//! * [`sink`] — pluggable sinks: an in-memory ring buffer, a JSONL
-//!   streamer, and a buffered Perfetto sink.
 //! * [`perfetto`] — Chrome trace-event JSON export; any run opens in
 //!   `ui.perfetto.dev` with one track per rank and compute/memory/net/idle
-//!   phases as nested slices.
-//! * [`metrics`] — a registry of counters, gauges and fixed-bucket
+//!   phases as nested slices. The same module writes a trace as JSON
+//!   Lines.
+//! * [`metrics`] — a registry of counters, gauges and log-bucketed
 //!   histograms, all lock-free atomics on the hot path, snapshotted as
 //!   text or JSON.
 //! * [`profile`] — a critical-path profiler that replays a run's
@@ -39,15 +38,13 @@ pub mod json;
 pub mod metrics;
 pub mod perfetto;
 pub mod profile;
-pub mod sink;
 pub mod span;
 pub mod timeline;
 pub mod trace;
 
 pub use config::ObsConfig;
 pub use hist::{HistSnapshot, LogHistogram};
-pub use metrics::{global, Counter, Gauge, Histogram, Registry};
-pub use sink::{JsonlSink, PerfettoSink, Record, RingSink, Sink};
+pub use metrics::{global, Counter, Gauge, Registry};
 pub use span::{Category, EventRecord, FieldValue, SpanRecord, TrackRecorder};
 pub use timeline::Timeline;
 pub use trace::{CounterTrack, Trace, TrackTrace};

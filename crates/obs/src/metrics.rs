@@ -1,4 +1,4 @@
-//! Lock-free metrics registry: counters, gauges, and fixed-bucket
+//! Lock-free metrics registry: counters, gauges, and log-bucketed
 //! histograms.
 //!
 //! Registration takes a `Mutex` (cold path); the handles returned are
@@ -56,108 +56,9 @@ impl Gauge {
     }
 }
 
-/// A histogram with caller-fixed bucket upper bounds.
-///
-/// `observe(v)` lands in the first bucket whose bound is `>= v`; values
-/// above the last bound land in the implicit overflow bucket. Bounds are
-/// immutable after construction, so observation is lock-free.
-#[derive(Debug)]
-pub struct Histogram {
-    bounds: Vec<f64>,
-    /// `bounds.len() + 1` buckets; last is overflow.
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    /// Sum of observed values, as `f64` bits CAS-accumulated.
-    sum_bits: AtomicU64,
-}
-
-impl Histogram {
-    fn new(bounds: &[f64]) -> Self {
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly increasing"
-        );
-        Self {
-            bounds: bounds.to_vec(),
-            buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum_bits: AtomicU64::new(0f64.to_bits()),
-        }
-    }
-
-    /// Record one observation.
-    pub fn observe(&self, value: f64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(self.bounds.len());
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        // CAS loop to accumulate an f64 sum without a lock.
-        let mut cur = self.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + value).to_bits();
-            match self.sum_bits.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
-    /// Number of observations.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of observations.
-    #[must_use]
-    pub fn sum(&self) -> f64 {
-        f64::from_bits(self.sum_bits.load(Ordering::Relaxed))
-    }
-
-    /// Mean observation (0 when empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            #[allow(clippy::cast_precision_loss)]
-            {
-                self.sum() / n as f64
-            }
-        }
-    }
-
-    /// `(upper_bound, count)` per bucket; the final entry uses
-    /// `f64::INFINITY` as the overflow bound.
-    #[must_use]
-    pub fn buckets(&self) -> Vec<(f64, u64)> {
-        let mut out: Vec<(f64, u64)> = self
-            .bounds
-            .iter()
-            .zip(&self.buckets)
-            .map(|(&b, c)| (b, c.load(Ordering::Relaxed)))
-            .collect();
-        out.push((
-            f64::INFINITY,
-            self.buckets[self.bounds.len()].load(Ordering::Relaxed),
-        ));
-        out
-    }
-}
-
 enum Metric {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
-    Histogram(Arc<Histogram>),
     LogHist(Arc<LogHistogram>),
 }
 
@@ -203,23 +104,6 @@ impl Registry {
             .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::default())))
         {
             Metric::Gauge(g) => Arc::clone(g),
-            _ => panic!("metric {name:?} already registered with a different kind"),
-        }
-    }
-
-    /// The histogram named `name` with the given bucket bounds, created
-    /// on first use (bounds of an existing histogram are kept).
-    ///
-    /// # Panics
-    /// Panics if `name` is already registered as a different metric kind,
-    /// or if `bounds` is not strictly increasing.
-    pub fn histogram(&self, name: &str, bounds: &[f64]) -> Arc<Histogram> {
-        let mut metrics = self.metrics.lock().expect("metrics registry poisoned");
-        match metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Arc::new(Histogram::new(bounds))))
-        {
-            Metric::Histogram(h) => Arc::clone(h),
             _ => panic!("metric {name:?} already registered with a different kind"),
         }
     }
@@ -280,13 +164,6 @@ impl Registry {
             match metric {
                 Metric::Counter(c) => c.value.store(0, Ordering::Relaxed),
                 Metric::Gauge(g) => g.bits.store(0f64.to_bits(), Ordering::Relaxed),
-                Metric::Histogram(h) => {
-                    for b in &h.buckets {
-                        b.store(0, Ordering::Relaxed);
-                    }
-                    h.count.store(0, Ordering::Relaxed);
-                    h.sum_bits.store(0f64.to_bits(), Ordering::Relaxed);
-                }
                 Metric::LogHist(h) => h.reset(),
             }
         }
@@ -305,14 +182,6 @@ impl Registry {
                 }
                 Metric::Gauge(g) => {
                     out.push_str(&format!("{name} gauge {}\n", crate::span::fmt_f64(g.get())));
-                }
-                Metric::Histogram(h) => {
-                    out.push_str(&format!(
-                        "{name} histogram count={} sum={} mean={}\n",
-                        h.count(),
-                        crate::span::fmt_f64(h.sum()),
-                        crate::span::fmt_f64(h.mean())
-                    ));
                 }
                 Metric::LogHist(h) => {
                     let s = h.snapshot();
@@ -363,29 +232,6 @@ impl Registry {
                     quote(name),
                     crate::span::fmt_f64(g.get())
                 ),
-                Metric::Histogram(h) => {
-                    let buckets: Vec<String> = h
-                        .buckets()
-                        .iter()
-                        .map(|(bound, count)| {
-                            let b = if bound.is_finite() {
-                                crate::span::fmt_f64(*bound)
-                            } else {
-                                "\"inf\"".to_string()
-                            };
-                            format!("{{\"le\":{b},\"count\":{count}}}")
-                        })
-                        .collect();
-                    format!(
-                        "{{\"name\":{},\"kind\":\"histogram\",\"count\":{},\
-                         \"sum\":{},\"mean\":{},\"buckets\":[{}]}}",
-                        quote(name),
-                        h.count(),
-                        crate::span::fmt_f64(h.sum()),
-                        crate::span::fmt_f64(h.mean()),
-                        buckets.join(",")
-                    )
-                }
                 Metric::LogHist(h) => {
                     let s = h.snapshot();
                     format!(
@@ -436,22 +282,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_and_moments() {
-        let reg = Registry::new();
-        let h = reg.histogram("lat", &[1.0, 10.0]);
-        for v in [0.5, 0.9, 5.0, 100.0] {
-            h.observe(v);
-        }
-        assert_eq!(h.count(), 4);
-        assert!((h.sum() - 106.4).abs() < 1e-9);
-        let buckets = h.buckets();
-        assert_eq!(buckets.len(), 3);
-        assert_eq!(buckets[0], (1.0, 2));
-        assert_eq!(buckets[1], (10.0, 1));
-        assert_eq!(buckets[2].1, 1);
-    }
-
-    #[test]
     #[should_panic(expected = "different kind")]
     fn kind_conflict_panics() {
         let reg = Registry::new();
@@ -464,7 +294,7 @@ mod tests {
         let reg = Registry::new();
         reg.counter("b.count").add(2);
         reg.gauge("a.gauge").set(1.5);
-        reg.histogram("c.hist", &[1.0]).observe(0.5);
+        reg.log_histogram("c.hist", "s").record(0.5);
         let text = reg.snapshot_text();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
@@ -482,17 +312,14 @@ mod tests {
         let reg = Registry::new();
         let c = reg.counter("evals");
         let g = reg.gauge("speedup");
-        let h = reg.histogram("lat", &[1.0]);
         let lh = reg.log_histogram("lat_s", "s");
         c.add(7);
         g.set(2.5);
-        h.observe(0.4);
         lh.record(1e-6);
         reg.reset_values();
         // Values are zeroed...
         assert_eq!(c.get(), 0);
         assert!(g.get().abs() < 1e-12);
-        assert_eq!(h.count(), 0);
         assert_eq!(lh.snapshot().count, 0);
         // ...but the *same* cells stay registered: the cached handles and
         // fresh lookups are the identical Arc, and recording through the
@@ -509,7 +336,7 @@ mod tests {
     fn concurrent_increments_do_not_lose_updates() {
         let reg = Registry::new();
         let c = reg.counter("hot");
-        let h = reg.histogram("hist", &[0.5]);
+        let h = reg.log_histogram("hist", "s");
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 let c = Arc::clone(&c);
@@ -517,7 +344,7 @@ mod tests {
                 scope.spawn(move || {
                     for _ in 0..1000 {
                         c.inc();
-                        h.observe(0.25);
+                        h.record(0.25);
                     }
                 });
             }

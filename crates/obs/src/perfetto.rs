@@ -131,6 +131,66 @@ pub fn write_file(trace: &Trace, path: &Path) -> std::io::Result<()> {
     file.flush()
 }
 
+/// Write `trace` to `path` as JSON Lines, one object per record: each
+/// track's spans, then its instants, then every counter sample. This is
+/// the format `analyze` and ad-hoc scripts consume.
+///
+/// # Errors
+/// Returns the underlying I/O error.
+pub fn write_jsonl_file(trace: &Trace, path: &Path) -> std::io::Result<()> {
+    use crate::span::fmt_f64;
+    let fields = |fields: &[(&str, crate::FieldValue)]| -> String {
+        let json = fields
+            .iter()
+            .map(|(k, v)| format!(",{}:{}", quote(k), v.to_json()));
+        json.collect()
+    };
+    let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
+    for track in &trace.tracks {
+        for s in &track.spans {
+            writeln!(
+                out,
+                "{{\"kind\":\"span\",\"name\":{},\"cat\":{},\"track\":{},\
+                 \"start_s\":{},\"end_s\":{},\"depth\":{},\"host_start_ns\":{},\
+                 \"host_end_ns\":{},\"forced_close\":{}{}}}",
+                quote(&s.name),
+                quote(s.cat.name()),
+                s.track,
+                fmt_f64(s.start_s),
+                fmt_f64(s.end_s),
+                s.depth,
+                s.host_start_ns,
+                s.host_end_ns,
+                s.forced_close,
+                fields(&s.fields)
+            )?;
+        }
+        for e in &track.instants {
+            writeln!(
+                out,
+                "{{\"kind\":\"instant\",\"name\":{},\"track\":{},\"time_s\":{}{}}}",
+                quote(&e.name),
+                e.track,
+                fmt_f64(e.time_s),
+                fields(&e.fields)
+            )?;
+        }
+    }
+    for c in &trace.counters {
+        for &(t_s, value) in &c.samples {
+            writeln!(
+                out,
+                "{{\"kind\":\"counter\",\"name\":{},\"unit\":{},\"t_s\":{},\"value\":{}}}",
+                quote(&c.name),
+                quote(&c.unit),
+                fmt_f64(t_s),
+                fmt_f64(value)
+            )?;
+        }
+    }
+    out.flush()
+}
+
 /// A structural problem found by [`validate`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ValidationError(pub String);

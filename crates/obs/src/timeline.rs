@@ -1,10 +1,9 @@
 //! Bounded time-series rings for power/utilization timelines.
 //!
 //! A [`Timeline`] holds a set of named series, each a bounded ring of
-//! `(t_s, value)` samples with a unit. Producers push samples directly
-//! ([`Timeline::record`]) or by sampling gauges out of a metrics
-//! [`Registry`] at a point in virtual time ([`Timeline::sample_gauges`]):
-//! power draw from `powerpack` profiles, pool queue depth, EE drift.
+//! `(t_s, value)` samples with a unit. Producers push samples
+//! ([`Timeline::record`]) at points in virtual time: power draw from
+//! `powerpack` profiles, simrt's per-rank progress.
 //! When the ring is full the oldest sample is evicted and counted in
 //! `dropped`, so a long-running producer costs bounded memory.
 //!
@@ -15,7 +14,6 @@
 
 use std::collections::VecDeque;
 
-use crate::metrics::Registry;
 use crate::trace::{CounterTrack, Trace};
 
 /// One bounded series of `(t_s, value)` samples.
@@ -91,16 +89,6 @@ impl Timeline {
         series.samples.push_back((t_s, value));
     }
 
-    /// Sample the named gauges from `registry` at virtual time `t_s`:
-    /// one `(name, unit)` pair per series. Gauges that were never set
-    /// sample as 0.
-    pub fn sample_gauges(&mut self, registry: &Registry, gauges: &[(&str, &str)], t_s: f64) {
-        for &(name, unit) in gauges {
-            let value = registry.gauge(name).get();
-            self.record(name, unit, t_s, value);
-        }
-    }
-
     /// The retained samples as Perfetto counter tracks. Samples within a
     /// series are emitted in recorded order; producers sampling a clock
     /// keep them time-ordered, which the trace validator checks.
@@ -158,27 +146,12 @@ mod tests {
     }
 
     #[test]
-    fn gauge_sampling_and_attach() {
-        let reg = Registry::new();
-        reg.gauge("pool.queue_depth").set(7.0);
-        reg.gauge("isoee.validate.drift_pct").set(1.25);
+    fn attach_exports_each_series_as_a_counter_track() {
         let mut tl = Timeline::new(16);
-        tl.sample_gauges(
-            &reg,
-            &[
-                ("pool.queue_depth", "tasks"),
-                ("isoee.validate.drift_pct", "%"),
-            ],
-            0.5,
-        );
-        tl.sample_gauges(
-            &reg,
-            &[
-                ("pool.queue_depth", "tasks"),
-                ("isoee.validate.drift_pct", "%"),
-            ],
-            1.0,
-        );
+        for t in [0.5, 1.0] {
+            tl.record("pool.queue_depth", "tasks", t, 7.0);
+            tl.record("isoee.validate.drift_pct", "%", t, 1.25);
+        }
         let mut trace = Trace::new("tl");
         tl.attach(&mut trace);
         assert_eq!(trace.counters.len(), 2);

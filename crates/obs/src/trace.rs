@@ -1,7 +1,6 @@
 //! The assembled trace of one run: per-rank span tracks, counter tracks
 //! (e.g. PowerPack power samples), and run metadata.
 
-use crate::sink::{Record, Sink};
 use crate::span::{EventRecord, SpanRecord};
 
 /// All spans and instant events of one track (one rank).
@@ -97,33 +96,6 @@ impl Trace {
             .fold(0.0, f64::max);
         spans.max(counters)
     }
-
-    /// Stream every record of the trace into `sink` (spans and instants
-    /// per track in order, then counter samples), and flush it.
-    ///
-    /// # Errors
-    /// Propagates the sink's flush error (I/O sinks).
-    pub fn emit(&self, sink: &mut dyn Sink) -> std::io::Result<()> {
-        for track in &self.tracks {
-            for span in &track.spans {
-                sink.record(Record::Span(span));
-            }
-            for ev in &track.instants {
-                sink.record(Record::Instant(ev));
-            }
-        }
-        for counter in &self.counters {
-            for &(t_s, value) in &counter.samples {
-                sink.record(Record::Counter {
-                    name: &counter.name,
-                    unit: &counter.unit,
-                    t_s,
-                    value,
-                });
-            }
-        }
-        sink.flush()
-    }
 }
 
 #[cfg(test)]
@@ -148,14 +120,5 @@ mod tests {
         assert_eq!(t.span_count(), 2);
         assert_eq!(t.end_s(), 1.0);
         assert_eq!(t.tracks[0].end_s(), 1.0);
-    }
-
-    #[test]
-    fn emit_reaches_every_record() {
-        let t = tiny_trace();
-        let mut ring = crate::sink::RingSink::new(16);
-        t.emit(&mut ring).expect("in-memory sink");
-        // 2 spans + 2 counter samples.
-        assert_eq!(ring.len(), 4);
     }
 }

@@ -11,19 +11,18 @@
 //! * the `simrt` event engine replays the steps against an
 //!   [`mps::RankCore`].
 //!
-//! Collectives expand from the algorithms in [`crate::coll`], which mirror
-//! `mps/src/collect.rs` line by line, so both consumers see exactly the
-//! messages a lowered execution sends: same peers, same
-//! [`mps::internal_tag`] values, same per-rank collective sequence
-//! numbers, each collective's messages bracketed by its span. simrt's
-//! differential tests pin the stream counter-for-counter against the
-//! thread runtime.
+//! Collectives expand from the one schedule per algorithm in
+//! [`mps::algo`], the same schedule the thread runtime's collectives run
+//! on real payloads. So both consumers see exactly the messages a lowered
+//! execution sends: same peers, same [`mps::internal_tag`] values, same
+//! per-rank collective sequence numbers, each collective's messages
+//! bracketed by its span.
 //!
 //! The logarithmic collectives expand whole (`O(log p)` queued steps); the
 //! two O(p)-message collectives (allgather, all-to-all) stream one
-//! exchange at a time from constant-size generator state, so a cursor
-//! stays a few hundred bytes even while every rank of `p = 4096` sits
-//! inside an 8190-message all-to-all.
+//! exchange at a time from the schedule's constant-size generator, so a
+//! cursor stays a few hundred bytes even while every rank of `p = 4096`
+//! sits inside an 8190-message all-to-all.
 //!
 //! A shape violation — a failed expression, an out-of-range peer, a
 //! self-message, a negative size or count, an oversized or unbumped tag —
@@ -34,10 +33,11 @@
 
 use std::collections::VecDeque;
 
+use mps::algo::{Act, BigColl, SmallColl};
 use mps::USER_TAG_LIMIT;
 
 use crate::check::ShapeIssue;
-use crate::coll::{Act, BigColl, CollKind, SmallColl};
+use crate::coll::CollKind;
 use crate::expr::{Env, EvalError, Expr};
 use crate::ir::{CommPlan, Op, TagExpr};
 
@@ -121,8 +121,9 @@ pub struct TimedCursor<'p> {
     vars: Vec<i64>,
     /// Expanded-but-unconsumed steps (small collectives, exchanges).
     micro: VecDeque<Step<'p>>,
-    /// In-flight O(p) collective, streamed into `micro` on demand.
-    big: Option<BigColl<'p>>,
+    /// In-flight O(p) collective and its per-peer size, streamed into
+    /// `micro` on demand.
+    big: Option<(BigColl, &'p Expr)>,
     tags_taken: u64,
     coll_seq: u64,
 }
@@ -368,32 +369,34 @@ impl<'p> TimedCursor<'p> {
                 return Ok(None);
             }
             Op::Barrier => {
-                self.expand(SmallColl::Barrier);
+                self.expand(CollKind::Barrier, SmallColl::Barrier);
                 return Ok(None);
             }
             Op::Bcast { root, bytes } => {
                 let root = self.eval_peer(root)?;
                 let bytes = self.eval_count(bytes, None)?;
-                self.expand(SmallColl::Bcast { root, bytes });
+                self.expand(CollKind::Bcast, SmallColl::Bcast { root, bytes });
                 return Ok(None);
             }
             Op::Reduce { root, elems, .. } => {
                 let root = self.eval_peer(root)?;
                 let elems = self.eval_count(elems, None)?;
-                self.expand(SmallColl::Reduce { root, elems });
+                self.expand(CollKind::Reduce, SmallColl::Reduce { root, elems });
                 return Ok(None);
             }
             Op::AllReduce { elems, .. } => {
                 let elems = self.eval_count(elems, None)?;
-                self.expand(SmallColl::AllReduce { elems });
+                self.expand(CollKind::AllReduce, SmallColl::AllReduce { elems });
                 return Ok(None);
             }
             Op::AllGather { bytes } => {
-                self.start_big(CollKind::AllGather, bytes);
+                let big = BigColl::allgather(&mut self.coll_seq);
+                self.start_big(CollKind::AllGather, big, bytes);
                 return Ok(None);
             }
             Op::AllToAll { bytes } => {
-                self.start_big(CollKind::AllToAll, bytes);
+                let big = BigColl::alltoall(&mut self.coll_seq);
+                self.start_big(CollKind::AllToAll, big, bytes);
                 return Ok(None);
             }
         };
@@ -401,9 +404,9 @@ impl<'p> TimedCursor<'p> {
     }
 
     /// Queue a logarithmic collective's steps inside its span.
-    fn expand(&mut self, c: SmallColl) {
+    fn expand(&mut self, kind: CollKind, c: SmallColl) {
         let p = self.p;
-        self.micro.push_back(Step::CollBegin(c.kind()));
+        self.micro.push_back(Step::CollBegin(kind));
         let micro = &mut self.micro;
         c.expand(p, self.rank, &mut self.coll_seq, |a| {
             micro.push_back(coll_step(a));
@@ -411,29 +414,24 @@ impl<'p> TimedCursor<'p> {
         micro.push_back(Step::CollEnd);
     }
 
-    /// Open an O(p) collective's span and start streaming it (closed at
-    /// once at `p == 1`).
-    fn start_big(&mut self, kind: CollKind, bytes: &'p Expr) {
-        let big = BigColl::new(kind, &mut self.coll_seq, bytes);
+    /// Open an O(p) collective's span and start streaming it.
+    fn start_big(&mut self, kind: CollKind, big: BigColl, bytes: &'p Expr) {
         self.micro.push_back(Step::CollBegin(kind));
-        if self.p > 1 {
-            self.big = Some(big);
-        } else {
-            self.micro.push_back(Step::CollEnd);
-        }
+        self.big = Some((big, bytes));
     }
 
     /// Stream the next exchange of the in-flight O(p) collective into
     /// `micro`, closing the collective when its iterations are exhausted.
     fn refill_big(&mut self) -> Result<(), ShapeIssue> {
-        let big = self.big.as_mut().expect("big collective in flight");
+        let (big, bytes) = self.big.as_mut().expect("big collective in flight");
+        let bytes: &'p Expr = bytes;
         let Some(x) = big.next(self.p, self.rank) else {
             self.big = None;
             self.micro.push_back(Step::CollEnd);
             return Ok(());
         };
-        let bytes = big.bytes;
-        let bytes = self.eval_count(bytes, Some(x.peer))?;
+        let peer = i64::try_from(x.peer).expect("rank fits i64");
+        let bytes = self.eval_count(bytes, Some(peer))?;
         self.micro.push_back(Step::Send {
             to: x.to,
             tag: x.tag,
@@ -559,8 +557,8 @@ mod tests {
 
     #[test]
     fn barrier_skips_seq_at_p1_but_bcast_consumes_it() {
-        // Mirrors mps: barrier_inner returns before next_coll_seq() at p=1,
-        // bcast_inner consumes the seq first. Each call is an empty span.
+        // At p=1 the barrier draws no sequence number, bcast draws one
+        // (`mps::algo::SmallColl::expand`). Each call is an empty span.
         let plan = CommPlan::new(
             "seq",
             vec![

@@ -1,7 +1,7 @@
 //! # powerpack — power profiling and energy analysis
 //!
 //! A software analog of the **PowerPack 2.0** framework the paper uses for
-//! all its measurements (Ge, Feng, Song, Cameron — the paper's [20]):
+//! all its measurements (Ge, Feng, Song, Cameron — the paper's \[20\]):
 //! component-level power traces synchronized with application phases, and
 //! energy integration per component and per phase.
 //!

@@ -12,7 +12,7 @@ use crate::profile::PowerProfile;
 /// Energy attributed to one application phase.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseEnergy {
-    /// Phase name (from [`mps::Ctx::phase`]-style markers).
+    /// Phase name (from `mps::Ctx::phase`-style markers).
     pub name: String,
     /// Phase start, virtual seconds (earliest marker across ranks).
     pub start_s: f64,

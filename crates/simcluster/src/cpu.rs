@@ -8,7 +8,7 @@ use crate::units::{Hertz, Instructions, Seconds, Watts};
 ///
 /// The analytical model's machine-dependent vector uses a single number for
 /// the CPU: the average time per on-chip instruction `tc = CPI / f`
-/// (Patterson & Hennessy, paper's [28]). The simulator keeps the `CPI` and
+/// (Patterson & Hennessy, paper's \[28\]). The simulator keeps the `CPI` and
 /// the DVFS table so `tc` can be evaluated at any P-state, plus the power
 /// law for `ΔP_c(f)`.
 #[derive(Debug, Clone, PartialEq)]

@@ -141,12 +141,49 @@ fn plans() -> Vec<(&'static str, CommPlan)> {
     ]
 }
 
+/// Every collective once, at sizes that are neither powers of two nor
+/// uniform: a rooted pair at the last rank, odd element counts, and
+/// per-peer allgather and all-to-all chunks.
+fn collectives_plan() -> CommPlan {
+    let last = || Expr::P - Expr::Const(1);
+    CommPlan::new(
+        "collectives",
+        vec![
+            Op::Barrier,
+            Op::Bcast {
+                root: last(),
+                bytes: Expr::Const(13),
+            },
+            Op::Reduce {
+                root: last(),
+                elems: Expr::Const(3),
+                op: mps::ReduceOp::Max,
+            },
+            Op::AllReduce {
+                elems: Expr::Const(5),
+                op: mps::ReduceOp::Sum,
+            },
+            Op::AllGather {
+                bytes: Expr::Peer + Expr::Const(3),
+            },
+            Op::AllToAll {
+                bytes: Expr::Peer + Expr::Const(1),
+            },
+            Op::Barrier,
+        ],
+    )
+}
+
 #[test]
 fn engine_is_bit_identical_to_thread_runtime_on_npb() {
     let _guard = registry_lock().lock().unwrap();
     let w = world();
-    for (name, plan) in plans() {
-        for p in [2usize, 4, 8] {
+    let npb = plans()
+        .into_iter()
+        .map(|(name, plan)| (name, plan, vec![2, 4, 8]));
+    let colls = ("collectives", collectives_plan(), vec![1, 2, 3, 5, 6, 7, 8]);
+    for (name, plan, ps) in npb.chain([colls]) {
+        for p in ps {
             let thread = observe_thread(&w, p, &plan);
             let engine = observe_engine(&w, p, &plan, &EngineConfig::default());
             assert_identical(&format!("{name} p={p}"), &thread, &engine, &w);
