@@ -23,14 +23,60 @@
 //! [`RankCost`] and per-family [`CollStats`] as the checker drains them.
 //! A rank left blocked inside a logarithmic collective is charged for the
 //! whole call, as if its expansion had run to the end.
+//!
+//! ## Folding repeated iterations
+//!
+//! Most steps of an NPB plan repeat earlier ones: CG runs 25 inner
+//! iterations of one body per outer step, FT repeats its transpose. The
+//! paper's `Appl` counts such work as one iteration's times the count, and
+//! so does the checker, wherever that is bit for bit what interpreting
+//! every iteration gives. Once per analysis it picks the *foldable* loops
+//! of the specialized plan — none in a plan with a wildcard receive, whose
+//! matches depend on the order. A loop qualifies when its trip count is a
+//! constant of at least 2, its body never reads its own variable, every
+//! user tag in the body is a constant or an `Auto`/`Last` counter tag
+//! whose `[base, base + modulo)` range lies below
+//! [`USER_TAG_LIMIT`] and is disjoint from the other ranges and the
+//! constant tags, and every charge scale is finite and non-negative.
+//!
+//! Ranks park at the head of every iteration of those loops
+//! ([`Step::LoopHead`]). When no rank is ready, every rank is parked at the
+//! head of the same loop in the same enclosing iteration, and no message
+//! is in flight, the schedule hands the checker a *repeat cut*
+//! ([`Effects::cut`]). At the cut before iteration 0 the checker records
+//! each rank's counters: its [`RankCost`], [`CollStats`], message steps,
+//! tag draws and collective sequence numbers, plus the schedule's steps
+//! (O(p)). At the cut before iteration 1 it takes their deltas and adds
+//! the remaining `trips − 1` iterations at once, moving every cursor past
+//! the loop, when
+//!
+//! * every rank drew the same number of tags and of collective sequence
+//!   numbers, so later iterations are the first one with every tag
+//!   relabelled one to one, and match as it did;
+//! * every `u64` product and sum fits; and
+//! * the `f64` sums are exact: every charge of the body is a multiple of
+//!   `2^-k` (from its scale; a stream's touches are charged divided by 8),
+//!   the totals at both cuts are such multiples, and the folded totals
+//!   stay below `2^(53 − k)`.
+//!
+//! Otherwise — ranks parked at different heads, a rank blocked or
+//! finished, a message in flight across the cut, a refused delta — the
+//! parked ranks are released in rank order and that loop is interpreted
+//! from then on. The fold is exact because without wildcards each rank's
+//! step stream does not depend on the schedule, so the analysis is the
+//! unique final state of every schedule, parking included. For the same
+//! reason the shape findings of a wildcard-free plan are listed by rank,
+//! not in the order the schedule met them. [`PlanAnalysis::steps`] counts
+//! the folded iterations' steps too; [`PlanAnalysis::folded_iterations`]
+//! says how many iterations were added rather than interpreted.
 
 use std::fmt;
 
 use mps::USER_TAG_LIMIT;
 
 use crate::coll::{CollKind, CollStats, COLL_KINDS};
-use crate::expr::EvalError;
-use crate::ir::CommPlan;
+use crate::expr::{EvalError, Expr};
+use crate::ir::{CommPlan, Op, TagExpr};
 use crate::sched::{Effects, Envelope, Schedule};
 use crate::timed::{Step, TimedCursor};
 
@@ -291,9 +337,14 @@ pub struct PlanAnalysis {
     pub first_inexact: Option<InexactWitness>,
     /// Whether every rank ran to completion.
     pub completed: bool,
-    /// Message steps processed, blocked receives counted once per try (a
-    /// work metric for reports).
+    /// Message steps of the run, folded iterations included: each send
+    /// and each receive once, a wildcard receive once per try (a work
+    /// metric for reports). A completed wildcard-free plan whose every
+    /// message is received takes `2 × total.messages`.
     pub steps: u64,
+    /// Loop iterations whose counts were added from an earlier
+    /// iteration's instead of being interpreted (see the module docs).
+    pub folded_iterations: u64,
     /// Cost totals summed over ranks.
     pub total: RankCost,
     /// Per-collective-family totals summed over ranks.
@@ -349,16 +400,20 @@ impl<'p> Rank<'p> {
                 },
             };
             if self.fold(step) {
-                if matches!(step, Step::RecvAny { .. }) && self.first_wildcard_op.is_none() {
-                    self.first_wildcard_op = Some(self.emitted);
+                match step {
+                    Step::LoopHead(_) => {}
+                    Step::RecvAny { .. } if self.first_wildcard_op.is_none() => {
+                        self.first_wildcard_op = Some(self.emitted);
+                        self.emitted += 1;
+                    }
+                    _ => self.emitted += 1,
                 }
-                self.emitted += 1;
                 return Ok(Some(step));
             }
         }
     }
 
-    /// Charge one step; whether it is a message step.
+    /// Charge one step; whether it is a message step or a loop head.
     #[inline]
     fn fold(&mut self, step: Step<'p>) -> bool {
         match step {
@@ -382,9 +437,21 @@ impl<'p> Rank<'p> {
                 }
                 return true;
             }
-            Step::Recv { .. } | Step::RecvAny { .. } => return true,
+            Step::Recv { .. } | Step::RecvAny { .. } | Step::LoopHead(_) => return true,
         }
         false
+    }
+
+    /// The counters a fold multiplies.
+    fn tally(&self) -> Tally {
+        let (tags_taken, coll_seq) = self.cursor.counters();
+        Tally {
+            cost: self.cost,
+            colls: self.colls,
+            emitted: self.emitted,
+            tags_taken,
+            coll_seq,
+        }
     }
 
     /// Charge the expanded rest of the collective a blocked rank waits in.
@@ -396,11 +463,18 @@ impl<'p> Rank<'p> {
 }
 
 /// The checker's effects: ranks fold their steps into costs, sends carry
-/// byte counts, and shape issues and wildcard races become findings.
+/// byte counts, shape issues and wildcard races become findings, and
+/// repeat cuts fold loop iterations.
 struct Checker<'p> {
     ranks: Vec<Rank<'p>>,
     findings: Vec<PlanFinding>,
     findings_truncated: bool,
+    /// Shape issues of a wildcard-free plan, listed by rank at the end;
+    /// `None` for a wildcard plan, whose findings keep the run's order.
+    faults: Option<Vec<(usize, ShapeIssue)>>,
+    /// The foldable loops, indexed like the cursors' heads.
+    folds: Vec<FoldLoop>,
+    folded_iterations: u64,
 }
 
 impl<'p> Effects<'p> for Checker<'p> {
@@ -408,7 +482,13 @@ impl<'p> Effects<'p> for Checker<'p> {
 
     #[inline]
     fn next_message(&mut self, r: usize) -> Result<Option<Step<'p>>, ShapeIssue> {
-        self.ranks[r].next_message()
+        loop {
+            let step = self.ranks[r].next_message()?;
+            match step {
+                Some(Step::LoopHead(i)) if !self.folds[i].parking => {}
+                _ => return Ok(step),
+            }
+        }
     }
 
     #[inline]
@@ -420,7 +500,10 @@ impl<'p> Effects<'p> for Checker<'p> {
     fn recv(&mut self, _r: usize, _env: Envelope<u64>) {}
 
     fn fault(&mut self, r: usize, issue: ShapeIssue) {
-        self.push_finding(PlanFinding::Shape { rank: r, issue });
+        match &mut self.faults {
+            Some(faults) => faults.push((r, issue)),
+            None => self.push_finding(PlanFinding::Shape { rank: r, issue }),
+        }
     }
 
     fn wildcard(&mut self, r: usize, tag: u64, sources: &[usize]) {
@@ -432,9 +515,86 @@ impl<'p> Effects<'p> for Checker<'p> {
             });
         }
     }
+
+    fn cut(&mut self, parked: &[usize], clean: bool, steps: &mut u64) {
+        let head = |r: usize| {
+            self.ranks[r]
+                .cursor
+                .loop_head()
+                .expect("parked at a loop head")
+        };
+        let (id, vars) = head(parked[0]);
+        if !(clean && parked.iter().all(|&r| head(r) == (id, vars))) {
+            // Parked at different loops or instances, or others still
+            // blocked or in flight: those loops are interpreted from now on.
+            for &r in parked {
+                let f = &mut self.folds[head(r).0];
+                f.parking = false;
+                f.entry = None;
+            }
+            return;
+        }
+        let vars = vars.to_vec();
+        let (&iter, enclosing) = vars.split_last().expect("a loop variable");
+        let entry = self.folds[id].entry.take();
+        if iter == 0 {
+            self.folds[id].entry = Some(Cut {
+                vars,
+                steps: *steps,
+                ranks: self.ranks.iter().map(Rank::tally).collect(),
+            });
+            return;
+        }
+        let folded = entry
+            .filter(|e| iter == 1 && e.vars.split_last() == Some((&0, enclosing)))
+            .and_then(|e| self.fold(id, &e, *steps));
+        let Some((tallies, folded_steps)) = folded else {
+            self.folds[id].parking = false;
+            return;
+        };
+        for (rank, t) in self.ranks.iter_mut().zip(tallies) {
+            rank.cost = t.cost;
+            rank.colls = t.colls;
+            rank.emitted = t.emitted;
+            rank.cursor.leave_loop(t.tags_taken, t.coll_seq);
+        }
+        *steps = folded_steps;
+        self.folded_iterations += self.folds[id].trips - 1;
+    }
 }
 
 impl Checker<'_> {
+    /// Every rank's counters and the step count after the last `trips − 1`
+    /// iterations of loop `id`, from the cuts at the heads of its
+    /// iterations 0 (`entry`) and 1 (now), when adding them is exactly
+    /// what interpreting them would give; `None` otherwise.
+    fn fold(&self, id: usize, entry: &Cut, steps: u64) -> Option<(Vec<Tally>, u64)> {
+        let FoldLoop { trips, exp, .. } = self.folds[id];
+        let m = trips - 1;
+        let delta = |t1: &Tally, t0: &Tally| {
+            (
+                t1.tags_taken.checked_sub(t0.tags_taken),
+                t1.coll_seq.checked_sub(t0.coll_seq),
+            )
+        };
+        let step0 = delta(&self.ranks[0].tally(), &entry.ranks[0]);
+        let tallies = self
+            .ranks
+            .iter()
+            .zip(&entry.ranks)
+            .map(|(rank, t0)| {
+                let t1 = rank.tally();
+                // Equal per-rank counter steps relabel every matched pair
+                // of iteration 0 into a matched pair of each later one.
+                if delta(&t1, t0) != step0 {
+                    return None;
+                }
+                t1.repeat(t0, m, exp)
+            })
+            .collect::<Option<Vec<_>>>()?;
+        Some((tallies, repeat_count(entry.steps, steps, m)?))
+    }
+
     fn push_finding(&mut self, f: PlanFinding) {
         if self.findings.len() < MAX_FINDINGS {
             self.findings.push(f);
@@ -530,10 +690,11 @@ pub fn analyze_plan(plan: &CommPlan, p: usize) -> PlanAnalysis {
     // Fold the `p`-only subtrees once instead of on every rank's every
     // step; the specialized plan streams identically at this `p`.
     let plan = &plan.specialize(p);
+    let (heads, folds): (Vec<&Op>, Vec<FoldLoop>) = foldable_loops(plan).into_iter().unzip();
     let mut checker = Checker {
         ranks: (0..p)
             .map(|r| Rank {
-                cursor: TimedCursor::new(plan, p, r),
+                cursor: TimedCursor::with_heads(plan, p, r, &heads),
                 cost: RankCost::default(),
                 colls: [CollStats::default(); COLL_KINDS],
                 open: None,
@@ -543,8 +704,17 @@ pub fn analyze_plan(plan: &CommPlan, p: usize) -> PlanAnalysis {
             .collect(),
         findings: Vec::new(),
         findings_truncated: false,
+        faults: (!plan.has_wildcard()).then(Vec::new),
+        folds,
+        folded_iterations: 0,
     };
     let sched = Schedule::run(p, &mut checker);
+    // The schedule's order, parking included, is not part of the answer.
+    let mut faults = checker.faults.take().unwrap_or_default();
+    faults.sort_by_key(|&(rank, _)| rank);
+    for (rank, issue) in faults {
+        checker.push_finding(PlanFinding::Shape { rank, issue });
+    }
     if (0..p).any(|r| sched.wait(r).is_some()) {
         checker.report_wait_for(&sched);
     } else {
@@ -583,10 +753,253 @@ pub fn analyze_plan(plan: &CommPlan, p: usize) -> PlanAnalysis {
         first_inexact,
         completed: sched.completed(),
         steps: sched.steps,
+        folded_iterations: checker.folded_iterations,
         total,
         colls,
         per_rank,
     }
+}
+
+/// A loop whose later iterations the checker may add instead of
+/// interpreting, and its state in one analysis.
+struct FoldLoop {
+    /// The constant trip count, at least 2.
+    trips: u64,
+    /// Every charge in the body is a multiple of `2^-exp`.
+    exp: i32,
+    /// Whether ranks still park at its heads.
+    parking: bool,
+    /// The repeat cut at the head of iteration 0 of the running instance.
+    entry: Option<Cut>,
+}
+
+/// The state at a repeat cut: O(p).
+struct Cut {
+    /// The loop variables, this loop's iteration last.
+    vars: Vec<i64>,
+    /// [`Schedule::steps`].
+    steps: u64,
+    ranks: Vec<Tally>,
+}
+
+/// One rank's counters: what an iteration adds to and a fold multiplies.
+#[derive(Clone, Copy)]
+struct Tally {
+    cost: RankCost,
+    colls: [CollStats; COLL_KINDS],
+    emitted: u64,
+    tags_taken: u64,
+    coll_seq: u64,
+}
+
+impl Tally {
+    /// `self` after `m` more iterations that each add what the one from
+    /// `start` to `self` did, when that is exact.
+    fn repeat(&self, start: &Tally, m: u64, exp: i32) -> Option<Tally> {
+        let count = |a: u64, b: u64| repeat_count(a, b, m);
+        let sum = |a: f64, b: f64| repeat_sum(a, b, m, exp);
+        let (c0, c1) = (&start.cost, &self.cost);
+        let mut colls = self.colls;
+        for (c, s0) in colls.iter_mut().zip(&start.colls) {
+            *c = CollStats {
+                calls: count(s0.calls, c.calls)?,
+                messages: count(s0.messages, c.messages)?,
+                bytes: count(s0.bytes, c.bytes)?,
+            };
+        }
+        Some(Tally {
+            cost: RankCost {
+                wc: sum(c0.wc, c1.wc)?,
+                mem_accesses: sum(c0.mem_accesses, c1.mem_accesses)?,
+                messages: count(c0.messages, c1.messages)?,
+                bytes: count(c0.bytes, c1.bytes)?,
+                phases: count(c0.phases, c1.phases)?,
+            },
+            colls,
+            emitted: count(start.emitted, self.emitted)?,
+            tags_taken: count(start.tags_taken, self.tags_taken)?,
+            coll_seq: count(start.coll_seq, self.coll_seq)?,
+        })
+    }
+}
+
+/// `now + m·(now − start)` for a counter that went from `start` to `now`
+/// in one iteration; `None` on overflow.
+fn repeat_count(start: u64, now: u64, m: u64) -> Option<u64> {
+    now.checked_sub(start)?.checked_mul(m)?.checked_add(now)
+}
+
+/// [`repeat_count`] for a sum of non-negative charges that are multiples
+/// of `2^-exp`: `None` unless `start` and `now` are such multiples and the
+/// folded total stays below `2^(53 − exp)`. Then every partial sum of the
+/// interpreted run is a multiple of `2^-exp` below that bound, so every
+/// addition was exact, and so are this product and sum.
+fn repeat_sum(start: f64, now: f64, m: u64, exp: i32) -> Option<f64> {
+    const EXACT: i64 = 1 << f64::MANTISSA_DIGITS;
+    let unit = 2f64.powi(exp);
+    #[allow(clippy::cast_possible_truncation)]
+    let units = |x: f64| {
+        let y = x * unit;
+        (y.fract() == 0.0 && y.abs() < EXACT as f64).then_some(y as i64)
+    };
+    let (a, b) = (units(start)?, units(now)?);
+    let step = b.checked_sub(a).filter(|d| *d >= 0)?;
+    let total = step.checked_mul(i64::try_from(m).ok()?)?.checked_add(b)?;
+    #[allow(clippy::cast_precision_loss)]
+    (total < EXACT).then(|| total as f64 / unit)
+}
+
+/// The loops of a specialized plan whose later iterations may fold, with
+/// their fold parameters. None in a plan with a wildcard receive, where
+/// the matches depend on the order. Otherwise a loop qualifies when its
+/// trip count is a constant of at least 2; its body never reads the
+/// loop's own variable; every user tag in it is a constant or an
+/// `Auto`/`Last` counter tag, each distinct counter range lies below
+/// [`USER_TAG_LIMIT`] and is disjoint from the others and from the
+/// constant tags; and every charge scale is finite and non-negative.
+fn foldable_loops(plan: &CommPlan) -> Vec<(&Op, FoldLoop)> {
+    fn walk<'p>(ops: &'p [Op], out: &mut Vec<(&'p Op, FoldLoop)>) {
+        for op in ops {
+            match op {
+                Op::Loop { count, body } => {
+                    if let (Expr::Const(trips @ 2..), false, true, Some(exp)) = (
+                        count,
+                        reads_var(body, 0),
+                        tags_relabel(body),
+                        charge_exponent(body),
+                    ) {
+                        let fold = FoldLoop {
+                            trips: trips.unsigned_abs(),
+                            exp,
+                            parking: true,
+                            entry: None,
+                        };
+                        out.push((op, fold));
+                    }
+                    walk(body, out);
+                }
+                Op::IfElse { then, els, .. } => {
+                    walk(then, out);
+                    walk(els, out);
+                }
+                _ => {}
+            }
+        }
+    }
+    let mut out = Vec::new();
+    if !plan.has_wildcard() {
+        walk(&plan.body, &mut out);
+    }
+    out
+}
+
+/// Whether `ops`, nested `depth` loops deep in a loop's body, read that
+/// loop's variable.
+fn reads_var(ops: &[Op], depth: usize) -> bool {
+    let tag = |t: &TagExpr| matches!(t, TagExpr::Expr(e) if e.reads_var(depth));
+    let any = |es: &[&Expr]| es.iter().any(|e| e.reads_var(depth));
+    ops.iter().any(|op| match op {
+        Op::Compute { units, .. } => any(&[units]),
+        Op::MemStream { elems: n, ws, .. }
+        | Op::MemAccess {
+            accesses: n, ws, ..
+        } => any(&[n, ws]),
+        Op::Phase(_) | Op::BumpTag | Op::Barrier => false,
+        Op::Send {
+            to: peer,
+            tag: t,
+            bytes,
+        }
+        | Op::Exchange {
+            partner: peer,
+            tag: t,
+            bytes,
+        } => any(&[peer, bytes]) || tag(t),
+        Op::Recv { from, tag: t } => any(&[from]) || tag(t),
+        Op::RecvAny { tag: t } => tag(t),
+        Op::Loop { count, body } => any(&[count]) || reads_var(body, depth + 1),
+        Op::IfElse { cond, then, els } => {
+            cond.reads_var(depth) || reads_var(then, depth) || reads_var(els, depth)
+        }
+        Op::Bcast { root, bytes } => any(&[root, bytes]),
+        Op::Reduce { root, elems, .. } => any(&[root, elems]),
+        Op::AllReduce { elems: n, .. } | Op::AllGather { bytes: n } | Op::AllToAll { bytes: n } => {
+            any(&[n])
+        }
+    })
+}
+
+/// Whether shifting every rank's tag counter by the same amount maps the
+/// user tags of `body` one to one onto themselves: see [`foldable_loops`].
+fn tags_relabel(body: &[Op]) -> bool {
+    fn collect(ops: &[Op], fixed: &mut Vec<u64>, ranges: &mut Vec<(u64, u64)>) -> bool {
+        ops.iter().all(|op| match op {
+            Op::Send { tag, .. }
+            | Op::Recv { tag, .. }
+            | Op::RecvAny { tag }
+            | Op::Exchange { tag, .. } => match tag {
+                TagExpr::Expr(Expr::Const(t)) => u64::try_from(*t).map(|t| fixed.push(t)).is_ok(),
+                TagExpr::Expr(_) => false,
+                TagExpr::Auto { base, modulo } | TagExpr::Last { base, modulo } => base
+                    .checked_add(*modulo)
+                    .map(|end| ranges.push((*base, end)))
+                    .is_some(),
+            },
+            Op::Loop { body, .. } => collect(body, fixed, ranges),
+            Op::IfElse { then, els, .. } => {
+                collect(then, fixed, ranges) && collect(els, fixed, ranges)
+            }
+            _ => true,
+        })
+    }
+    let (mut fixed, mut ranges) = (Vec::new(), Vec::new());
+    if !collect(body, &mut fixed, &mut ranges) {
+        return false;
+    }
+    ranges.sort_unstable();
+    ranges.dedup();
+    ranges
+        .iter()
+        .all(|&(lo, hi)| hi <= USER_TAG_LIMIT && !fixed.iter().any(|t| (lo..hi).contains(t)))
+        && ranges.windows(2).all(|w| w[0].1 <= w[1].0)
+}
+
+/// The least `k` with every charge of `ops` a multiple of `2^-k`, from the
+/// charge scales (a stream's touches are charged divided by 8); `None`
+/// when a scale is negative or not finite, or `2^k` is not a finite `f64`.
+fn charge_exponent(ops: &[Op]) -> Option<i32> {
+    ops.iter().try_fold(0, |k, op| {
+        let op_k = match op {
+            Op::Compute { scale, .. } | Op::MemAccess { scale, .. } => dyadic_exponent(*scale)?,
+            Op::MemStream { scale, .. } => dyadic_exponent(*scale)? + 3,
+            Op::Loop { body, .. } => charge_exponent(body)?,
+            Op::IfElse { then, els, .. } => charge_exponent(then)?.max(charge_exponent(els)?),
+            _ => 0,
+        };
+        Some(k.max(op_k)).filter(|&k| k < f64::MAX_EXP)
+    })
+}
+
+/// The least `k ≥ 0` with `x · 2^k` an integer, for finite `x ≥ 0`.
+fn dyadic_exponent(x: f64) -> Option<i32> {
+    if !(x.is_finite() && x >= 0.0) {
+        return None;
+    }
+    if x == 0.0 {
+        return Some(0);
+    }
+    // x = mantissa · 2^(exponent − 1075), with the implicit bit for
+    // normal numbers.
+    let bits = x.to_bits();
+    let exponent = i32::try_from(bits >> 52).expect("sign bit clear");
+    let fraction = bits & ((1 << 52) - 1);
+    let (mantissa, e) = if exponent == 0 {
+        (fraction, -1074)
+    } else {
+        (fraction | 1 << 52, exponent - 1075)
+    };
+    let e = e + i32::try_from(mantissa.trailing_zeros()).expect("small");
+    Some((-e).max(0))
 }
 
 #[cfg(test)]
@@ -949,6 +1362,47 @@ mod tests {
             ]
         );
         assert_eq!(a.per_rank[0].messages, 2);
+    }
+
+    #[test]
+    fn auto_tag_past_u64_is_a_shape_error() {
+        // After one bump the Auto tag is u64::MAX + 1: it must not wrap
+        // to a small, valid tag.
+        let tag = TagExpr::Auto {
+            base: u64::MAX,
+            modulo: 4,
+        };
+        let plan = CommPlan::new(
+            "tag-overflow",
+            vec![
+                Op::BumpTag,
+                on(
+                    0,
+                    vec![Op::Send {
+                        to: Expr::Const(1),
+                        tag: tag.clone(),
+                        bytes: Expr::Const(8),
+                    }],
+                ),
+                on(
+                    1,
+                    vec![Op::Recv {
+                        from: Expr::Const(0),
+                        tag,
+                    }],
+                ),
+            ],
+        );
+        let a = analyze_plan(&plan, 2);
+        assert!(!a.deadlock_free());
+        let overflow = ShapeIssue::TagTooLarge { tag: u64::MAX };
+        assert_eq!(
+            a.findings,
+            [0, 1].map(|rank| PlanFinding::Shape {
+                rank,
+                issue: overflow.clone(),
+            })
+        );
     }
 
     #[test]

@@ -376,6 +376,26 @@ impl Expr {
         }
     }
 
+    /// Whether evaluating `self` reads the loop variable `Var(depth)`.
+    pub(crate) fn reads_var(&self, depth: usize) -> bool {
+        match self {
+            Self::Var(d) => *d == depth,
+            Self::Const(_) | Self::P | Self::Rank | Self::Peer | Self::ByRank { .. } => false,
+            Self::Add(a, b)
+            | Self::Sub(a, b)
+            | Self::Mul(a, b)
+            | Self::Div(a, b)
+            | Self::Mod(a, b)
+            | Self::Min(a, b)
+            | Self::Max(a, b)
+            | Self::Xor(a, b) => a.reads_var(depth) || b.reads_var(depth),
+            Self::Pow2(e) | Self::Log2(e) => e.reads_var(depth),
+            Self::BlockLen { total, parts, idx } => {
+                total.reads_var(depth) || parts.reads_var(depth) || idx.reads_var(depth)
+            }
+        }
+    }
+
     /// Rebuild `self` with `f` applied to each direct child.
     fn map_children(self, mut f: impl FnMut(Expr) -> Expr) -> Expr {
         let mut g = |e: Box<Expr>| Box::new(f(*e));
@@ -513,6 +533,17 @@ impl Cond {
             Self::And(a, b) => Self::And(Box::new(a.fold(p)), Box::new(b.fold(p))),
             Self::Or(a, b) => Self::Or(Box::new(a.fold(p)), Box::new(b.fold(p))),
             Self::Not(c) => Self::Not(Box::new(c.fold(p))),
+        }
+    }
+
+    /// Whether evaluating `self` reads the loop variable `Var(depth)`.
+    pub(crate) fn reads_var(&self, depth: usize) -> bool {
+        match self {
+            Self::Eq(a, b) | Self::Ne(a, b) | Self::Lt(a, b) | Self::Le(a, b) => {
+                a.reads_var(depth) || b.reads_var(depth)
+            }
+            Self::And(a, b) | Self::Or(a, b) => a.reads_var(depth) || b.reads_var(depth),
+            Self::Not(c) => c.reads_var(depth),
         }
     }
 

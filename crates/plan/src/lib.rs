@@ -13,10 +13,13 @@
 //!   decide matching/shape validity and deadlock freedom, with witnesses
 //!   (wait-for cycles, unmatched ops, tag mismatches). Verdicts are exact
 //!   for wildcard-free plans and explicitly conservative otherwise
-//!   ([`PlanAnalysis::exact`]). The `isoee` crate's `plancost` module
-//!   lowers an analysis to the iso-energy model's Eq. 13/15 terms as
-//!   interval enclosures (it lives there, next to the model mirrors, to
-//!   keep this crate's dependency footprint at `mps` alone).
+//!   ([`PlanAnalysis::exact`]). A loop whose iterations repeat is
+//!   interpreted once and its later iterations added exactly
+//!   ([`PlanAnalysis::folded_iterations`]). The `isoee` crate's
+//!   `plancost` module lowers an analysis to the iso-energy model's
+//!   Eq. 13/15 terms as interval enclosures (it lives there, next to the
+//!   model mirrors, to keep this crate's dependency footprint at `mps`
+//!   alone).
 //! * **Lowering** ([`lower`]) — compile the same plan onto the [`mps`]
 //!   runtime, so dynamic runs (and the `verify` explorer) execute exactly
 //!   the messages the statics reasoned about.

@@ -20,6 +20,12 @@ use mps::Ctx;
 use crate::expr::{Env, Expr};
 use crate::ir::{CommPlan, Op, TagExpr};
 
+/// Counter tag `base + offset`; an overflow is a shape violation.
+fn tag_in(base: u64, offset: u64) -> u64 {
+    base.checked_add(offset)
+        .unwrap_or_else(|| panic!("plan tag {base} + {offset} overflows u64"))
+}
+
 struct Lowerer<'c, 'w> {
     ctx: &'c mut Ctx<'w>,
     vars: Vec<i64>,
@@ -67,12 +73,12 @@ impl Lowerer<'_, '_> {
                 assert!(*modulo > 0, "TagExpr::Auto with zero modulus");
                 let t0 = self.tags_taken;
                 self.tags_taken += 1;
-                base + (t0 % modulo)
+                tag_in(*base, t0 % modulo)
             }
             TagExpr::Last { base, modulo } => {
                 assert!(*modulo > 0, "TagExpr::Last with zero modulus");
                 assert!(self.tags_taken > 0, "TagExpr::Last before any tag bump");
-                base + ((self.tags_taken - 1) % modulo)
+                tag_in(*base, (self.tags_taken - 1) % modulo)
             }
         }
     }
@@ -239,6 +245,27 @@ mod tests {
         // wc: ring compute only (barrier has no combine); 500·2 per rank.
         assert!((totals.wc - 4000.0).abs() < 1e-9);
         assert!((totals.wc - analysis.total.wc).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows u64")]
+    fn auto_tag_past_u64_panics() {
+        let tag = TagExpr::Auto {
+            base: u64::MAX,
+            modulo: 4,
+        };
+        let plan = CommPlan::new(
+            "tag-overflow",
+            vec![
+                Op::BumpTag,
+                Op::Send {
+                    to: Expr::Const(1) - Expr::Rank,
+                    tag,
+                    bytes: Expr::Const(8),
+                },
+            ],
+        );
+        mps::run(&world(), 2, |ctx| lower(&plan, ctx));
     }
 
     #[test]

@@ -19,8 +19,16 @@
 //!   the tag and retries when it next runs, when more sources may hold
 //!   it. Wildcard-free plans match the same envelopes under any order;
 //!   for wildcard plans this order and rule are *the* schedule.
+//! * **Parking.** A rank whose effects report it at a loop head
+//!   ([`Step::LoopHead`]) parks there until no rank is ready. Then the
+//!   schedule hands the parked ranks to [`Effects::cut`], saying whether
+//!   they form a *repeat cut* — every rank parked, no message in flight —
+//!   and releases them in rank order. The checker folds repeated loop
+//!   iterations at repeat cuts (see [`crate::check`]); simrt's cursors
+//!   yield no loop heads, so its order is the one above.
 //! * **Terminal analysis.** A rank still blocked when none is ready waits
-//!   forever; [`Schedule::wait_for`] walks that wait-for graph once.
+//!   forever; [`Schedule::wait_for`] walks that wait-for graph once. A
+//!   parked rank is never left behind: it is released first.
 
 use mps::WaitEdge;
 
@@ -45,8 +53,8 @@ pub trait Effects<'p> {
     type Body;
 
     /// Rank `r`'s next message step (`Send`, `Recv` or `RecvAny`), with
-    /// every step before it applied; `Ok(None)` once its program is
-    /// complete.
+    /// every step before it applied, or a [`Step::LoopHead`] at which the
+    /// rank parks; `Ok(None)` once its program is complete.
     ///
     /// # Errors
     /// The shape issue that stops the rank, handed to [`Effects::fault`].
@@ -67,6 +75,13 @@ pub trait Effects<'p> {
 
     /// Rank `r`'s run ended and the ranks it woke are queued.
     fn paused(&mut self, _r: usize, _load: Load) {}
+
+    /// No rank is ready and the ranks `parked` (ascending, at least one)
+    /// wait at loop heads; the schedule releases them in rank order once
+    /// this returns. `clean`: every rank is parked and no message is in
+    /// flight — a repeat cut. `steps` is [`Schedule::steps`], for effects
+    /// that account for iterations they skip.
+    fn cut(&mut self, _parked: &[usize], _clean: bool, _steps: &mut u64) {}
 }
 
 /// The schedule's occupancy between two rank runs.
@@ -85,6 +100,8 @@ enum Status {
     /// Runnable; first retries the wildcard receive of this tag, if any.
     Ready(Option<u64>),
     Blocked(WaitEdge),
+    /// At a loop head, until no rank is ready.
+    Parked,
     Finished,
     Faulted,
 }
@@ -96,7 +113,9 @@ pub struct Schedule<B> {
     inboxes: Vec<Vec<Envelope<B>>>,
     /// Occupancy at the end of the run.
     pub load: Load,
-    /// Message steps executed, a receive counted once per try.
+    /// Message steps executed: each send and each receive once, a
+    /// wildcard receive once per try. So a wildcard-free run in which
+    /// every message is received takes `2 × messages` steps.
     pub steps: u64,
     /// Blocked ranks woken by a deposit.
     pub wakes: u64,
@@ -122,13 +141,25 @@ impl<B> Schedule<B> {
         };
         let mut ready: Vec<usize> = (0..p).rev().collect();
         let mut woken = Vec::new();
-        while let Some(r) = ready.pop() {
-            s.run_rank(r, effects, &mut woken);
-            ready.append(&mut woken);
+        loop {
+            while let Some(r) = ready.pop() {
+                s.run_rank(r, effects, &mut woken);
+                ready.append(&mut woken);
+                s.load.ready = ready.len();
+                effects.paused(r, s.load);
+            }
+            let parked: Vec<usize> = (0..p).filter(|&r| s.status[r] == Status::Parked).collect();
+            if parked.is_empty() {
+                return s;
+            }
+            let clean = parked.len() == p && s.load.in_flight == 0;
+            effects.cut(&parked, clean, &mut s.steps);
+            for &r in parked.iter().rev() {
+                s.status[r] = Status::Ready(None);
+                ready.push(r);
+            }
             s.load.ready = ready.len();
-            effects.paused(r, s.load);
         }
-        s
     }
 
     /// Run rank `r` until it blocks, finishes, or faults.
@@ -170,6 +201,10 @@ impl<B> Schedule<B> {
                 }
                 Ok(Some(Step::Recv { from, tag })) => (Some(from), tag),
                 Ok(Some(Step::RecvAny { tag })) => (None, tag),
+                Ok(Some(Step::LoopHead(_))) => {
+                    self.status[r] = Status::Parked;
+                    return;
+                }
                 Ok(Some(_)) => unreachable!("next_message yields message steps only"),
                 Ok(None) => return self.stop(r, Status::Finished),
                 Err(issue) => {

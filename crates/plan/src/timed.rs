@@ -24,9 +24,17 @@
 //! cursor stays a few hundred bytes even while every rank of `p = 4096`
 //! sits inside an 8190-message all-to-all.
 //!
+//! A cursor built with `TimedCursor::with_heads` also yields a
+//! [`Step::LoopHead`] at the head of every iteration of the loops it is
+//! given, before any of the iteration's steps. The checker parks ranks
+//! there to find repeat cuts, and after folding a loop's remaining
+//! iterations moves each cursor past the loop with its tag and collective
+//! counters advanced (`leave_loop`); see [`crate::check`].
+//!
 //! A shape violation — a failed expression, an out-of-range peer, a
-//! self-message, a negative size or count, an oversized or unbumped tag —
-//! ends the stream with a [`ShapeIssue`] at the op that caused it. A size
+//! self-message, a negative size or count, an oversized or unbumped tag
+//! (a counter tag past `u64::MAX` is oversized, not wrapped) — ends the
+//! stream with a [`ShapeIssue`] at the op that caused it. A size
 //! expression that fails for one peer of an O(p) collective stops the rank
 //! at that peer's exchange, after the exchanges before it, as in
 //! [`crate::lower`].
@@ -97,6 +105,10 @@ pub enum Step<'p> {
         /// Message tag.
         tag: u64,
     },
+    /// The head of an iteration of the `i`-th loop the static checker
+    /// watches, before any of the iteration's steps. Only the checker's
+    /// cursors yield it; one built by [`TimedCursor::new`] never does.
+    LoopHead(usize),
 }
 
 /// A frame of the cursor's explicit interpreter stack.
@@ -109,7 +121,19 @@ enum Frame<'p> {
         idx: usize,
         iter: i64,
         trips: i64,
+        /// Its index in the cursor's `heads`, if it is one.
+        head: Option<usize>,
     },
+}
+
+/// Where [`TimedCursor::advance_frames`] stopped.
+enum Advance<'p> {
+    /// At the next op to interpret.
+    Op(&'p Op),
+    /// At the head of an iteration of `heads[i]`.
+    Head(usize),
+    /// At the end of the program.
+    End,
 }
 
 /// A resumable per-rank walk of a plan, yielding [`Step`]s until the
@@ -126,12 +150,27 @@ pub struct TimedCursor<'p> {
     big: Option<(BigColl, &'p Expr)>,
     tags_taken: u64,
     coll_seq: u64,
+    /// The loops whose iteration heads this cursor yields.
+    heads: &'p [&'p Op],
 }
 
 impl<'p> TimedCursor<'p> {
     /// A cursor over `plan` for `rank` of `p`.
     #[must_use]
     pub fn new(plan: &'p CommPlan, p: usize, rank: usize) -> Self {
+        Self::with_heads(plan, p, rank, &[])
+    }
+
+    /// A cursor that also yields [`Step::LoopHead`]`(i)` at the head of
+    /// every iteration of the loop op `heads[i]` of `plan`. The checker
+    /// parks a rank there to detect a repeat cut (see [`crate::check`]).
+    #[must_use]
+    pub(crate) fn with_heads(
+        plan: &'p CommPlan,
+        p: usize,
+        rank: usize,
+        heads: &'p [&'p Op],
+    ) -> Self {
         assert!(p > 0, "need at least one rank");
         assert!(rank < p, "rank {rank} out of range for p = {p}");
         Self {
@@ -146,7 +185,36 @@ impl<'p> TimedCursor<'p> {
             big: None,
             tags_taken: 0,
             coll_seq: 0,
+            heads,
         }
+    }
+
+    /// The loop head the cursor stands at, if any: its index in `heads`
+    /// and the loop variables, innermost (this loop's iteration) last.
+    pub(crate) fn loop_head(&self) -> Option<(usize, &[i64])> {
+        match self.frames.last()? {
+            Frame::Loop {
+                idx: 0,
+                head: Some(i),
+                ..
+            } if self.micro.is_empty() && self.big.is_none() => Some((*i, &self.vars)),
+            _ => None,
+        }
+    }
+
+    /// Auto-tag draws and collective sequence numbers taken so far.
+    pub(crate) fn counters(&self) -> (u64, u64) {
+        (self.tags_taken, self.coll_seq)
+    }
+
+    /// Leave the loop whose head the cursor stands at, as if its remaining
+    /// iterations had run and left these counters.
+    pub(crate) fn leave_loop(&mut self, tags_taken: u64, coll_seq: u64) {
+        assert!(self.loop_head().is_some(), "leave_loop off a loop head");
+        self.frames.pop();
+        self.vars.pop();
+        self.tags_taken = tags_taken;
+        self.coll_seq = coll_seq;
     }
 
     /// The next step; `Ok(None)` when the rank's program is finished.
@@ -184,8 +252,10 @@ impl<'p> TimedCursor<'p> {
                 self.refill_big()?;
                 continue;
             }
-            let Some(op) = self.advance_frames() else {
-                return Ok(None);
+            let op = match self.advance_frames() {
+                Advance::Op(op) => op,
+                Advance::Head(i) => return Ok(Some(Step::LoopHead(i))),
+                Advance::End => return Ok(None),
             };
             if let Some(step) = self.handle(op)? {
                 return Ok(Some(step));
@@ -193,16 +263,18 @@ impl<'p> TimedCursor<'p> {
         }
     }
 
-    /// Pop/step the frame stack to the next op, or `None` at program end.
-    fn advance_frames(&mut self) -> Option<&'p Op> {
+    /// Pop/step the frame stack to the next op or loop head.
+    fn advance_frames(&mut self) -> Advance<'p> {
         loop {
-            let frame = self.frames.last_mut()?;
+            let Some(frame) = self.frames.last_mut() else {
+                return Advance::End;
+            };
             match frame {
                 Frame::Seq { ops, idx } => {
                     if *idx < ops.len() {
                         let op = &ops[*idx];
                         *idx += 1;
-                        return Some(op);
+                        return Advance::Op(op);
                     }
                     self.frames.pop();
                 }
@@ -211,16 +283,20 @@ impl<'p> TimedCursor<'p> {
                     idx,
                     iter,
                     trips,
+                    head,
                 } => {
                     if *idx < body.len() {
                         let op = &body[*idx];
                         *idx += 1;
-                        return Some(op);
+                        return Advance::Op(op);
                     }
                     *iter += 1;
                     if *iter < *trips {
                         *idx = 0;
                         *self.vars.last_mut().expect("loop var present") = *iter;
+                        if let Some(i) = *head {
+                            return Advance::Head(i);
+                        }
                     } else {
                         self.frames.pop();
                         self.vars.pop();
@@ -273,7 +349,8 @@ impl<'p> TimedCursor<'p> {
                 }
                 let t0 = self.tags_taken;
                 self.tags_taken += 1;
-                base + (t0 % modulo)
+                // Saturated, an overflowing tag is still over the limit.
+                base.saturating_add(t0 % modulo)
             }
             TagExpr::Last { base, modulo } => {
                 if *modulo == 0 {
@@ -282,7 +359,7 @@ impl<'p> TimedCursor<'p> {
                 if self.tags_taken == 0 {
                     return Err(ShapeIssue::LastTagWithoutBump);
                 }
-                base + ((self.tags_taken - 1) % modulo)
+                base.saturating_add((self.tags_taken - 1) % modulo)
             }
         };
         if tag >= USER_TAG_LIMIT {
@@ -346,16 +423,22 @@ impl<'p> TimedCursor<'p> {
             }
             Op::Loop { count, body } => {
                 let trips = self.eval_count(count, None)?;
-                if trips > 0 {
-                    self.vars.push(0);
-                    self.frames.push(Frame::Loop {
-                        body,
-                        idx: 0,
-                        iter: 0,
-                        trips: i64::try_from(trips).expect("from a non-negative i64"),
-                    });
+                if trips == 0 {
+                    return Ok(None);
                 }
-                return Ok(None);
+                let head = self.heads.iter().position(|h| std::ptr::eq(*h, op));
+                self.vars.push(0);
+                self.frames.push(Frame::Loop {
+                    body,
+                    idx: 0,
+                    iter: 0,
+                    trips: i64::try_from(trips).expect("from a non-negative i64"),
+                    head,
+                });
+                match head {
+                    Some(i) => Step::LoopHead(i),
+                    None => return Ok(None),
+                }
             }
             Op::IfElse { cond, then, els } => {
                 let ops = if cond.eval(&self.env(None))? {

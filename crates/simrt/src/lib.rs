@@ -105,7 +105,11 @@ impl EngineConfig {
 /// Engine-side observations of one run.
 #[derive(Debug, Clone, Default)]
 pub struct EngineStats {
-    /// Plan steps executed across all ranks.
+    /// Plan steps executed across all ranks: every step the ranks'
+    /// [`plan::TimedCursor`]s stream (compute, memory, phase and
+    /// collective-span steps as well as sends), plus one per receive. So
+    /// it exceeds [`plan::PlanAnalysis::steps`], which counts message
+    /// steps only, by the cursors' non-message steps.
     pub steps: u64,
     /// Point-to-point messages sent.
     pub sends: u64,

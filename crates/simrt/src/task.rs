@@ -93,6 +93,7 @@ impl<'a> RankTask<'a> {
                 Step::Send { .. } | Step::Recv { .. } | Step::RecvAny { .. } => {
                     return Ok(Some(step))
                 }
+                Step::LoopHead(_) => unreachable!("the engine's cursors yield no loop heads"),
             }
             *steps += 1;
         }

@@ -2,7 +2,10 @@
 //! wall time of the two concrete plan interpreters — the static checker
 //! (`analyze_plan`) and the simrt event engine at `Detail::Off` — on NPB
 //! FT and CG (class S) at `p ∈ {256, 1024}`, plus the one-off cost of
-//! `CommPlan::specialize` that both now pay first.
+//! `CommPlan::specialize` that both now pay first. `abstract_steps`
+//! counts the checker's message steps with folded loop iterations
+//! included; `folded` is how many iterations it added instead of
+//! interpreting.
 //!
 //! Run with `cargo run --release --example plan_pricing_timing`.
 
@@ -35,7 +38,9 @@ fn main() {
     ];
     let world = World::new(simcluster::system_g(), 2.8e9);
     let engine = EngineConfig::default().with_detail(Detail::Off);
-    println!("kernel      p  specialize_ms  analyze_ms  abstract_steps  simrt_ms  simrt_steps");
+    println!(
+        "kernel      p  specialize_ms  analyze_ms  abstract_steps  folded  simrt_ms  simrt_steps"
+    );
     for p in [256usize, 1024] {
         for (name, plan) in &plans {
             let (spec_ms, _) = median_ms(|| plan.specialize(p));
@@ -49,8 +54,8 @@ fn main() {
                 simrt::try_run_plan_with(&engine, &world, p, plan).expect("run completes")
             });
             println!(
-                "{name:>6} {p:>6} {spec_ms:>14.3} {analyze_ms:>11.1} {:>15} {run_ms:>9.1} {:>12}",
-                analysis.steps, run.stats.steps
+                "{name:>6} {p:>6} {spec_ms:>14.3} {analyze_ms:>11.1} {:>15} {:>7} {run_ms:>9.1} {:>12}",
+                analysis.steps, analysis.folded_iterations, run.stats.steps
             );
         }
     }
