@@ -6,9 +6,12 @@
 //!
 //! The `*_timed_cursor` cases drain `plan::TimedCursor` alone — what
 //! both the engine and `plan::analyze_plan` step — for every rank of the
-//! specialized plan, with no engine, queue or accounting. A `*_seq` case
-//! minus its `*_timed_cursor` case is the engine's own share: ready
-//! queue, `RankCore` accounting and message deposits.
+//! specialized plan, with no engine, queue or accounting. FT's `*_seq`
+//! case minus its `*_timed_cursor` case is the engine's own share: ready
+//! queue, `RankCore` accounting and message deposits. CG's engine run
+//! replays 24 of every 25 inner iterations from a tape instead of
+//! stepping their cursors (`*.folded_iterations`), so it can take less
+//! than draining the cursors alone.
 //!
 //! Run with `cargo bench -p bench --bench rank_scaling`.
 //!
@@ -17,7 +20,7 @@
 //! rank-step latency
 //! log-histogram (`bench.rank_scaling.step_latency_s`), engine event
 //! rates (`bench.rank_scaling.*.events_per_s`), per-run step/send/wake
-//! counts, and the process peak RSS after the largest run
+//! and folded-iteration counts, and the process peak RSS after the largest run
 //! (`bench.rank_scaling.peak_rss_bytes`, from `/proc/self/status`
 //! `VmHWM`; 0 where unavailable). The CI `rank-scaling` job gates the
 //! numbers with `analyze --bench-diff` against the committed baseline.
@@ -113,6 +116,8 @@ fn main() {
             .set(stats.sends as f64);
         reg.gauge(&format!("bench.rank_scaling.{name}.wakes"))
             .set(stats.wakes as f64);
+        reg.gauge(&format!("bench.rank_scaling.{name}.folded_iterations"))
+            .set(stats.folded_iterations as f64);
         println!(
             "  {name}: {events_per_s:.0} events/s ({} steps, {} sends)",
             stats.steps, stats.sends

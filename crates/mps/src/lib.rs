@@ -60,8 +60,8 @@ mod world;
 
 pub use collect::ReduceOp;
 pub use ctx::Ctx;
-pub use envelope::internal_tag;
-pub use rankcore::{CollScope, FinishedRank, RankCore};
+pub use envelope::{internal_tag, MAX_COLL_SEQ};
+pub use rankcore::{Charge, CollScope, FinishedRank, RankCore};
 pub use runtime::{run, try_run, RankOutcome, RunReport};
 pub use sched::{SchedGrant, SchedOp, SchedulerHook};
 pub use stats::Counters;

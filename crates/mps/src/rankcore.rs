@@ -112,6 +112,21 @@ pub struct CollScope {
     t_start: f64,
 }
 
+/// What one work step charges a rank, before [`RankCore::apply`] adds it:
+/// a device-busy interval and what it adds to its kind's counter. The
+/// `simrt` engine records these to replay a repeated loop iteration
+/// through the same `apply`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Charge {
+    /// The busy device: compute, memory or I/O.
+    pub kind: SegmentKind,
+    /// Device-busy time; the wall clock advances by `α · work`.
+    pub work: Seconds,
+    /// What the charge adds to its kind's counter: `Wc` instructions,
+    /// `Wm` off-chip accesses, or `T_IO` seconds.
+    pub count: f64,
+}
+
 /// What a finished rank hands back to its runtime.
 pub struct FinishedRank {
     /// Workload counters (`Wc`, `Wm`, `M`, `B`, `T_IO`).
@@ -241,28 +256,54 @@ impl<'w> RankCore<'w> {
     /// Charge `instructions` of on-chip computation (`Wc`); see
     /// [`crate::Ctx::compute`].
     pub fn compute(&mut self, instructions: f64) {
+        if let Some(c) = self.compute_charge(instructions) {
+            self.apply(c);
+        }
+    }
+
+    /// What [`RankCore::compute`] charges; `None` for no instructions.
+    ///
+    /// # Panics
+    /// Panics on a negative or non-finite count.
+    #[must_use]
+    pub fn compute_charge(&self, instructions: f64) -> Option<Charge> {
         assert!(
             instructions.is_finite() && instructions >= 0.0,
             "instruction count must be non-negative, got {instructions}"
         );
-        if instructions == 0.0 {
-            return;
-        }
-        self.counters.wc += instructions;
-        let dur = instructions * self.tc;
-        self.charge(SegmentKind::Compute, dur);
+        (instructions != 0.0).then(|| Charge {
+            kind: SegmentKind::Compute,
+            work: instructions * self.tc,
+            count: instructions,
+        })
     }
 
     /// Charge `accesses` memory accesses against a working set of
     /// `working_set_bytes`; see [`crate::Ctx::mem_access`] for the cache
     /// model split.
     pub fn mem_access(&mut self, accesses: f64, working_set_bytes: u64) {
+        for c in self.mem_access_charges(accesses, working_set_bytes) {
+            self.apply(c);
+        }
+    }
+
+    /// What [`RankCore::mem_access`] charges, in order: the off-chip share
+    /// as memory time, then the on-chip share as compute time, each left
+    /// out when empty. Records the access metrics when they are on.
+    ///
+    /// # Panics
+    /// Panics on a negative or non-finite count.
+    pub fn mem_access_charges(
+        &mut self,
+        accesses: f64,
+        working_set_bytes: u64,
+    ) -> impl Iterator<Item = Charge> {
         assert!(
             accesses.is_finite() && accesses >= 0.0,
             "access count must be non-negative, got {accesses}"
         );
         if accesses == 0.0 {
-            return;
+            return [None, None].into_iter().flatten();
         }
         let prof = self.access_profile(working_set_bytes);
         let node = &self.world.cluster.node;
@@ -278,21 +319,21 @@ impl<'w> RankCore<'w> {
 
         // Off-chip share: memory workload at flat DRAM latency.
         let dram_accesses = accesses * prof.dram_fraction;
-        if dram_accesses > 0.0 {
-            self.counters.wm += dram_accesses;
-            self.charge(
-                SegmentKind::Memory,
-                Seconds::new(dram_accesses * node.memory.dram_latency_s),
-            );
-        }
+        let dram = (dram_accesses > 0.0).then(|| Charge {
+            kind: SegmentKind::Memory,
+            work: Seconds::new(dram_accesses * node.memory.dram_latency_s),
+            count: dram_accesses,
+        });
 
         // On-chip share: compute time, slowed by DVFS like the core.
         let f_scale = node.cpu.dvfs.nominal() / self.world.f_hz;
         let on_chip_s = accesses * prof.on_chip_s_per_access * f_scale;
-        if on_chip_s > 0.0 {
-            self.counters.wc += on_chip_s / self.tc.raw();
-            self.charge(SegmentKind::Compute, Seconds::new(on_chip_s));
-        }
+        let on_chip = (on_chip_s > 0.0).then(|| Charge {
+            kind: SegmentKind::Compute,
+            work: Seconds::new(on_chip_s),
+            count: on_chip_s / self.tc.raw(),
+        });
+        [dram, on_chip].into_iter().flatten()
     }
 
     /// The cache split of accesses to a working set of `working_set_bytes`
@@ -318,8 +359,21 @@ impl<'w> RankCore<'w> {
     /// Charge a streaming sweep of `element_touches` elements; see
     /// [`crate::Ctx::mem_stream`].
     pub fn mem_stream(&mut self, element_touches: f64, working_set_bytes: u64) {
+        for c in self.mem_stream_charges(element_touches, working_set_bytes) {
+            self.apply(c);
+        }
+    }
+
+    /// What [`RankCore::mem_stream`] charges: a sweep touches whole cache
+    /// lines, so it is [`RankCore::mem_access_charges`] of one access per
+    /// line.
+    pub fn mem_stream_charges(
+        &mut self,
+        element_touches: f64,
+        working_set_bytes: u64,
+    ) -> impl Iterator<Item = Charge> {
         const LINE_ELEMS: f64 = 8.0; // 64-byte lines / 8-byte elements
-        self.mem_access(element_touches / LINE_ELEMS, working_set_bytes);
+        self.mem_access_charges(element_touches / LINE_ELEMS, working_set_bytes)
     }
 
     /// Charge `seconds` of flat local I/O.
@@ -331,8 +385,33 @@ impl<'w> RankCore<'w> {
         if seconds == 0.0 {
             return;
         }
-        self.counters.io_s += seconds;
-        self.charge(SegmentKind::Io, Seconds::new(seconds));
+        self.apply(Charge {
+            kind: SegmentKind::Io,
+            work: Seconds::new(seconds),
+            count: seconds,
+        });
+    }
+
+    /// Add one charge: its count to the kind's counter, then its busy
+    /// interval to the log, advancing the clock by `α · work`. The one
+    /// place a work charge reaches the rank's state, whether a step is
+    /// interpreted or replayed.
+    ///
+    /// # Panics
+    /// Panics on a network or wait charge: those are
+    /// [`RankCore::account_send`]'s and [`RankCore::account_recv`]'s.
+    #[inline]
+    pub fn apply(&mut self, c: Charge) {
+        let counter = match c.kind {
+            SegmentKind::Compute => &mut self.counters.wc,
+            SegmentKind::Memory => &mut self.counters.wm,
+            SegmentKind::Io => &mut self.counters.io_s,
+            SegmentKind::Network | SegmentKind::Wait => {
+                panic!("{:?} time is not a work charge", c.kind)
+            }
+        };
+        *counter += c.count;
+        self.charge(c.kind, c.work);
     }
 
     /// Record a named phase marker at the current virtual time; with
@@ -347,6 +426,7 @@ impl<'w> RankCore<'w> {
 
     /// Push a device-busy segment of `work` seconds, advancing the wall
     /// clock by `α · work`.
+    #[inline]
     pub(crate) fn charge(&mut self, kind: SegmentKind, work: Seconds) {
         let wall = self.world.alpha * work;
         let start = self.now();
@@ -390,6 +470,7 @@ impl<'w> RankCore<'w> {
 
     /// Push a wait (idle) segment of `dur` wall seconds. The clock must
     /// already have been advanced past the wait.
+    #[inline]
     pub(crate) fn log_wait(&mut self, dur: Seconds) {
         if dur <= Seconds::ZERO {
             return;
@@ -426,6 +507,7 @@ impl<'w> RankCore<'w> {
     /// Account one eager send of `bytes` payload with link time `t_net`:
     /// bumps counters/metrics, charges the NIC-busy time, and returns the
     /// message's arrival time (`start + t_net`, not overlap-squeezed).
+    #[inline]
     pub fn account_send(&mut self, bytes: u64, t_net: Seconds) -> Seconds {
         let start = self.clock.now();
         self.counters.messages += 1.0;
@@ -444,6 +526,7 @@ impl<'w> RankCore<'w> {
     /// Account one receive of a message arriving at `arrival_s`: advance
     /// the clock to the arrival (if it is in this rank's future) and log
     /// the idle wait. Returns the waited duration.
+    #[inline]
     pub fn account_recv(&mut self, arrival_s: f64) -> Seconds {
         let waited = self.clock.advance_to(Seconds::new(arrival_s));
         self.log_wait(waited);

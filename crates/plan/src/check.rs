@@ -31,13 +31,14 @@
 //! paper's `Appl` counts such work as one iteration's times the count, and
 //! so does the checker, wherever that is bit for bit what interpreting
 //! every iteration gives. Once per analysis it picks the *foldable* loops
-//! of the specialized plan — none in a plan with a wildcard receive, whose
-//! matches depend on the order. A loop qualifies when its trip count is a
-//! constant of at least 2, its body never reads its own variable, every
-//! user tag in the body is a constant or an `Auto`/`Last` counter tag
-//! whose `[base, base + modulo)` range lies below
-//! [`USER_TAG_LIMIT`] and is disjoint from the other ranges and the
-//! constant tags, and every charge scale is finite and non-negative.
+//! of the specialized plan ([`foldable_loops`]) — none in a plan with a
+//! wildcard receive, whose matches depend on the order. A loop qualifies
+//! when its trip count is a constant of at least 2, its body never reads
+//! its own variable, and every user tag in the body is a constant or an
+//! `Auto`/`Last` counter tag whose `[base, base + modulo)` range lies
+//! below [`USER_TAG_LIMIT`] and is disjoint from the other ranges and the
+//! constant tags. The checker folds those whose charge scales are also
+//! finite and non-negative.
 //!
 //! Ranks park at the head of every iteration of those loops
 //! ([`Step::LoopHead`]). When no rank is ready, every rank is parked at the
@@ -52,7 +53,8 @@
 //!
 //! * every rank drew the same number of tags and of collective sequence
 //!   numbers, so later iterations are the first one with every tag
-//!   relabelled one to one, and match as it did;
+//!   relabelled one to one ([`mps::internal_tag`] is one to one too), and
+//!   match as it did;
 //! * every `u64` product and sum fits; and
 //! * the `f64` sums are exact: every charge of the body is a multiple of
 //!   `2^-k` (from its scale; a stream's touches are charged divided by 8),
@@ -138,6 +140,12 @@ pub enum ShapeIssue {
     /// [`TagExpr::Last`](crate::TagExpr::Last) with no preceding
     /// `BumpTag`/`Auto` bump.
     LastTagWithoutBump,
+    /// A collective past the [`mps::MAX_COLL_SEQ`]-th: its internal tags
+    /// would collide with earlier ones.
+    CollSeqOverflow {
+        /// The sequence number it would draw.
+        seq: u64,
+    },
 }
 
 impl From<EvalError> for ShapeIssue {
@@ -157,6 +165,10 @@ impl fmt::Display for ShapeIssue {
             }
             Self::NegativeCount { value } => write!(f, "negative size/count {value}"),
             Self::LastTagWithoutBump => write!(f, "TagExpr::Last before any tag bump"),
+            Self::CollSeqOverflow { seq } => write!(
+                f,
+                "collective sequence number {seq} exceeds the internal tag space"
+            ),
         }
     }
 }
@@ -516,7 +528,7 @@ impl<'p> Effects<'p> for Checker<'p> {
         }
     }
 
-    fn cut(&mut self, parked: &[usize], clean: bool, steps: &mut u64) {
+    fn cut(&mut self, parked: &[usize], clean: bool, steps: &mut u64, _wakes: &mut u64) {
         let head = |r: usize| {
             self.ranks[r]
                 .cursor
@@ -589,7 +601,10 @@ impl Checker<'_> {
                 if delta(&t1, t0) != step0 {
                     return None;
                 }
+                // Past the last sequence number a collective is a shape
+                // issue, which the interpreted run finds where it occurs.
                 t1.repeat(t0, m, exp)
+                    .filter(|t| t.coll_seq <= mps::MAX_COLL_SEQ + 1)
             })
             .collect::<Option<Vec<_>>>()?;
         Some((tallies, repeat_count(entry.steps, steps, m)?))
@@ -690,7 +705,18 @@ pub fn analyze_plan(plan: &CommPlan, p: usize) -> PlanAnalysis {
     // Fold the `p`-only subtrees once instead of on every rank's every
     // step; the specialized plan streams identically at this `p`.
     let plan = &plan.specialize(p);
-    let (heads, folds): (Vec<&Op>, Vec<FoldLoop>) = foldable_loops(plan).into_iter().unzip();
+    let (heads, folds): (Vec<&Op>, Vec<FoldLoop>) = foldable_loops(plan)
+        .into_iter()
+        .filter_map(|l| {
+            let fold = FoldLoop {
+                trips: l.trips,
+                exp: charge_exponent(l.body)?,
+                parking: true,
+                entry: None,
+            };
+            Some((l.op, fold))
+        })
+        .unzip();
     let mut checker = Checker {
         ranks: (0..p)
             .map(|r| Rank {
@@ -849,32 +875,47 @@ fn repeat_sum(start: f64, now: f64, m: u64, exp: i32) -> Option<f64> {
     (total < EXACT).then(|| total as f64 / unit)
 }
 
-/// The loops of a specialized plan whose later iterations may fold, with
-/// their fold parameters. None in a plan with a wildcard receive, where
-/// the matches depend on the order. Otherwise a loop qualifies when its
-/// trip count is a constant of at least 2; its body never reads the
-/// loop's own variable; every user tag in it is a constant or an
-/// `Auto`/`Last` counter tag, each distinct counter range lies below
-/// [`USER_TAG_LIMIT`] and is disjoint from the others and from the
-/// constant tags; and every charge scale is finite and non-negative.
-fn foldable_loops(plan: &CommPlan) -> Vec<(&Op, FoldLoop)> {
-    fn walk<'p>(ops: &'p [Op], out: &mut Vec<(&'p Op, FoldLoop)>) {
+/// A loop of a specialized plan whose iterations after the first repeat
+/// it with every tag relabelled one to one, as [`foldable_loops`] picks
+/// them.
+#[derive(Debug, Clone, Copy)]
+pub struct FoldableLoop<'p> {
+    /// The `Op::Loop` itself, for [`TimedCursor::with_heads`].
+    pub op: &'p Op,
+    /// Its body.
+    pub body: &'p [Op],
+    /// Its constant trip count, at least 2.
+    pub trips: u64,
+}
+
+/// The loops of a specialized plan whose later iterations repeat the first
+/// one, in plan order (an enclosing loop before the loops in its body).
+/// None in a plan with a wildcard receive, where the matches depend on the
+/// order. Otherwise a loop qualifies when its trip count is a constant of
+/// at least 2; its body never reads the loop's own variable; and every
+/// user tag in it is a constant or an `Auto`/`Last` counter tag, each
+/// distinct counter range lies below [`USER_TAG_LIMIT`] and is disjoint
+/// from the others and from the constant tags. Then, when every rank
+/// draws the same number of tags and collective sequence numbers in one
+/// iteration, each later iteration matches its messages as the first did.
+///
+/// [`analyze_plan`] folds those whose charge scales are also finite and
+/// non-negative (it multiplies the sums); the simrt engine, which replays
+/// an iteration instead, picks its own subset.
+#[must_use]
+pub fn foldable_loops(plan: &CommPlan) -> Vec<FoldableLoop<'_>> {
+    fn walk<'p>(ops: &'p [Op], out: &mut Vec<FoldableLoop<'p>>) {
         for op in ops {
             match op {
                 Op::Loop { count, body } => {
-                    if let (Expr::Const(trips @ 2..), false, true, Some(exp)) = (
-                        count,
-                        reads_var(body, 0),
-                        tags_relabel(body),
-                        charge_exponent(body),
-                    ) {
-                        let fold = FoldLoop {
+                    if let (Expr::Const(trips @ 2..), false, true) =
+                        (count, reads_var(body, 0), tags_relabel(body))
+                    {
+                        out.push(FoldableLoop {
+                            op,
+                            body,
                             trips: trips.unsigned_abs(),
-                            exp,
-                            parking: true,
-                            entry: None,
-                        };
-                        out.push((op, fold));
+                        });
                     }
                     walk(body, out);
                 }
@@ -1362,6 +1403,34 @@ mod tests {
             ]
         );
         assert_eq!(a.per_rank[0].messages, 2);
+    }
+
+    /// A folded loop draws its collective sequence numbers without
+    /// interpreting them; the first collective past the last one with its
+    /// own tags is still a shape error, not a panic.
+    #[test]
+    fn collective_past_the_tag_space_is_a_shape_error() {
+        let last = mps::MAX_COLL_SEQ;
+        let plan = CommPlan::new(
+            "seq-overflow",
+            vec![
+                Op::Loop {
+                    count: Expr::Const(i64::try_from(last + 1).unwrap()),
+                    body: vec![Op::Barrier],
+                },
+                Op::Barrier,
+            ],
+        );
+        let a = analyze_plan(&plan, 2);
+        assert_eq!(a.folded_iterations, last);
+        let overflow = ShapeIssue::CollSeqOverflow { seq: last + 1 };
+        assert_eq!(
+            a.findings,
+            [0, 1].map(|rank| PlanFinding::Shape {
+                rank,
+                issue: overflow.clone(),
+            })
+        );
     }
 
     #[test]

@@ -63,7 +63,8 @@ mod symbolic;
 mod timed;
 
 pub use check::{
-    analyze_plan, InexactWitness, PlanAnalysis, PlanFinding, PlanWaitEdge, RankCost, ShapeIssue,
+    analyze_plan, foldable_loops, FoldableLoop, InexactWitness, PlanAnalysis, PlanFinding,
+    PlanWaitEdge, RankCost, ShapeIssue,
 };
 pub use coll::{CollKind, CollStats, COLL_KINDS};
 pub use expr::{Cond, Env, EvalError, Expr, RankTable};

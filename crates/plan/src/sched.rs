@@ -23,9 +23,9 @@
 //!   ([`Step::LoopHead`]) parks there until no rank is ready. Then the
 //!   schedule hands the parked ranks to [`Effects::cut`], saying whether
 //!   they form a *repeat cut* — every rank parked, no message in flight —
-//!   and releases them in rank order. The checker folds repeated loop
-//!   iterations at repeat cuts (see [`crate::check`]); simrt's cursors
-//!   yield no loop heads, so its order is the one above.
+//!   and releases them in rank order. The checker and the simrt engine
+//!   fold repeated loop iterations at repeat cuts (see [`crate::check`]);
+//!   without loop heads the order is the one above.
 //! * **Terminal analysis.** A rank still blocked when none is ready waits
 //!   forever; [`Schedule::wait_for`] walks that wait-for graph once. A
 //!   parked rank is never left behind: it is released first.
@@ -79,9 +79,10 @@ pub trait Effects<'p> {
     /// No rank is ready and the ranks `parked` (ascending, at least one)
     /// wait at loop heads; the schedule releases them in rank order once
     /// this returns. `clean`: every rank is parked and no message is in
-    /// flight — a repeat cut. `steps` is [`Schedule::steps`], for effects
-    /// that account for iterations they skip.
-    fn cut(&mut self, _parked: &[usize], _clean: bool, _steps: &mut u64) {}
+    /// flight — a repeat cut. `steps` and `wakes` are [`Schedule::steps`]
+    /// and [`Schedule::wakes`], for effects that account for iterations
+    /// they skip.
+    fn cut(&mut self, _parked: &[usize], _clean: bool, _steps: &mut u64, _wakes: &mut u64) {}
 }
 
 /// The schedule's occupancy between two rank runs.
@@ -153,7 +154,7 @@ impl<B> Schedule<B> {
                 return s;
             }
             let clean = parked.len() == p && s.load.in_flight == 0;
-            effects.cut(&parked, clean, &mut s.steps);
+            effects.cut(&parked, clean, &mut s.steps, &mut s.wakes);
             for &r in parked.iter().rev() {
                 s.status[r] = Status::Ready(None);
                 ready.push(r);

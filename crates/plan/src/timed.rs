@@ -24,16 +24,18 @@
 //! cursor stays a few hundred bytes even while every rank of `p = 4096`
 //! sits inside an 8190-message all-to-all.
 //!
-//! A cursor built with `TimedCursor::with_heads` also yields a
+//! A cursor built with [`TimedCursor::with_heads`] also yields a
 //! [`Step::LoopHead`] at the head of every iteration of the loops it is
-//! given, before any of the iteration's steps. The checker parks ranks
-//! there to find repeat cuts, and after folding a loop's remaining
-//! iterations moves each cursor past the loop with its tag and collective
-//! counters advanced (`leave_loop`); see [`crate::check`].
+//! given, before any of the iteration's steps. The checker and the simrt
+//! engine park ranks there to find repeat cuts, and after folding a loop's
+//! remaining iterations move each cursor past the loop with its tag and
+//! collective counters advanced ([`TimedCursor::leave_loop`]); see
+//! [`crate::check`].
 //!
 //! A shape violation — a failed expression, an out-of-range peer, a
 //! self-message, a negative size or count, an oversized or unbumped tag
-//! (a counter tag past `u64::MAX` is oversized, not wrapped) — ends the
+//! (a counter tag past `u64::MAX` is oversized, not wrapped), a
+//! collective past the last sequence number with its own tags — ends the
 //! stream with a [`ShapeIssue`] at the op that caused it. A size
 //! expression that fails for one peer of an O(p) collective stops the rank
 //! at that peer's exchange, after the exchanges before it, as in
@@ -105,9 +107,9 @@ pub enum Step<'p> {
         /// Message tag.
         tag: u64,
     },
-    /// The head of an iteration of the `i`-th loop the static checker
-    /// watches, before any of the iteration's steps. Only the checker's
-    /// cursors yield it; one built by [`TimedCursor::new`] never does.
+    /// The head of an iteration of the `i`-th loop a cursor built by
+    /// [`TimedCursor::with_heads`] watches, before any of the iteration's
+    /// steps. One built by [`TimedCursor::new`] never yields it.
     LoopHead(usize),
 }
 
@@ -162,15 +164,16 @@ impl<'p> TimedCursor<'p> {
     }
 
     /// A cursor that also yields [`Step::LoopHead`]`(i)` at the head of
-    /// every iteration of the loop op `heads[i]` of `plan`. The checker
-    /// parks a rank there to detect a repeat cut (see [`crate::check`]).
+    /// every iteration of the loop op `heads[i]` of `plan` (compared by
+    /// address, so `heads` come from `plan` itself, as
+    /// [`crate::foldable_loops`] returns them). The checker and the simrt
+    /// engine park a rank there to detect a repeat cut (see
+    /// [`crate::analyze_plan`]).
+    ///
+    /// # Panics
+    /// Panics when `p == 0` or `rank >= p`.
     #[must_use]
-    pub(crate) fn with_heads(
-        plan: &'p CommPlan,
-        p: usize,
-        rank: usize,
-        heads: &'p [&'p Op],
-    ) -> Self {
+    pub fn with_heads(plan: &'p CommPlan, p: usize, rank: usize, heads: &'p [&'p Op]) -> Self {
         assert!(p > 0, "need at least one rank");
         assert!(rank < p, "rank {rank} out of range for p = {p}");
         Self {
@@ -191,7 +194,8 @@ impl<'p> TimedCursor<'p> {
 
     /// The loop head the cursor stands at, if any: its index in `heads`
     /// and the loop variables, innermost (this loop's iteration) last.
-    pub(crate) fn loop_head(&self) -> Option<(usize, &[i64])> {
+    #[must_use]
+    pub fn loop_head(&self) -> Option<(usize, &[i64])> {
         match self.frames.last()? {
             Frame::Loop {
                 idx: 0,
@@ -203,13 +207,17 @@ impl<'p> TimedCursor<'p> {
     }
 
     /// Auto-tag draws and collective sequence numbers taken so far.
-    pub(crate) fn counters(&self) -> (u64, u64) {
+    #[must_use]
+    pub fn counters(&self) -> (u64, u64) {
         (self.tags_taken, self.coll_seq)
     }
 
     /// Leave the loop whose head the cursor stands at, as if its remaining
     /// iterations had run and left these counters.
-    pub(crate) fn leave_loop(&mut self, tags_taken: u64, coll_seq: u64) {
+    ///
+    /// # Panics
+    /// Panics off a loop head.
+    pub fn leave_loop(&mut self, tags_taken: u64, coll_seq: u64) {
         assert!(self.loop_head().is_some(), "leave_loop off a loop head");
         self.frames.pop();
         self.vars.pop();
@@ -450,6 +458,16 @@ impl<'p> TimedCursor<'p> {
                     self.frames.push(Frame::Seq { ops, idx: 0 });
                 }
                 return Ok(None);
+            }
+            Op::Barrier
+            | Op::Bcast { .. }
+            | Op::Reduce { .. }
+            | Op::AllReduce { .. }
+            | Op::AllGather { .. }
+            | Op::AllToAll { .. }
+                if self.p > 1 && self.coll_seq > mps::MAX_COLL_SEQ =>
+            {
+                return Err(ShapeIssue::CollSeqOverflow { seq: self.coll_seq });
             }
             Op::Barrier => {
                 self.expand(CollKind::Barrier, SmallColl::Barrier);

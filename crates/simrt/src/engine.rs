@@ -32,14 +32,24 @@
 //! [`DeadlockInfo`] `mps` documents — the first cycle in wait order, else
 //! the chain from the lowest blocked rank to a finished rank or a
 //! wildcard wait — with every rank's partial trace.
+//!
+//! ## Folding
+//!
+//! At aggregate detail, with no timeline and `world.obs` off, the ranks'
+//! cursors yield the heads of the loops [`crate::fold`] picks, the
+//! schedule parks the ranks there, and its cuts record one iteration and
+//! replay it for the rest. Parking changes the order, which the first
+//! section shows cannot change the answer; it changes
+//! [`EngineStats::wakes`].
 
 use mps::{DeadlockInfo, RunError, RunReport, World};
 use netsim::Hockney;
 use obs::Timeline;
-use plan::{CommPlan, Effects, Envelope, Load, Schedule, ShapeIssue, Step};
+use plan::{CommPlan, Effects, Envelope, Load, Op, Schedule, ShapeIssue, Step};
 
+use crate::fold::{self, Folder};
 use crate::task::{Delivery, RankTask};
-use crate::{EngineConfig, EngineReport, EngineStats};
+use crate::{EngineConfig, EngineReport, EngineStats, Error};
 
 /// Samples kept per timeline series (a ring: the newest win).
 const TIMELINE_CAPACITY: usize = 4096;
@@ -58,6 +68,10 @@ struct Engine<'a> {
     next_sample: u64,
     /// The latest virtual time a task reached when its run ended.
     t_hi: f64,
+    /// Loop folding, in a run that folds.
+    fold: Option<Folder<'a>>,
+    /// The lowest rank a shape violation stopped, and the violation.
+    fault: Option<(usize, ShapeIssue)>,
 }
 
 impl<'a> Effects<'a> for Engine<'a> {
@@ -65,24 +79,43 @@ impl<'a> Effects<'a> for Engine<'a> {
 
     #[inline]
     fn next_message(&mut self, r: usize) -> Result<Option<Step<'a>>, ShapeIssue> {
-        self.tasks[r].next_message(&mut self.stats.steps)
+        let Some(fold) = &mut self.fold else {
+            return self.tasks[r].next_message(&mut self.stats.steps, None);
+        };
+        loop {
+            let step = self.tasks[r].next_message(&mut self.stats.steps, fold.tape())?;
+            match step {
+                Some(Step::LoopHead(i)) if !fold.parking[i] => {}
+                _ => return Ok(step),
+            }
+        }
     }
 
     #[inline]
     fn send(&mut self, r: usize, to: usize, tag: u64, bytes: u64) -> Delivery {
         self.stats.steps += 1;
         self.stats.sends += 1;
-        self.tasks[r].send(&self.links, to, tag, bytes)
+        let tape = self.fold.as_mut().and_then(Folder::tape);
+        self.tasks[r].send(&self.links, to, tag, bytes, tape)
     }
 
     #[inline]
     fn recv(&mut self, r: usize, env: Envelope<Delivery>) {
         self.stats.steps += 1;
-        self.tasks[r].consume(env);
+        let tape = self.fold.as_mut().and_then(Folder::tape);
+        self.tasks[r].consume(env, tape);
     }
 
     fn fault(&mut self, r: usize, issue: ShapeIssue) {
-        panic!("rank {r}: plan shape violation: {issue} (run `plan::analyze_plan` first)");
+        if self.fault.as_ref().is_none_or(|(first, _)| r < *first) {
+            self.fault = Some((r, issue));
+        }
+    }
+
+    fn cut(&mut self, parked: &[usize], clean: bool, steps: &mut u64, wakes: &mut u64) {
+        let fold = self.fold.as_mut().expect("only a folding run parks");
+        let counts = [&mut self.stats.steps, &mut self.stats.sends, steps, wakes];
+        fold.cut(&mut self.tasks, parked, clean, counts);
     }
 
     fn paused(&mut self, r: usize, load: Load) {
@@ -100,12 +133,21 @@ pub(crate) fn run(
     world: &World,
     p: usize,
     plan: &CommPlan,
-) -> Result<EngineReport, RunError> {
+) -> Result<EngineReport, Error> {
     let t0 = std::time::Instant::now();
     let detail = cfg.resolve_detail(p);
+    // Folding replays a rank's accounting calls, which is all that changes
+    // its state only without segment logs, samples and observers.
+    let folds = !detail && cfg.timeline_every == 0 && !world.obs.trace && !world.obs.metrics;
+    let loops = if folds {
+        fold::engine_loops(plan)
+    } else {
+        Vec::new()
+    };
+    let heads: Vec<&Op> = loops.iter().map(|l| l.op).collect();
     let mut engine = Engine {
         tasks: (0..p)
-            .map(|r| RankTask::new(r, p, world, plan, detail))
+            .map(|r| RankTask::new(r, p, world, plan, &heads, detail))
             .collect(),
         links: [2, p].map(|n| world.contention.effective(&world.hockney(), n)),
         stats: EngineStats::default(),
@@ -113,9 +155,15 @@ pub(crate) fn run(
         every: cfg.timeline_every,
         next_sample: cfg.timeline_every,
         t_hi: 0.0,
+        fold: (!loops.is_empty()).then(|| Folder::new(&loops)),
+        fault: None,
     };
     let sched = Schedule::run(p, &mut engine);
+    if let Some((rank, issue)) = engine.fault {
+        return Err(Error::Shape { rank, issue });
+    }
     engine.stats.wakes = sched.wakes;
+    engine.stats.folded_iterations = engine.fold.as_ref().map_or(0, |f| f.folded_iterations);
     engine.stats.wall_s = t0.elapsed().as_secs_f64();
     // What is left in an inbox was sent but never received: it goes to
     // the rank's `unconsumed` list, where the analyzer flags it, on a
@@ -125,7 +173,7 @@ pub(crate) fn run(
         task.comm.unconsumed.extend(left);
     }
     if !sched.completed() {
-        return Err(deadlock(&sched, engine.tasks));
+        return Err(Error::Run(deadlock(&sched, engine.tasks)));
     }
 
     let report = RunReport {

@@ -39,15 +39,34 @@
 //! Schedule-space exploration (a [`mps::SchedulerHook`] installed in
 //! `world.sched`) is the thread runtime's job: the engine fixes its own
 //! schedule and refuses hooked worlds.
+//!
+//! ## Folding repeated iterations
+//!
+//! At aggregate detail ([`Detail::Off`], or [`Detail::Auto`] above
+//! [`DETAIL_AUTO_MAX_P`] ranks), with no timeline sampling and
+//! `world.obs` off, the engine interprets the first iteration of a
+//! repeated loop and replays it for the rest: it records each rank's
+//! accounting calls between the repeat cuts before iterations 0 and 1,
+//! in the order the schedule made them, and makes them again
+//! `trips − 1` times through the same [`mps::RankCore`] methods, so the
+//! report is bit for bit the one interpreting every iteration gives. It
+//! folds the innermost loops the checker's rule accepts
+//! ([`plan::foldable_loops`]) whose body holds no all-gather or
+//! all-to-all: their tape would hold `O(p²)` entries. NPB CG's inner
+//! loop folds; FT's transposes are interpreted.
+//! [`EngineStats::folded_iterations`] counts the replayed iterations.
 
 #![forbid(unsafe_code)]
 
 mod engine;
+mod fold;
 mod task;
+
+use std::fmt;
 
 use mps::{RunError, RunReport, World};
 use obs::Timeline;
-use plan::CommPlan;
+use plan::{CommPlan, ShapeIssue};
 
 /// With [`Detail::Auto`], runs at `p` up to this keep full per-segment
 /// logs, span tracks and comm traces; larger runs aggregate.
@@ -113,8 +132,13 @@ pub struct EngineStats {
     pub steps: u64,
     /// Point-to-point messages sent.
     pub sends: u64,
-    /// Blocked tasks woken by a deposit.
+    /// Blocked tasks woken by a deposit. Parking at folded loops' heads
+    /// changes the order, hence this count.
     pub wakes: u64,
+    /// Loop iterations replayed from a recorded one instead of
+    /// interpreted (see the crate docs). `steps`, `sends` and `wakes`
+    /// count them as if they had been interpreted.
+    pub folded_iterations: u64,
     /// Host wall-clock time of the run, seconds.
     pub wall_s: f64,
 }
@@ -158,16 +182,42 @@ impl EngineReport {
     }
 }
 
+/// Why an engine run produced no report.
+#[derive(Debug, Clone)]
+pub enum Error {
+    /// The run deadlocked: [`RunError::Deadlock`], with the wait-for
+    /// edges and every rank's partial trace.
+    Run(RunError),
+    /// A plan shape violation stopped `rank`, the lowest rank one stopped
+    /// (`plan::analyze_plan` lists them all).
+    Shape {
+        /// The rank.
+        rank: usize,
+        /// The violation.
+        issue: ShapeIssue,
+    },
+}
+
+impl fmt::Display for Error {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Run(err) => write!(f, "{err}"),
+            Self::Shape { rank, issue } => write!(f, "rank {rank}: plan shape violation: {issue}"),
+        }
+    }
+}
+
+impl std::error::Error for Error {}
+
 /// Run `plan` on `p` simulated ranks over `world` with the default
 /// configuration.
 ///
 /// # Panics
-/// Panics if the run deadlocks (use [`try_run_plan`] for the error value)
-/// or if the plan violates shape invariants (run `plan::analyze_plan`
-/// first).
+/// Panics if the run fails (use [`try_run_plan_with`] for the error
+/// value).
 #[must_use]
 pub fn run_plan(world: &World, p: usize, plan: &CommPlan) -> EngineReport {
-    match try_run_plan(world, p, plan) {
+    match try_run_plan_with(&EngineConfig::default(), world, p, plan) {
         Ok(out) => out,
         Err(err) => panic!("simrt run failed: {err}"),
     }
@@ -182,30 +232,39 @@ pub fn run_plan(world: &World, p: usize, plan: &CommPlan) -> EngineReport {
 /// remaining send can satisfy.
 ///
 /// # Panics
-/// See [`try_run_plan_with`].
+/// Panics on a plan shape violation (use [`try_run_plan_with`] for the
+/// error value), and as [`try_run_plan_with`] does.
 pub fn try_run_plan(world: &World, p: usize, plan: &CommPlan) -> Result<EngineReport, RunError> {
-    try_run_plan_with(&EngineConfig::default(), world, p, plan)
+    match try_run_plan_with(&EngineConfig::default(), world, p, plan) {
+        Ok(out) => Ok(out),
+        Err(Error::Run(err)) => Err(err),
+        Err(err) => panic!("simrt run failed: {err}"),
+    }
 }
 
-/// [`try_run_plan`] with explicit engine configuration.
+/// [`try_run_plan`] with explicit engine configuration, and every failure
+/// as an error value.
 ///
 /// Unlike the thread runtime there is no `p ≤ total_cores` cap: ranks are
 /// tasks, and `p` in the thousands is the point.
 ///
 /// # Errors
-/// See [`try_run_plan`].
+/// [`Error::Run`] with [`RunError::Deadlock`] when every live task is
+/// parked on a receive no remaining send can satisfy; [`Error::Shape`]
+/// when a plan shape violation stops a rank (the run goes on without it,
+/// and the violation of the lowest such rank is returned).
 ///
 /// # Panics
-/// Panics if `p == 0`, on plan shape violations, or when `world.sched`
-/// holds a scheduler hook: the engine picks its own schedule, so it
-/// cannot honor the hook's grants. Explore schedules on the thread
-/// runtime (`mps::try_run` or `verify::Explorer`) instead.
+/// Panics if `p == 0`, or when `world.sched` holds a scheduler hook: the
+/// engine picks its own schedule, so it cannot honor the hook's grants.
+/// Explore schedules on the thread runtime (`mps::try_run` or
+/// `verify::Explorer`) instead.
 pub fn try_run_plan_with(
     cfg: &EngineConfig,
     world: &World,
     p: usize,
     plan: &CommPlan,
-) -> Result<EngineReport, RunError> {
+) -> Result<EngineReport, Error> {
     assert!(p > 0, "need at least one rank");
     assert!(
         world.sched.is_none(),
@@ -222,7 +281,9 @@ mod tests {
     use std::sync::Arc;
 
     use mps::{SchedGrant, SchedOp, SchedulerHook, World};
-    use plan::{CommPlan, Expr, Op, ReduceOp};
+    use plan::{CommPlan, Cond, Expr, Op, ReduceOp, ShapeIssue, TagExpr};
+
+    use crate::{EngineConfig, Error};
 
     /// A hook that grants everything; the engine must refuse it anyway.
     #[derive(Debug)]
@@ -248,5 +309,45 @@ mod tests {
             }],
         );
         let _ = super::try_run_plan(&world, 2, &plan);
+    }
+
+    /// A plan whose rank 1 sends to `to` (and rank 0 waits for it).
+    fn send_from_rank_1(to: Expr) -> CommPlan {
+        let tag = || TagExpr::Expr(Expr::Const(3));
+        CommPlan::new(
+            "bad-peer",
+            vec![Op::IfElse {
+                cond: Cond::Eq(Expr::Rank, Expr::Const(1)),
+                then: vec![Op::Send {
+                    to,
+                    tag: tag(),
+                    bytes: Expr::Const(8),
+                }],
+                els: vec![Op::Recv {
+                    from: Expr::Const(1),
+                    tag: tag(),
+                }],
+            }],
+        )
+    }
+
+    /// A shape violation is an error value naming the rank, not a panic,
+    /// and it wins over the deadlock it leaves behind.
+    #[test]
+    fn shape_violations_are_typed_errors() {
+        let world = World::new(simcluster::system_g(), 2.8e9);
+        let cases = [
+            (Expr::Rank, ShapeIssue::SelfMessage { peer: 1 }),
+            (Expr::Const(5), ShapeIssue::PeerOutOfRange { peer: 5 }),
+        ];
+        for (to, want) in cases {
+            let plan = send_from_rank_1(to);
+            let err = super::try_run_plan_with(&EngineConfig::default(), &world, 2, &plan)
+                .expect_err("rank 1 faults");
+            let Error::Shape { rank, issue } = err else {
+                panic!("expected a shape error, got {err}");
+            };
+            assert_eq!((rank, issue), (1, want));
+        }
     }
 }

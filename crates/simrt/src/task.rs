@@ -7,12 +7,16 @@
 //! the rank runs and which envelope each receive matches; the task only
 //! charges: [`RankTask::next_message`] applies the rank's steps up to its
 //! next message step, [`RankTask::send`] builds the [`Delivery`] a send
-//! deposits, and [`RankTask::consume`] takes one.
+//! deposits, and [`RankTask::consume`] takes one. While the engine records
+//! a loop iteration, each also writes its accounting calls to the
+//! [`Tape`].
 
-use mps::{CollScope, CommEvent, CommLog, CommOp, RankCore, World};
+use mps::{Charge, CollScope, CommEvent, CommLog, CommOp, RankCore, World};
 use netsim::Hockney;
-use plan::{CommPlan, Envelope, ShapeIssue, Step, TimedCursor};
+use plan::{CommPlan, Envelope, Op, ShapeIssue, Step, TimedCursor};
 use simcluster::units::Seconds;
+
+use crate::fold::Tape;
 
 /// What an envelope between two rank tasks carries besides source and
 /// tag. The engine analogue of the thread runtime's envelope, minus the
@@ -24,14 +28,18 @@ pub(crate) struct Delivery {
     pub(crate) arrival_s: f64,
     /// Payload bytes.
     pub(crate) bytes: u64,
-    /// Sender's vector clock at the send; empty with detail off.
-    pub(crate) vc: Vec<u64>,
+    /// Sender's vector clock at the send; empty with detail off. Boxed,
+    /// so that with `send` the body stays 40 bytes: all-to-all inboxes
+    /// hold tens of thousands of them.
+    pub(crate) vc: Box<[u64]>,
+    /// The send's ordinal on the tape being recorded, if one is.
+    pub(crate) send: u32,
 }
 
 /// One simulated rank of the event engine.
 pub(crate) struct RankTask<'a> {
     pub(crate) core: RankCore<'a>,
-    cursor: TimedCursor<'a>,
+    pub(crate) cursor: TimedCursor<'a>,
     /// Open collective scopes, innermost last.
     scopes: Vec<CollScope>,
     vclock: Vec<u64>,
@@ -45,11 +53,12 @@ impl<'a> RankTask<'a> {
         p: usize,
         world: &'a World,
         plan: &'a CommPlan,
+        heads: &'a [&'a Op],
         detail: bool,
     ) -> Self {
         Self {
             core: RankCore::new(rank, p, world, detail),
-            cursor: TimedCursor::new(plan, p, rank),
+            cursor: TimedCursor::with_heads(plan, p, rank, heads),
             scopes: Vec::new(),
             vclock: if detail { vec![0; p] } else { Vec::new() },
             comm: CommLog::new(rank),
@@ -58,13 +67,17 @@ impl<'a> RankTask<'a> {
     }
 
     /// Apply the rank's steps up to its next message step (`Send`, `Recv`
-    /// or `RecvAny`) and return it, adding the steps applied to `steps`;
-    /// `Ok(None)` once the plan is exhausted.
+    /// or `RecvAny`) or loop head and return it, adding the steps applied
+    /// to `steps`; `Ok(None)` once the plan is exhausted.
     ///
     /// # Errors
     /// The plan shape violation that stops the rank.
     #[inline]
-    pub(crate) fn next_message(&mut self, steps: &mut u64) -> Result<Option<Step<'a>>, ShapeIssue> {
+    pub(crate) fn next_message(
+        &mut self,
+        steps: &mut u64,
+        mut tape: Option<&mut Tape<'a>>,
+    ) -> Result<Option<Step<'a>>, ShapeIssue> {
         loop {
             let Some(step) = self.cursor.next_step()? else {
                 assert!(
@@ -74,28 +87,67 @@ impl<'a> RankTask<'a> {
                 );
                 return Ok(None);
             };
-            match step {
-                Step::Compute { instr } => self.core.compute(instr),
-                Step::MemStream { touches, ws } => self.core.mem_stream(touches, ws),
-                Step::MemAccess { accesses, ws } => self.core.mem_access(accesses, ws),
-                Step::Phase(name) => self.core.phase(name),
-                Step::CollBegin(kind) => {
-                    let scope = self.core.collective_begin(kind.scope_name());
-                    self.scopes.push(scope);
-                }
-                Step::CollEnd => {
-                    let scope = self
-                        .scopes
-                        .pop()
-                        .expect("CollEnd without a matching CollBegin");
-                    self.core.collective_end(scope);
-                }
-                Step::Send { .. } | Step::Recv { .. } | Step::RecvAny { .. } => {
-                    return Ok(Some(step))
-                }
-                Step::LoopHead(_) => unreachable!("the engine's cursors yield no loop heads"),
+            if let Step::Send { .. }
+            | Step::Recv { .. }
+            | Step::RecvAny { .. }
+            | Step::LoopHead(_) = step
+            {
+                return Ok(Some(step));
             }
+            self.local(step, tape.as_deref_mut());
             *steps += 1;
+        }
+    }
+
+    /// Apply one step that is not a message step or a loop head, and
+    /// record its accounting calls on `tape` if one is given. Out of line:
+    /// most steps are messages, and the loop above stays small enough to
+    /// inline into the schedule.
+    #[inline(never)]
+    fn local(&mut self, step: Step<'a>, mut tape: Option<&mut Tape<'a>>) {
+        let rank = self.core.rank();
+        let mut apply = |core: &mut RankCore<'a>, c: Charge| {
+            core.apply(c);
+            if let Some(tape) = tape.as_deref_mut() {
+                tape.charge(rank, c);
+            }
+        };
+        match step {
+            Step::Compute { instr } => {
+                if let Some(c) = self.core.compute_charge(instr) {
+                    apply(&mut self.core, c);
+                }
+            }
+            Step::MemStream { touches, ws } => {
+                for c in self.core.mem_stream_charges(touches, ws) {
+                    apply(&mut self.core, c);
+                }
+            }
+            Step::MemAccess { accesses, ws } => {
+                for c in self.core.mem_access_charges(accesses, ws) {
+                    apply(&mut self.core, c);
+                }
+            }
+            Step::Phase(name) => {
+                self.core.phase(name);
+                if let Some(tape) = tape {
+                    tape.phase(rank, name);
+                }
+            }
+            Step::CollBegin(kind) => {
+                let scope = self.core.collective_begin(kind.scope_name());
+                self.scopes.push(scope);
+            }
+            Step::CollEnd => {
+                let scope = self
+                    .scopes
+                    .pop()
+                    .expect("CollEnd without a matching CollBegin");
+                self.core.collective_end(scope);
+            }
+            Step::Send { .. } | Step::Recv { .. } | Step::RecvAny { .. } | Step::LoopHead(_) => {
+                unreachable!("not a local step")
+            }
         }
     }
 
@@ -109,11 +161,13 @@ impl<'a> RankTask<'a> {
         to: usize,
         tag: u64,
         bytes: u64,
+        tape: Option<&mut Tape<'a>>,
     ) -> Delivery {
         let link = if self.scopes.is_empty() { pair } else { all };
         let rank = self.core.rank();
         let t_net = Seconds::new(link.p2p(bytes));
         let arrival = self.core.account_send(bytes, t_net);
+        let send = tape.map_or(0, |tape| tape.send(rank, bytes, t_net));
         let vc = if self.detail {
             self.vclock[rank] += 1;
             self.comm.events.push(CommEvent {
@@ -124,23 +178,27 @@ impl<'a> RankTask<'a> {
                 waited_s: 0.0,
                 vc: self.vclock.clone(),
             });
-            self.vclock.clone()
+            self.vclock.clone().into_boxed_slice()
         } else {
-            Vec::new()
+            Box::default()
         };
         Delivery {
             arrival_s: arrival.raw(),
             bytes,
             vc,
+            send,
         }
     }
 
     /// Consume a received envelope: advance to its arrival, log the wait,
     /// merge vector clocks, record the receive event.
-    pub(crate) fn consume(&mut self, env: Envelope<Delivery>) {
+    pub(crate) fn consume(&mut self, env: Envelope<Delivery>, tape: Option<&mut Tape<'a>>) {
         let waited = self.core.account_recv(env.body.arrival_s);
+        if let Some(tape) = tape {
+            tape.recv(self.core.rank(), env.body.send);
+        }
         if self.detail {
-            for (mine, theirs) in self.vclock.iter_mut().zip(&env.body.vc) {
+            for (mine, theirs) in self.vclock.iter_mut().zip(env.body.vc.iter()) {
                 *mine = (*mine).max(*theirs);
             }
             let rank = self.core.rank();

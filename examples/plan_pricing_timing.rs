@@ -5,7 +5,9 @@
 //! `CommPlan::specialize` that both now pay first. `abstract_steps`
 //! counts the checker's message steps with folded loop iterations
 //! included; `folded` is how many iterations it added instead of
-//! interpreting.
+//! interpreting. `simrt_steps` likewise counts the engine's steps with
+//! the iterations it replayed included, and `simrt_folded` is how many
+//! it replayed.
 //!
 //! Run with `cargo run --release --example plan_pricing_timing`.
 
@@ -39,7 +41,7 @@ fn main() {
     let world = World::new(simcluster::system_g(), 2.8e9);
     let engine = EngineConfig::default().with_detail(Detail::Off);
     println!(
-        "kernel      p  specialize_ms  analyze_ms  abstract_steps  folded  simrt_ms  simrt_steps"
+        "kernel      p  specialize_ms  analyze_ms  abstract_steps  folded  simrt_ms  simrt_steps  simrt_folded"
     );
     for p in [256usize, 1024] {
         for (name, plan) in &plans {
@@ -54,8 +56,11 @@ fn main() {
                 simrt::try_run_plan_with(&engine, &world, p, plan).expect("run completes")
             });
             println!(
-                "{name:>6} {p:>6} {spec_ms:>14.3} {analyze_ms:>11.1} {:>15} {:>7} {run_ms:>9.1} {:>12}",
-                analysis.steps, analysis.folded_iterations, run.stats.steps
+                "{name:>6} {p:>6} {spec_ms:>14.3} {analyze_ms:>11.1} {:>15} {:>7} {run_ms:>9.1} {:>12} {:>13}",
+                analysis.steps,
+                analysis.folded_iterations,
+                run.stats.steps,
+                run.stats.folded_iterations
             );
         }
     }
