@@ -6,12 +6,14 @@
 //!
 //! The `*_timed_cursor` cases drain `plan::TimedCursor` alone — what
 //! both the engine and `plan::analyze_plan` step — for every rank of the
-//! specialized plan, with no engine, queue or accounting. FT's `*_seq`
-//! case minus its `*_timed_cursor` case is the engine's own share: ready
-//! queue, `RankCore` accounting and message deposits. CG's engine run
-//! replays 24 of every 25 inner iterations from a tape instead of
-//! stepping their cursors (`*.folded_iterations`), so it can take less
-//! than draining the cursors alone.
+//! specialized plan, with no engine, queue or accounting. The engine runs
+//! step their cursors through the first iteration of each loop only and
+//! replay the rest from a tape: FT's last 3 iterations (their
+//! all-to-alls round by round), CG's last 7 outer iterations with all 25
+//! inner ones, and 24 inner iterations of the first
+//! (`*.folded_iterations` counts the iterations added at a repeat cut:
+//! 3 and 31). So an engine run can take less than draining the cursors
+//! alone, and the difference is no longer the engine's own share.
 //!
 //! Run with `cargo bench -p bench --bench rank_scaling`.
 //!

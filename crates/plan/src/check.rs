@@ -901,7 +901,7 @@ pub struct FoldableLoop<'p> {
 ///
 /// [`analyze_plan`] folds those whose charge scales are also finite and
 /// non-negative (it multiplies the sums); the simrt engine, which replays
-/// an iteration instead, picks its own subset.
+/// an iteration instead, folds them all.
 #[must_use]
 pub fn foldable_loops(plan: &CommPlan) -> Vec<FoldableLoop<'_>> {
     fn walk<'p>(ops: &'p [Op], out: &mut Vec<FoldableLoop<'p>>) {

@@ -206,6 +206,14 @@ impl<'p> TimedCursor<'p> {
         }
     }
 
+    /// The per-peer size expression of the O(p) collective the cursor is
+    /// streaming, if any, and the loop variables it is evaluated under
+    /// (with [`Env::peer`] bound to each exchange's peer).
+    #[must_use]
+    pub fn big_collective(&self) -> Option<(&'p Expr, &[i64])> {
+        self.big.as_ref().map(|&(_, bytes)| (bytes, &self.vars[..]))
+    }
+
     /// Auto-tag draws and collective sequence numbers taken so far.
     #[must_use]
     pub fn counters(&self) -> (u64, u64) {

@@ -36,18 +36,22 @@
 //! ## Folding
 //!
 //! At aggregate detail, with no timeline and `world.obs` off, the ranks'
-//! cursors yield the heads of the loops [`crate::fold`] picks, the
+//! cursors yield the heads of every loop of [`plan::foldable_loops`], the
 //! schedule parks the ranks there, and its cuts record one iteration and
-//! replay it for the rest. Parking changes the order, which the first
-//! section shows cannot change the answer; it changes
-//! [`EngineStats::wakes`].
+//! replay it for the rest ([`crate::fold`]), inner loops' tapes nested in
+//! enclosing ones. Parking changes the order, which the first section
+//! shows cannot change the answer; it changes [`EngineStats::wakes`]. The
+//! replay's own order differs too — an all-gather or all-to-all is
+//! replayed round by round across all ranks — and the same argument
+//! applies: each rank sees its own calls in its own order, and each
+//! receive the arrival of the send it matched.
 
 use mps::{DeadlockInfo, RunError, RunReport, World};
 use netsim::Hockney;
 use obs::Timeline;
 use plan::{CommPlan, Effects, Envelope, Load, Op, Schedule, ShapeIssue, Step};
 
-use crate::fold::{self, Folder};
+use crate::fold::Folder;
 use crate::task::{Delivery, RankTask};
 use crate::{EngineConfig, EngineReport, EngineStats, Error};
 
@@ -115,7 +119,7 @@ impl<'a> Effects<'a> for Engine<'a> {
     fn cut(&mut self, parked: &[usize], clean: bool, steps: &mut u64, wakes: &mut u64) {
         let fold = self.fold.as_mut().expect("only a folding run parks");
         let counts = [&mut self.stats.steps, &mut self.stats.sends, steps, wakes];
-        fold.cut(&mut self.tasks, parked, clean, counts);
+        fold.cut(&mut self.tasks, parked, clean, &self.links[1], counts);
     }
 
     fn paused(&mut self, r: usize, load: Load) {
@@ -140,7 +144,7 @@ pub(crate) fn run(
     // its state only without segment logs, samples and observers.
     let folds = !detail && cfg.timeline_every == 0 && !world.obs.trace && !world.obs.metrics;
     let loops = if folds {
-        fold::engine_loops(plan)
+        plan::foldable_loops(plan)
     } else {
         Vec::new()
     };

@@ -7,99 +7,192 @@
 //! calls — [`mps::RankCore::apply`] for a work charge,
 //! [`mps::RankCore::account_send`], [`mps::RankCore::account_recv`] and
 //! [`mps::RankCore::phase`] (collective spans record nothing with `obs`
-//! off) — whose inputs, for a loop the checker's rule
-//! accepts ([`plan::foldable_loops`]), are the same in every iteration:
-//! the body reads no loop variable of its own, and when every rank draws
-//! the same number of tags and collective sequence numbers per iteration,
-//! later iterations are the first with every tag relabelled one to one,
-//! so each receive matches the relabelled image of the send it matched
-//! before.
+//! off) — whose inputs, for a loop the checker's rule accepts
+//! ([`plan::foldable_loops`]), are the same in every iteration: the body
+//! reads no loop variable of its own, and when every rank draws the same
+//! number of tags and collective sequence numbers per iteration, later
+//! iterations are the first with every tag relabelled one to one, so each
+//! receive matches the relabelled image of the send it matched before.
 //!
 //! So between the repeat cut before iteration 0 and the one before
-//! iteration 1 the engine records those calls' inputs in the order the
-//! schedule made them, and at the second cut calls them again `trips − 1`
-//! times. A send records its link time, and its arrival is recomputed on
-//! replay; a receive records which send it matched, which comes earlier
-//! on the tape. Each rank sees its own calls in its own order, with the
+//! iteration 1 the engine records those calls' inputs, and at the second
+//! cut calls them again `trips − 1` times. A send records its link time,
+//! and its arrival is recomputed on replay; a receive records which send
+//! it matched. Each rank sees its own calls in its own order, with the
 //! same inputs, so every `f64` comes out bit for bit as interpreting
-//! would leave it.
+//! would leave it. The engine folds every loop of
+//! [`plan::foldable_loops`]; the checker, which multiplies sums instead,
+//! folds those whose sums it can multiply exactly (all of the NPB
+//! plans').
 //!
-//! The engine folds the innermost of those loops whose body holds no
-//! O(p)-message collective (all-gather, all-to-all): a tape holds one
-//! entry per step of one iteration across all ranks, `O(p log p)` for
-//! the logarithmic collectives but `O(p²)` for an all-to-all (33.5 M
-//! entries, about 0.4 GB, for FT at `p = 4096`). CG's inner loop folds;
-//! FT is interpreted.
+//! ## O(p)-message collectives
+//!
+//! An all-gather or all-to-all sends `p − 1` messages from every rank, so
+//! taping them would make a tape `O(p²)` (33.5 M entries, about 0.4 GB,
+//! for FT at `p = 4096`). Their exchanges follow from `(rank, round)`
+//! ([`mps::algo::BigColl`]), so they stay off the tape. Each rank's other
+//! calls are filed into *segment* `k`, `k` the number of such collectives
+//! the rank has entered in the iteration, and the tape notes each rank's
+//! size expression and loop variables for collective `k`. Replay plays
+//! segment `k` in schedule order, then collective `k` round by round:
+//! every rank's send of the round, bytes evaluated from the size
+//! expression at `(rank, peer)`, then every rank's receive of its `from`
+//! peer's arrival. That keeps each rank's own order, and every receive
+//! still follows the send it matched, given what the recording checks:
+//! a taped receive matched a send of its own or an earlier segment, a
+//! collective's receive matched the same round of the same collective
+//! (equal tags say the same round, equal segments the same collective),
+//! and all ranks ran the same kind as their `k`-th collective. A
+//! recording that fails a check is never replayed. No rank can finish
+//! such a collective before every rank entered it, so the NPB plans pass
+//! them all. Memory stays `O(p)` per collective.
+//!
+//! ## Nested loops
+//!
+//! Recordings form a stack, one per foldable loop whose iteration 0 is
+//! being recorded, innermost last, and calls go to the innermost. When an
+//! inner loop is done — folded, or its fold refused at a repeat cut — its
+//! tape becomes one entry of the enclosing tape, "play this tape `n`
+//! times" (`trips`, or 1), at that clean cut. So CG's outer loop replays
+//! its seven later iterations, each playing the inner tape 25 times.
 
 use std::collections::HashMap;
 use std::hash::Hash;
 
+use mps::algo::BigColl;
 use mps::Charge;
-use plan::{CommPlan, FoldableLoop, Op};
+use netsim::Hockney;
+use plan::{CollKind, Env, Expr, FoldableLoop};
 use simcluster::units::Seconds;
 use simcluster::SegmentKind;
 
 use crate::task::RankTask;
 
-/// The loops the engine folds: of [`plan::foldable_loops`], those with no
-/// other such loop and no O(p)-message collective in their body.
-pub(crate) fn engine_loops(plan: &CommPlan) -> Vec<FoldableLoop<'_>> {
-    let all = plan::foldable_loops(plan);
-    all.iter()
-        .filter(|l| !has_big_collective(l.body) && !all.iter().any(|m| nests(l.body, m.op)))
-        .copied()
-        .collect()
-}
+/// The send ordinal a delivery carries when its send was not taped: it
+/// belongs to an O(p)-message collective.
+const UNTAPED: u32 = u32::MAX;
 
-/// Whether `op` (by address) lies anywhere inside `ops`.
-fn nests(ops: &[Op], op: &Op) -> bool {
-    ops.iter().any(|o| {
-        std::ptr::eq(o, op)
-            || match o {
-                Op::Loop { body, .. } => nests(body, op),
-                Op::IfElse { then, els, .. } => nests(then, op) || nests(els, op),
-                _ => false,
-            }
-    })
-}
-
-/// Whether `ops` hold an all-gather or an all-to-all.
-fn has_big_collective(ops: &[Op]) -> bool {
-    ops.iter().any(|o| match o {
-        Op::AllGather { .. } | Op::AllToAll { .. } => true,
-        Op::Loop { body, .. } => has_big_collective(body),
-        Op::IfElse { then, els, .. } => has_big_collective(then) || has_big_collective(els),
-        _ => false,
-    })
-}
-
-/// One accounting call of one rank; its argument is an index into the
-/// tape's tables, which hold each distinct argument once (twelve bytes an
-/// entry, where the arguments inline would take 32).
+/// What a tape entry does; its argument `i` is an index into the tape's
+/// tables, which hold each distinct argument once.
 #[derive(Debug, Clone, Copy)]
-enum Entry {
-    /// [`mps::RankCore::apply`] of `charges[charge]`.
-    Charge { rank: u32, charge: u32 },
-    /// [`mps::RankCore::account_send`] of `links[link]`.
-    Send { rank: u32, link: u32 },
-    /// [`mps::RankCore::account_recv`] of the arrival of the `send`-th
-    /// send on the tape.
-    Recv { rank: u32, send: u32 },
-    /// [`mps::RankCore::phase`] of `names[name]`.
-    Phase { rank: u32, name: u32 },
+#[repr(u32)]
+enum Call {
+    /// [`mps::RankCore::apply`] of `charges[i]`.
+    Charge,
+    /// [`mps::RankCore::account_send`] of `links[i]`: the segment's next
+    /// send.
+    Send,
+    /// [`mps::RankCore::account_recv`] of the arrival of the segment's
+    /// `i`-th send.
+    Recv,
+    /// [`mps::RankCore::account_recv`] of the arrival of the send
+    /// `earlier[i]` names, in an earlier segment.
+    RecvEarlier,
+    /// [`mps::RankCore::phase`] of `names[i]`.
+    Phase,
+    /// Every rank's calls of `nested[i]`, played its count of times.
+    Nested,
 }
 
-/// One iteration's accounting calls across all ranks, in schedule order.
+/// Bits of [`Entry::arg`] below the call's kind.
+const KIND_SHIFT: u32 = 29;
+
+/// One [`Call`] of one rank in eight bytes: the rank, and the call's kind
+/// in the top three bits of `arg` over its argument (an enum with these
+/// fields would take twelve).
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    rank: u32,
+    arg: u32,
+}
+
+impl Entry {
+    fn new(call: Call, rank: usize, i: usize) -> Self {
+        let i = index32(i);
+        assert!(i < 1 << KIND_SHIFT, "a tape index fits {KIND_SHIFT} bits");
+        Self {
+            rank: index32(rank),
+            arg: (call as u32) << KIND_SHIFT | i,
+        }
+    }
+
+    #[inline]
+    fn call(self) -> Call {
+        match self.arg >> KIND_SHIFT {
+            0 => Call::Charge,
+            1 => Call::Send,
+            2 => Call::Recv,
+            3 => Call::RecvEarlier,
+            4 => Call::Phase,
+            _ => Call::Nested,
+        }
+    }
+
+    #[inline]
+    fn arg(self) -> usize {
+        (self.arg & ((1 << KIND_SHIFT) - 1)) as usize
+    }
+}
+
+/// A rank's place in the recording.
+#[derive(Debug, Clone, Copy, Default)]
+struct Place {
+    /// O(p)-message collectives entered: the segment its calls go to.
+    seg: u32,
+    /// Whether it is inside one.
+    inside: bool,
+}
+
+/// The calls of ranks that entered the same number of O(p)-message
+/// collectives, in schedule order.
 #[derive(Debug, Default)]
-pub(crate) struct Tape<'p> {
+struct Segment {
     entries: Vec<Entry>,
+    sends: u32,
+}
+
+/// One O(p)-message collective of the recorded iteration.
+#[derive(Debug)]
+struct BigCall {
+    kind: CollKind,
+    /// Each rank's size expression and loop variables, as an index into
+    /// the tape's `sizes`.
+    sizes: Vec<u32>,
+}
+
+/// A collective's per-peer size expression and the loop variables it is
+/// evaluated under.
+#[derive(Debug)]
+struct Size<'p> {
+    bytes: &'p Expr,
+    vars: Vec<i64>,
+}
+
+/// One iteration's accounting calls across all ranks.
+#[derive(Debug)]
+pub(crate) struct Tape<'p> {
+    /// Segment `k`: the calls of ranks that had entered `k` O(p)-message
+    /// collectives.
+    segs: Vec<Segment>,
+    /// The O(p)-message collectives, the `k`-th played after segment `k`.
+    calls: Vec<BigCall>,
+    places: Vec<Place>,
     /// The distinct charges, by their bits.
     charges: Interned<Charge, (SegmentKind, u64, u64)>,
     /// The distinct sends' `(bytes, link time)`, by their bits.
     links: Interned<(u64, Seconds), (u64, u64)>,
+    /// The distinct collective sizes, by expression address and variables.
+    sizes: Interned<Size<'p>, (usize, Vec<i64>)>,
     /// The phase names, one per phase entry.
     names: Vec<&'p str>,
-    sends: u32,
+    /// The sends, `(segment, ordinal)`, that receives in later segments
+    /// matched.
+    earlier: Vec<(u32, u32)>,
+    /// Inner loops' tapes and how many times each plays.
+    nested: Vec<(Tape<'p>, u64)>,
+    /// Whether replaying by segments could reorder a receive before its
+    /// send: then the tape is never replayed.
+    broken: bool,
 }
 
 /// Values stored once each, found by a key of their bits.
@@ -134,64 +227,204 @@ fn index32(i: usize) -> u32 {
 }
 
 impl<'p> Tape<'p> {
+    fn new(p: usize) -> Self {
+        Self {
+            segs: vec![Segment::default()],
+            calls: Vec::new(),
+            places: vec![Place::default(); p],
+            charges: Interned::default(),
+            links: Interned::default(),
+            sizes: Interned::default(),
+            names: Vec::new(),
+            earlier: Vec::new(),
+            nested: Vec::new(),
+            broken: false,
+        }
+    }
+
+    fn push(&mut self, rank: usize, call: Call, i: u32) {
+        let seg = self.places[rank].seg as usize;
+        self.segs[seg]
+            .entries
+            .push(Entry::new(call, rank, i as usize));
+    }
+
     pub(crate) fn charge(&mut self, rank: usize, c: Charge) {
         let key = (c.kind, c.work.raw().to_bits(), c.count.to_bits());
         let charge = self.charges.id(key, c);
-        let rank = index32(rank);
-        self.entries.push(Entry::Charge { rank, charge });
+        self.push(rank, Call::Charge, charge);
     }
 
-    /// Record a send; its ordinal on the tape, for the receive.
-    pub(crate) fn send(&mut self, rank: usize, bytes: u64, t_net: Seconds) -> u32 {
+    /// Record a send; its ordinal in its segment ([`UNTAPED`] inside an
+    /// O(p)-message collective) and the segment, for the receive.
+    pub(crate) fn send(&mut self, rank: usize, bytes: u64, t_net: Seconds) -> (u32, u32) {
+        let place = self.places[rank];
+        if place.inside {
+            return (UNTAPED, place.seg);
+        }
         let link = self
             .links
             .id((bytes, t_net.raw().to_bits()), (bytes, t_net));
-        let rank = index32(rank);
-        self.entries.push(Entry::Send { rank, link });
-        self.sends += 1;
-        self.sends - 1
+        self.push(rank, Call::Send, link);
+        let seg = &mut self.segs[place.seg as usize];
+        seg.sends += 1;
+        (seg.sends - 1, place.seg)
     }
 
-    pub(crate) fn recv(&mut self, rank: usize, send: u32) {
-        let rank = index32(rank);
-        self.entries.push(Entry::Recv { rank, send });
+    /// Record a receive of the send `(send, seg)` returned.
+    pub(crate) fn recv(&mut self, rank: usize, (send, seg): (u32, u32)) {
+        let place = self.places[rank];
+        if place.inside {
+            self.broken |= send != UNTAPED || seg != place.seg;
+        } else if send == UNTAPED || seg > place.seg {
+            self.broken = true;
+        } else if seg == place.seg {
+            self.push(rank, Call::Recv, send);
+        } else {
+            let i = index32(self.earlier.len());
+            self.earlier.push((seg, send));
+            self.push(rank, Call::RecvEarlier, i);
+        }
     }
 
     pub(crate) fn phase(&mut self, rank: usize, name: &'p str) {
-        let (rank, name_id) = (index32(rank), index32(self.names.len()));
+        let i = index32(self.names.len());
         self.names.push(name);
-        self.entries.push(Entry::Phase {
-            rank,
-            name: name_id,
-        });
+        self.push(rank, Call::Phase, i);
     }
 
-    /// Make every call again, `times` times over.
-    fn replay(&self, tasks: &mut [RankTask<'p>], times: u64) {
+    /// Rank `rank` enters an O(p)-message collective of `kind` whose
+    /// chunk for a peer has size `bytes` under loop variables `vars`.
+    pub(crate) fn enter(&mut self, rank: usize, kind: CollKind, bytes: &'p Expr, vars: &[i64]) {
+        let k = self.places[rank].seg as usize;
+        self.places[rank] = Place {
+            seg: index32(k + 1),
+            inside: true,
+        };
+        if k == self.calls.len() {
+            let p = self.places.len();
+            self.calls.push(BigCall {
+                kind,
+                sizes: vec![0; p],
+            });
+            self.segs.push(Segment::default());
+        }
+        let key = (std::ptr::from_ref(bytes) as usize, vars.to_vec());
+        let vars = vars.to_vec();
+        let size = self.sizes.id(key, Size { bytes, vars });
+        let call = &mut self.calls[k];
+        call.sizes[rank] = size;
+        self.broken |= call.kind != kind;
+    }
+
+    /// Rank `rank` closes a collective span.
+    pub(crate) fn coll_end(&mut self, rank: usize) {
+        self.places[rank].inside = false;
+    }
+
+    /// Whether every rank went through every collective and nothing
+    /// failed a check: the tape replays as it was recorded.
+    fn replayable(&self) -> bool {
+        let k = self.calls.len();
+        !self.broken && self.places.iter().all(|pl| pl.seg as usize == k)
+    }
+
+    /// Play `inner` `times` times at this point of every rank's calls,
+    /// all of which must be in one segment.
+    fn nest(&mut self, inner: Tape<'p>, times: u64) {
+        let seg = self.places[0].seg;
+        self.broken |= !inner.replayable() || self.places.iter().any(|pl| pl.seg != seg);
+        let entry = Entry::new(Call::Nested, 0, self.nested.len());
+        self.segs[seg as usize].entries.push(entry);
+        self.nested.push((inner, times));
+    }
+
+    /// Make every call again, `times` times over; collective messages go
+    /// over `link`.
+    fn replay(&self, tasks: &mut [RankTask<'p>], link: &Hockney, times: u64) {
         let (charges, links) = (&self.charges.items, &self.links.items);
-        let mut arrivals = vec![0.0; self.sends as usize];
+        // Where each segment's sends start in `arrivals`.
+        let starts: Vec<usize> = self
+            .segs
+            .iter()
+            .scan(0, |at, seg| {
+                let start = *at;
+                *at += seg.sends as usize;
+                Some(start)
+            })
+            .collect();
+        let total = self.segs.iter().map(|seg| seg.sends as usize).sum();
+        let mut arrivals = vec![0.0; total];
         for _ in 0..times {
-            let mut sent = 0;
-            for entry in &self.entries {
-                match *entry {
-                    Entry::Charge { rank, charge } => {
-                        tasks[rank as usize].core.apply(charges[charge as usize]);
-                    }
-                    Entry::Send { rank, link } => {
-                        let (bytes, t_net) = links[link as usize];
-                        let arrival = tasks[rank as usize].core.account_send(bytes, t_net);
-                        arrivals[sent] = arrival.raw();
-                        sent += 1;
-                    }
-                    Entry::Recv { rank, send } => {
-                        tasks[rank as usize]
-                            .core
-                            .account_recv(arrivals[send as usize]);
-                    }
-                    Entry::Phase { rank, name } => {
-                        tasks[rank as usize].core.phase(self.names[name as usize]);
+            for (k, (seg, &start)) in self.segs.iter().zip(&starts).enumerate() {
+                let mut sent = start;
+                for &entry in &seg.entries {
+                    let (core, i) = (&mut tasks[entry.rank as usize].core, entry.arg());
+                    match entry.call() {
+                        Call::Charge => core.apply(charges[i]),
+                        Call::Send => {
+                            let (bytes, t_net) = links[i];
+                            arrivals[sent] = core.account_send(bytes, t_net).raw();
+                            sent += 1;
+                        }
+                        Call::Recv => {
+                            core.account_recv(arrivals[start + i]);
+                        }
+                        Call::RecvEarlier => {
+                            let (seg, send) = self.earlier[i];
+                            core.account_recv(arrivals[starts[seg as usize] + send as usize]);
+                        }
+                        Call::Phase => core.phase(self.names[i]),
+                        Call::Nested => {
+                            let (inner, n) = &self.nested[i];
+                            inner.replay(tasks, link, *n);
+                        }
                     }
                 }
+                if let Some(call) = self.calls.get(k) {
+                    self.replay_call(call, tasks, link);
+                }
+            }
+        }
+    }
+
+    /// Make the sends and receives of one O(p)-message collective, round
+    /// by round: every rank's send, then every rank's receive.
+    fn replay_call(&self, call: &BigCall, tasks: &mut [RankTask<'p>], link: &Hockney) {
+        let p = tasks.len();
+        let mut gens: Vec<BigColl> = (0..p)
+            .map(|_| match call.kind {
+                CollKind::AllGather => BigColl::allgather(&mut 0),
+                _ => BigColl::alltoall(&mut 0),
+            })
+            .collect();
+        // Each rank's source and the arrival of its send, this round.
+        let mut round = vec![(0usize, 0.0f64); p];
+        #[allow(clippy::cast_possible_wrap)]
+        let p64 = p as i64;
+        loop {
+            for (r, (gen, task)) in gens.iter_mut().zip(tasks.iter_mut()).enumerate() {
+                let Some(x) = gen.next(p, r) else {
+                    return;
+                };
+                let Size { bytes, vars } = &self.sizes.items[call.sizes[r] as usize];
+                #[allow(clippy::cast_possible_wrap)]
+                let env = Env {
+                    p: p64,
+                    rank: r as i64,
+                    peer: Some(x.peer as i64),
+                    vars,
+                };
+                let bytes = bytes
+                    .eval(&env)
+                    .ok()
+                    .and_then(|b| u64::try_from(b).ok())
+                    .expect("a size that evaluated when it was recorded");
+                let t_net = Seconds::new(link.p2p(bytes));
+                round[r] = (x.from, task.core.account_send(bytes, t_net).raw());
+            }
+            for (task, &(from, _)) in tasks.iter_mut().zip(&round) {
+                task.core.account_recv(round[from].1);
             }
         }
     }
@@ -220,8 +453,10 @@ pub(crate) struct Folder<'p> {
     trips: Vec<u64>,
     /// Whether ranks still park at each loop's heads.
     pub(crate) parking: Vec<bool>,
-    rec: Option<Recording<'p>>,
-    /// Iterations replayed rather than interpreted.
+    /// The recordings under way, each nested in the one before.
+    stack: Vec<Recording<'p>>,
+    /// Iterations added at a repeat cut rather than interpreted; those
+    /// replayed inside an enclosing loop's replay are not counted again.
     pub(crate) folded_iterations: u64,
 }
 
@@ -230,27 +465,30 @@ impl<'p> Folder<'p> {
         Self {
             trips: loops.iter().map(|l| l.trips).collect(),
             parking: vec![true; loops.len()],
-            rec: None,
+            stack: Vec::new(),
             folded_iterations: 0,
         }
     }
 
-    /// The tape being recorded, if any.
+    /// The innermost tape being recorded, if any.
     pub(crate) fn tape(&mut self) -> Option<&mut Tape<'p>> {
-        self.rec.as_mut().map(|r| &mut r.tape)
+        self.stack.last_mut().map(|r| &mut r.tape)
     }
 
     /// The schedule's cut with the ranks `parked` at loop heads (see
     /// [`plan::Effects::cut`]). At a repeat cut before iteration 0, start
     /// recording; at the one before iteration 1 of the same instance,
-    /// replay the tape for the remaining iterations and move every rank
-    /// past the loop. Any other cut drops the recording, and its loops
-    /// are interpreted from then on.
+    /// replay the tape for the remaining iterations over `link` (the
+    /// collectives' link), move every rank past the loop, and hand the
+    /// tape to the enclosing recording. Any other cut drops every
+    /// recording, and the parked ranks' loops are interpreted from then
+    /// on.
     pub(crate) fn cut(
         &mut self,
         tasks: &mut [RankTask<'p>],
         parked: &[usize],
         clean: bool,
+        link: &Hockney,
         counts: Counts,
     ) {
         let head = |r: usize| tasks[r].cursor.loop_head().expect("parked at a loop head");
@@ -259,38 +497,54 @@ impl<'p> Folder<'p> {
             for &r in parked {
                 self.parking[head(r).0] = false;
             }
-            self.rec = None;
+            self.stack.clear();
             return;
         }
         let vars = vars.to_vec();
         let (&iter, enclosing) = vars.split_last().expect("a loop variable");
-        let rec = self.rec.take();
         if iter == 0 {
-            self.rec = Some(Recording {
+            self.stack.push(Recording {
                 id,
                 counts: counts.each_ref().map(|c| **c),
                 counters: tasks.iter().map(|t| t.cursor.counters()).collect(),
                 vars,
-                tape: Tape::default(),
+                tape: Tape::new(tasks.len()),
             });
             return;
         }
-        let m = self.trips[id] - 1;
-        let folded = rec
+        let Some(rec) = self
+            .stack
+            .pop()
             .filter(|r| iter == 1 && r.id == id && r.vars.split_last() == Some((&0, enclosing)))
-            .and_then(|r| Some((r.leave(tasks, m)?, repeat(&r.counts, &counts, m)?, r.tape)));
-        let Some((leave, after, tape)) = folded else {
+        else {
             self.parking[id] = false;
+            self.stack.clear();
             return;
         };
-        tape.replay(tasks, m);
-        for (task, (tags, seq)) in tasks.iter_mut().zip(leave) {
-            task.cursor.leave_loop(tags, seq);
+        let trips = self.trips[id];
+        let m = trips - 1;
+        let folded = if rec.tape.replayable() {
+            rec.leave(tasks, m).zip(repeat(&rec.counts, &counts, m))
+        } else {
+            None
+        };
+        let times = if let Some((leave, after)) = folded {
+            rec.tape.replay(tasks, link, m);
+            for (task, (tags, seq)) in tasks.iter_mut().zip(leave) {
+                task.cursor.leave_loop(tags, seq);
+            }
+            for (c, v) in counts.into_iter().zip(after) {
+                *c = v;
+            }
+            self.folded_iterations += m;
+            trips
+        } else {
+            self.parking[id] = false;
+            1
+        };
+        if let Some(outer) = self.stack.last_mut() {
+            outer.tape.nest(rec.tape, times);
         }
-        for (c, v) in counts.into_iter().zip(after) {
-            *c = v;
-        }
-        self.folded_iterations += m;
     }
 }
 

@@ -50,11 +50,13 @@
 //! in the order the schedule made them, and makes them again
 //! `trips − 1` times through the same [`mps::RankCore`] methods, so the
 //! report is bit for bit the one interpreting every iteration gives. It
-//! folds the innermost loops the checker's rule accepts
-//! ([`plan::foldable_loops`]) whose body holds no all-gather or
-//! all-to-all: their tape would hold `O(p²)` entries. NPB CG's inner
-//! loop folds; FT's transposes are interpreted.
-//! [`EngineStats::folded_iterations`] counts the replayed iterations.
+//! folds every loop the checker's rule accepts ([`plan::foldable_loops`]):
+//! an all-gather or all-to-all is one tape entry per rank, replayed round
+//! by round from its schedule, and an inner loop's tape is one entry of
+//! the enclosing loop's, so the tape stays `O(p)` per collective. NPB FT
+//! replays 3 of its 4 iterations and CG 7 of its 8 outer ones, each with
+//! all 25 inner iterations. [`EngineStats::folded_iterations`] counts the
+//! iterations added at a repeat cut, as [`plan::PlanAnalysis`] does.
 
 #![forbid(unsafe_code)]
 
@@ -136,8 +138,12 @@ pub struct EngineStats {
     /// changes the order, hence this count.
     pub wakes: u64,
     /// Loop iterations replayed from a recorded one instead of
-    /// interpreted (see the crate docs). `steps`, `sends` and `wakes`
-    /// count them as if they had been interpreted.
+    /// interpreted, counted where they are added (see the crate docs): an
+    /// inner loop's iterations replayed inside an enclosing loop's replay
+    /// are not counted again, so this equals
+    /// [`plan::PlanAnalysis::folded_iterations`] wherever the two fold the
+    /// same loops. `steps`, `sends` and `wakes` count every replayed
+    /// iteration as if it had been interpreted.
     pub folded_iterations: u64,
     /// Host wall-clock time of the run, seconds.
     pub wall_s: f64,

@@ -9,7 +9,8 @@
 //! next message step, [`RankTask::send`] builds the [`Delivery`] a send
 //! deposits, and [`RankTask::consume`] takes one. While the engine records
 //! a loop iteration, each also writes its accounting calls to the
-//! [`Tape`].
+//! [`Tape`], and tells it where an all-gather or all-to-all begins and
+//! ends (their messages stay off the tape).
 
 use mps::{Charge, CollScope, CommEvent, CommLog, CommOp, RankCore, World};
 use netsim::Hockney;
@@ -32,8 +33,9 @@ pub(crate) struct Delivery {
     /// so that with `send` the body stays 40 bytes: all-to-all inboxes
     /// hold tens of thousands of them.
     pub(crate) vc: Box<[u64]>,
-    /// The send's ordinal on the tape being recorded, if one is.
-    pub(crate) send: u32,
+    /// The send's ordinal and segment on the tape being recorded, if one
+    /// is (see [`Tape::send`]).
+    pub(crate) send: (u32, u32),
 }
 
 /// One simulated rank of the event engine.
@@ -137,6 +139,9 @@ impl<'a> RankTask<'a> {
             Step::CollBegin(kind) => {
                 let scope = self.core.collective_begin(kind.scope_name());
                 self.scopes.push(scope);
+                if let (Some(tape), Some((bytes, vars))) = (tape, self.cursor.big_collective()) {
+                    tape.enter(rank, kind, bytes, vars);
+                }
             }
             Step::CollEnd => {
                 let scope = self
@@ -144,6 +149,9 @@ impl<'a> RankTask<'a> {
                     .pop()
                     .expect("CollEnd without a matching CollBegin");
                 self.core.collective_end(scope);
+                if let Some(tape) = tape {
+                    tape.coll_end(rank);
+                }
             }
             Step::Send { .. } | Step::Recv { .. } | Step::RecvAny { .. } | Step::LoopHead(_) => {
                 unreachable!("not a local step")
@@ -167,7 +175,7 @@ impl<'a> RankTask<'a> {
         let rank = self.core.rank();
         let t_net = Seconds::new(link.p2p(bytes));
         let arrival = self.core.account_send(bytes, t_net);
-        let send = tape.map_or(0, |tape| tape.send(rank, bytes, t_net));
+        let send = tape.map_or((0, 0), |tape| tape.send(rank, bytes, t_net));
         let vc = if self.detail {
             self.vclock[rank] += 1;
             self.comm.events.push(CommEvent {

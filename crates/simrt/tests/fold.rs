@@ -3,8 +3,9 @@
 //! every rank outcome (counters, finish time, segment log, markers), in
 //! metered energy, and in the step and send counts. The unrolled plan
 //! has no loop left that could fold, so that run interprets every
-//! iteration. Covers the NPB plans and the plan checker's random
-//! generator plans.
+//! iteration. Covers the NPB plans, hand-written plans whose folded
+//! bodies hold all-gathers, all-to-alls, messages across them and nested
+//! loops, and the plan checker's random generator plans.
 
 #[path = "../../plan/tests/common/mod.rs"]
 mod generator;
@@ -14,7 +15,7 @@ mod unroll;
 use generator::{draw_domain, draw_plan, Stream};
 use mps::World;
 use npb::{cg_plan, ep_plan, ft_plan, CgConfig, Class, EpConfig, FtConfig};
-use plan::CommPlan;
+use plan::{analyze_plan, CommPlan, Expr, Op, TagExpr};
 use proptest::prelude::*;
 use simrt::{Detail, EngineConfig, EngineReport};
 use unroll::unroll;
@@ -82,15 +83,161 @@ fn cg_folds_exactly_at_p_1024() {
     folds_exactly(&cg_plan(&CgConfig::class(Class::S)), 1024).expect("cg runs");
 }
 
-/// CG replays all but one of its 25 inner iterations in every outer
-/// iteration; FT's loop holds an all-to-all, so nothing of it folds.
+/// The engine adds iterations at repeat cuts where the checker does: FT
+/// folds 3 of its 4 iterations, CG 24 inner iterations inside its first
+/// outer one and then 7 outer ones, EP has no loop.
 #[test]
-fn cg_folds_its_inner_loop_and_ft_folds_nothing_at_p_256() {
-    let cg_cfg = CgConfig::class(Class::S);
-    let cg = run(&cg_plan(&cg_cfg), 256).expect("cg runs");
-    assert_eq!(cg.stats.folded_iterations, 24 * cg_cfg.niter as u64);
-    let ft = run(&ft_plan(&FtConfig::class(Class::S)), 256).expect("ft runs");
-    assert_eq!(ft.stats.folded_iterations, 0);
+fn engine_folds_what_the_checker_folds_at_p_256() {
+    let plans = [
+        (ft_plan(&FtConfig::class(Class::S)), 3),
+        (ep_plan(&EpConfig::class(Class::S)), 0),
+        (cg_plan(&CgConfig::class(Class::S)), 24 + 7),
+    ];
+    for (plan, want) in &plans {
+        let out = run(plan, 256).expect("runs");
+        assert_eq!(out.stats.folded_iterations, *want, "{}", plan.name);
+        let analysis = analyze_plan(plan, 256);
+        assert_eq!(analysis.folded_iterations, *want, "{}", plan.name);
+    }
+}
+
+/// FT at sizes that are not powers of two, where the all-to-all pairs by
+/// rotation rather than XOR, replays its loop.
+#[test]
+fn ft_folds_with_rotation_pairing() {
+    let ft = ft_plan(&FtConfig::class(Class::S));
+    for p in [5usize, 12, 24] {
+        let out = folds_exactly(&ft, p).expect("ft runs");
+        assert_eq!(out.stats.folded_iterations, 3, "p={p}");
+    }
+}
+
+fn repeat(count: i64, body: Vec<Op>) -> Op {
+    Op::Loop {
+        count: Expr::Const(count),
+        body,
+    }
+}
+
+fn compute(units: i64) -> Op {
+    Op::Compute {
+        units: Expr::Const(units),
+        scale: 0.7,
+    }
+}
+
+fn fixed(t: i64) -> TagExpr {
+    TagExpr::Expr(Expr::Const(t))
+}
+
+fn send_right(tag: i64, bytes: Expr) -> Op {
+    Op::Send {
+        to: (Expr::Rank + Expr::Const(1)) % Expr::P,
+        tag: fixed(tag),
+        bytes,
+    }
+}
+
+fn recv_left(tag: i64) -> Op {
+    Op::Recv {
+        from: (Expr::Rank + Expr::P - Expr::Const(1)) % Expr::P,
+        tag: fixed(tag),
+    }
+}
+
+/// Hand-written plans whose folds exercise the tape's collectives,
+/// segments and nesting, with the iterations each adds.
+fn shapes() -> Vec<(CommPlan, u64)> {
+    vec![
+        // The inner loop folds in each of the outer loop's iterations,
+        // whose variable its collectives' sizes read (so the outer loop
+        // is interpreted).
+        (
+            CommPlan::new(
+                "sizes-read-peer-and-var",
+                vec![repeat(
+                    3,
+                    vec![repeat(
+                        4,
+                        vec![
+                            compute(5),
+                            Op::AllGather {
+                                bytes: Expr::Peer * Expr::Const(3) + Expr::Var(1),
+                            },
+                            Op::AllToAll {
+                                bytes: (Expr::Peer + Expr::Rank + Expr::Const(1)) * Expr::Var(1),
+                            },
+                        ],
+                    )],
+                )],
+            ),
+            3 * 3,
+        ),
+        // Each iteration's point-to-point message is sent before an
+        // all-to-all and received after it: across segments.
+        (
+            CommPlan::new(
+                "message-across-a-segment",
+                vec![repeat(
+                    4,
+                    vec![
+                        send_right(7, Expr::Const(64)),
+                        compute(3),
+                        Op::AllToAll {
+                            bytes: Expr::Peer + Expr::Const(8),
+                        },
+                        recv_left(7),
+                        Op::AllGather {
+                            bytes: Expr::Const(24),
+                        },
+                        compute(2),
+                    ],
+                )],
+            ),
+            3,
+        ),
+        // Three nested constant loops: 4 innermost iterations in the first
+        // middle one, 3 middle ones in the first outer one, 2 outer ones.
+        (
+            CommPlan::new(
+                "three-nested-loops",
+                vec![repeat(
+                    3,
+                    vec![
+                        Op::Phase("outer".into()),
+                        repeat(
+                            4,
+                            vec![
+                                compute(11),
+                                repeat(
+                                    5,
+                                    vec![send_right(3, Expr::Const(40)), recv_left(3), compute(2)],
+                                ),
+                                Op::AllReduce {
+                                    elems: Expr::Const(2),
+                                    op: mps::ReduceOp::Sum,
+                                },
+                            ],
+                        ),
+                        Op::AllToAll {
+                            bytes: Expr::Const(16),
+                        },
+                    ],
+                )],
+            ),
+            4 + 3 + 2,
+        ),
+    ]
+}
+
+#[test]
+fn collectives_segments_and_nested_loops_fold_exactly() {
+    for (plan, want) in shapes() {
+        for p in [2usize, 3, 4, 5, 8, 16] {
+            let out = folds_exactly(&plan, p).expect("runs");
+            assert_eq!(out.stats.folded_iterations, want, "{} p={p}", plan.name);
+        }
+    }
 }
 
 proptest! {

@@ -6,8 +6,9 @@
 //! counts the checker's message steps with folded loop iterations
 //! included; `folded` is how many iterations it added instead of
 //! interpreting. `simrt_steps` likewise counts the engine's steps with
-//! the iterations it replayed included, and `simrt_folded` is how many
-//! it replayed.
+//! the iterations it replayed included, and `simrt_folded` counts the
+//! iterations it added at a repeat cut, as `folded` does (an inner loop
+//! replayed inside an enclosing loop's replay is not counted again).
 //!
 //! Run with `cargo run --release --example plan_pricing_timing`.
 
