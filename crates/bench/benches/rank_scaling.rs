@@ -12,7 +12,9 @@
 //! all-to-alls round by round), CG's last 7 outer iterations with all 25
 //! inner ones, and 24 inner iterations of the first
 //! (`*.folded_iterations` counts the iterations added at a repeat cut:
-//! 3 and 31). So an engine run can take less than draining the cursors
+//! 3 and 31). FT's first two all-to-alls are played whole at a collective
+//! cut rather than stepped message by message (`*.whole_collectives`: 2
+//! and 0). So an engine run can take less than draining the cursors
 //! alone, and the difference is no longer the engine's own share.
 //!
 //! Run with `cargo bench -p bench --bench rank_scaling`.
@@ -21,8 +23,8 @@
 //! snapshot with per-case `ns_per_iter` / `throughput_per_s` gauges, the
 //! rank-step latency
 //! log-histogram (`bench.rank_scaling.step_latency_s`), engine event
-//! rates (`bench.rank_scaling.*.events_per_s`), per-run step/send/wake
-//! and folded-iteration counts, and the process peak RSS after the largest run
+//! rates (`bench.rank_scaling.*.events_per_s`), per-run step/send/wake,
+//! folded-iteration and whole-collective counts, and the process peak RSS after the largest run
 //! (`bench.rank_scaling.peak_rss_bytes`, from `/proc/self/status`
 //! `VmHWM`; 0 where unavailable). The CI `rank-scaling` job gates the
 //! numbers with `analyze --bench-diff` against the committed baseline.
@@ -120,6 +122,8 @@ fn main() {
             .set(stats.wakes as f64);
         reg.gauge(&format!("bench.rank_scaling.{name}.folded_iterations"))
             .set(stats.folded_iterations as f64);
+        reg.gauge(&format!("bench.rank_scaling.{name}.whole_collectives"))
+            .set(stats.whole_collectives as f64);
         println!(
             "  {name}: {events_per_s:.0} events/s ({} steps, {} sends)",
             stats.steps, stats.sends

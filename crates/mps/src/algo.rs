@@ -213,6 +213,19 @@ impl BigColl {
         }
     }
 
+    /// The one chunk index in `0..p` that none of rank `rank`'s exchanges
+    /// sends: its own chunk in an all-to-all, which stays local, and its
+    /// right neighbour's in a ring allgather, which arrives last. Every
+    /// other index is the [`Exchange::peer`] of exactly one exchange.
+    #[must_use]
+    pub fn kept(&self, p: usize, rank: usize) -> usize {
+        if self.alltoall {
+            rank
+        } else {
+            (rank + 1) % p
+        }
+    }
+
     /// Rank `rank`'s next exchange in a world of `p`, or `None` once the
     /// collective is complete.
     #[inline]
@@ -255,6 +268,24 @@ fn prev_power_of_two(p: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Each rank's exchanges send every chunk index but the kept one,
+    /// once each.
+    #[test]
+    fn exchanges_send_every_chunk_but_the_kept_one() {
+        for p in 1..=17 {
+            for rank in 0..p {
+                for mut c in [BigColl::allgather(&mut 0), BigColl::alltoall(&mut 0)] {
+                    let mut sent = vec![0; p];
+                    sent[c.kept(p, rank)] += 1;
+                    while let Some(x) = c.next(p, rank) {
+                        sent[x.peer] += 1;
+                    }
+                    assert!(sent.iter().all(|&n| n == 1), "p={p} rank={rank}: {sent:?}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn prev_power_of_two_cases() {

@@ -71,6 +71,29 @@
 //! not in the order the schedule met them. [`PlanAnalysis::steps`] counts
 //! the folded iterations' steps too; [`PlanAnalysis::folded_iterations`]
 //! says how many iterations were added rather than interpreted.
+//!
+//! ## Whole collectives at a cut
+//!
+//! An all-gather or all-to-all sends `p − 1` messages from every rank, and
+//! its exchanges follow from `(p, rank)` alone ([`mps::algo::BigColl`]).
+//! In a wildcard-free plan ranks also park at every such collective's
+//! entrance ([`Step::CollHead`]), after its span opens and before its
+//! first exchange. When no rank is ready, every rank is parked there, no
+//! message is in flight (a *clean* cut), every rank stands at the same
+//! kind with the same sequence number, and every rank's size evaluates to
+//! a `u64` at the peer of each of its exchanges with a sum that fits
+//! ([`TimedCursor::coll_bytes`]), the collective completes by
+//! construction: each round pairs every send with the receive of the same
+//! tag. So the checker adds each rank's `p − 1` messages and their bytes
+//! to its [`RankCost`] and [`CollStats`], `2(p − 1)` message steps per
+//! rank to the schedule's, and moves every cursor past the exchanges. A
+//! size that splits into a rank part times a peer part sums in O(1) per
+//! rank ([`crate::PeerProduct`]), so FT's all-to-alls cost O(p) instead of
+//! O(p²) evaluations. Otherwise nothing is charged, the ranks are released
+//! and interpret the collective, and a size fault surfaces at its exchange
+//! with the same finding. The cut composes with loop folding: a collective
+//! inside a loop iteration being recorded is charged between the two
+//! repeat cuts, so the fold adds it with the rest of the iteration.
 
 use std::fmt;
 
@@ -413,7 +436,7 @@ impl<'p> Rank<'p> {
             };
             if self.fold(step) {
                 match step {
-                    Step::LoopHead(_) => {}
+                    Step::LoopHead(_) | Step::CollHead => {}
                     Step::RecvAny { .. } if self.first_wildcard_op.is_none() => {
                         self.first_wildcard_op = Some(self.emitted);
                         self.emitted += 1;
@@ -425,7 +448,7 @@ impl<'p> Rank<'p> {
         }
     }
 
-    /// Charge one step; whether it is a message step or a loop head.
+    /// Charge one step; whether it is a message step or a head.
     #[inline]
     fn fold(&mut self, step: Step<'p>) -> bool {
         match step {
@@ -449,7 +472,9 @@ impl<'p> Rank<'p> {
                 }
                 return true;
             }
-            Step::Recv { .. } | Step::RecvAny { .. } | Step::LoopHead(_) => return true,
+            Step::Recv { .. } | Step::RecvAny { .. } | Step::LoopHead(_) | Step::CollHead => {
+                return true
+            }
         }
         false
     }
@@ -529,20 +554,24 @@ impl<'p> Effects<'p> for Checker<'p> {
     }
 
     fn cut(&mut self, parked: &[usize], clean: bool, steps: &mut u64, _wakes: &mut u64) {
-        let head = |r: usize| {
-            self.ranks[r]
-                .cursor
-                .loop_head()
-                .expect("parked at a loop head")
+        let head = |r: usize| self.ranks[r].cursor.loop_head();
+        let Some((id, vars)) = parked.iter().find_map(|&r| head(r)) else {
+            // Every parked rank stands at a collective's entrance.
+            if clean {
+                self.price_collective(steps);
+            }
+            return;
         };
-        let (id, vars) = head(parked[0]);
-        if !(clean && parked.iter().all(|&r| head(r) == (id, vars))) {
+        if !(clean && parked.iter().all(|&r| head(r) == Some((id, vars)))) {
             // Parked at different loops or instances, or others still
-            // blocked or in flight: those loops are interpreted from now on.
+            // blocked, in flight or at a collective: those loops are
+            // interpreted from now on.
             for &r in parked {
-                let f = &mut self.folds[head(r).0];
-                f.parking = false;
-                f.entry = None;
+                if let Some((i, _)) = head(r) {
+                    let f = &mut self.folds[i];
+                    f.parking = false;
+                    f.entry = None;
+                }
             }
             return;
         }
@@ -576,6 +605,43 @@ impl<'p> Effects<'p> for Checker<'p> {
 }
 
 impl Checker<'_> {
+    /// At a clean cut with every rank at a collective's entrance: when all
+    /// stand at the same all-gather or all-to-all (kind and sequence
+    /// number) and every rank's sizes evaluate, charge every rank its
+    /// `p − 1` messages and their bytes, add the `2(p − 1)` message steps
+    /// of each to `steps`, and move the cursors past the collective.
+    /// Otherwise change nothing: the ranks are released and interpret it,
+    /// and a size fault surfaces at its exchange.
+    fn price_collective(&mut self, steps: &mut u64) {
+        let first = self.ranks[0].cursor.coll_head();
+        let Some((kind, _)) = first else { return };
+        if !self.ranks.iter().all(|r| r.cursor.coll_head() == first) {
+            return;
+        }
+        let n = self.ranks.len() as u64 - 1;
+        let charged = self
+            .ranks
+            .iter()
+            .map(|r| {
+                let bytes = r.cursor.coll_bytes()?;
+                let (mut cost, mut coll) = (r.cost, r.colls[kind.index()]);
+                cost.messages = cost.messages.checked_add(n)?;
+                cost.bytes = cost.bytes.checked_add(bytes)?;
+                coll.messages = coll.messages.checked_add(n)?;
+                coll.bytes = coll.bytes.checked_add(bytes)?;
+                Some((cost, coll))
+            })
+            .collect::<Option<Vec<_>>>();
+        let Some(charged) = charged else { return };
+        for (r, (cost, coll)) in self.ranks.iter_mut().zip(charged) {
+            r.cost = cost;
+            r.colls[kind.index()] = coll;
+            r.emitted += 2 * n;
+            r.cursor.leave_collective();
+        }
+        *steps += 2 * n * (n + 1);
+    }
+
     /// Every rank's counters and the step count after the last `trips − 1`
     /// iterations of loop `id`, from the cuts at the heads of its
     /// iterations 0 (`entry`) and 1 (now), when adding them is exactly
@@ -720,7 +786,7 @@ pub fn analyze_plan(plan: &CommPlan, p: usize) -> PlanAnalysis {
     let mut checker = Checker {
         ranks: (0..p)
             .map(|r| Rank {
-                cursor: TimedCursor::with_heads(plan, p, r, &heads),
+                cursor: TimedCursor::with_heads(plan, p, r, &heads, !plan.has_wildcard()),
                 cost: RankCost::default(),
                 colls: [CollStats::default(); COLL_KINDS],
                 open: None,

@@ -7,6 +7,15 @@
 //! total over checked 64-bit arithmetic: division by zero, overflow and
 //! unbound variables surface as [`EvalError`] (which the static checker
 //! turns into shape findings) rather than panics.
+//!
+//! [`CommPlan::specialize`](crate::CommPlan::specialize) folds an
+//! expression to one world size and tabulates each maximal subtree that
+//! reads only the rank, or only the peer, into an [`Expr::Tabulated`]
+//! table over `0..p`, so a cursor reads one entry instead of walking the
+//! tree. An O(p)-message collective's size that is then a product of a
+//! rank part and a peer part splits into a [`PeerProduct`]: its size at
+//! every peer is one multiply, and its sum over a rank's exchanges is
+//! O(1), from the peer table's total.
 
 use std::fmt;
 use std::ops;
@@ -52,16 +61,19 @@ pub enum Expr {
     Pow2(Box<Expr>),
     /// `floor(log2 e)`; error unless `e > 0`.
     Log2(Box<Expr>),
-    /// A subtree that varies only with the rank, tabulated over the ranks
-    /// of one world size by [`CommPlan::specialize`](crate::CommPlan::specialize):
-    /// `table` holds `expr`'s value (or error) on each rank `0..p`. Only
-    /// specialization builds it.
-    ByRank {
-        /// The folded subtree, evaluated directly for ranks outside the
-        /// table.
+    /// A subtree that varies only with the rank, or only with the peer,
+    /// tabulated over `0..p` of one world size by
+    /// [`CommPlan::specialize`](crate::CommPlan::specialize): `table` holds
+    /// `expr`'s value (or error) at each index. Only specialization builds
+    /// it.
+    Tabulated {
+        /// What the table is indexed by.
+        by: Axis,
+        /// The folded subtree, evaluated directly at an index outside the
+        /// table, or when the peer is unbound.
         expr: Box<Expr>,
-        /// `expr` on every rank of the world it was folded for.
-        table: RankTable,
+        /// `expr` at every index of the world it was folded for.
+        table: Table,
     },
     /// Length of block `idx` when `total` items are split over `parts`
     /// ranks with the remainder spread over the low indices — the NPB
@@ -106,51 +118,133 @@ impl fmt::Display for EvalError {
     }
 }
 
-/// Per-rank values of one [`Expr::ByRank`] subtree, indexed by rank.
+/// The variable an [`Expr::Tabulated`] subtree varies with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Axis {
+    /// The executing rank ([`Env::rank`]).
+    Rank,
+    /// The collective peer ([`Env::peer`]).
+    Peer,
+}
+
+/// The values of one [`Expr::Tabulated`] subtree at the indices `0..p`.
 /// Shared between the identical subtrees of one specialized plan.
 #[derive(Clone, PartialEq, Eq)]
-pub struct RankTable(Arc<[Result<i64, EvalError>]>);
+pub struct Table {
+    values: Arc<[Result<i64, EvalError>]>,
+    /// The sum and the largest of the values, when every value is a
+    /// non-negative `Ok` and the sum fits.
+    totals: Option<(u64, u64)>,
+}
 
-impl RankTable {
-    /// The value on `rank`, `None` outside the table.
+impl Table {
+    fn new(values: Arc<[Result<i64, EvalError>]>) -> Self {
+        let totals = values.iter().try_fold((0u64, 0u64), |(sum, max), v| {
+            let v = u64::try_from(v.ok()?).ok()?;
+            Some((sum.checked_add(v)?, max.max(v)))
+        });
+        Self { values, totals }
+    }
+
+    /// The value at `index`, `None` outside the table.
     #[inline]
-    fn get(&self, rank: i64) -> Option<Result<i64, EvalError>> {
-        usize::try_from(rank)
+    fn get(&self, index: i64) -> Option<Result<i64, EvalError>> {
+        usize::try_from(index)
             .ok()
-            .and_then(|r| self.0.get(r).copied())
+            .and_then(|i| self.values.get(i).copied())
     }
 }
 
-impl fmt::Debug for RankTable {
+impl fmt::Debug for Table {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "RankTable({} ranks)", self.0.len())
+        write!(f, "Table({} entries)", self.values.len())
     }
 }
 
-/// The rank tables built while folding one plan, keyed by the subtree
+/// One rank's collective size split into a factor that does not read the
+/// peer and one that reads only the peer ([`Expr::peer_product`]): the
+/// size at peer `q` is `scale · f(q)`.
+#[derive(Debug, Clone, Copy)]
+pub struct PeerProduct<'e> {
+    scale: u64,
+    peer: PeerFactor<'e>,
+    /// The world size: peers are `0..p`.
+    p: u64,
+}
+
+/// The factor of a [`PeerProduct`] that reads the peer.
+#[derive(Debug, Clone, Copy)]
+enum PeerFactor<'e> {
+    /// None does: `f(q) = 1`.
+    One,
+    /// `f(q) = q`.
+    Peer,
+    /// A peer table whose entries are all non-negative `Ok`s.
+    Table(&'e Table),
+}
+
+impl PeerProduct<'_> {
+    /// The size at `peer`, one of `0..p`.
+    #[inline]
+    #[must_use]
+    pub fn at(&self, peer: usize) -> u64 {
+        // `Expr::peer_product` bounded every product of the factors.
+        self.scale * self.factor(peer)
+    }
+
+    /// `f(peer)`.
+    #[inline]
+    fn factor(&self, peer: usize) -> u64 {
+        match self.peer {
+            PeerFactor::One => 1,
+            PeerFactor::Peer => peer as u64,
+            PeerFactor::Table(t) => match t.values[peer] {
+                Ok(v) => v.unsigned_abs(),
+                Err(_) => unreachable!("a product's table holds values only"),
+            },
+        }
+    }
+
+    /// The sum of the sizes at every peer of `0..p` but `skip`; `None`
+    /// when it overflows.
+    #[must_use]
+    pub fn sum_except(&self, skip: usize) -> Option<u64> {
+        let total = match self.peer {
+            PeerFactor::One => self.p,
+            PeerFactor::Peer => self.p.checked_mul(self.p - 1)? / 2,
+            PeerFactor::Table(t) => t.totals?.0,
+        };
+        self.scale.checked_mul(total - self.factor(skip))
+    }
+}
+
+/// The tables built while specializing one plan, keyed by the subtree
 /// they tabulate, so identical subtrees share one table.
 #[derive(Default)]
-pub(crate) struct RankTables(Vec<(Expr, RankTable)>);
+pub(crate) struct Tables(Vec<(Expr, Table)>);
 
-impl RankTables {
-    fn get_or_build(&mut self, expr: &Expr, p: i64) -> RankTable {
+impl Tables {
+    fn get_or_build(&mut self, by: Axis, expr: &Expr, p: i64) -> Table {
         if let Some((_, table)) = self.0.iter().find(|(e, _)| e == expr) {
             return table.clone();
         }
-        // `expr` reads no peer or loop variable, so an environment with
-        // neither gives every rank's value exactly.
-        let table = RankTable(
-            (0..p)
-                .map(|rank| {
-                    expr.eval(&Env {
-                        p,
-                        rank,
-                        peer: None,
-                        vars: &[],
-                    })
-                })
-                .collect(),
-        );
+        // `expr` reads `by` and no other variable, so binding only `by`
+        // gives its value at every index exactly.
+        let at = |i: i64| match by {
+            Axis::Rank => Env {
+                p,
+                rank: i,
+                peer: None,
+                vars: &[],
+            },
+            Axis::Peer => Env {
+                p,
+                rank: 0,
+                peer: Some(i),
+                vars: &[],
+            },
+        };
+        let table = Table::new((0..p).map(|i| expr.eval(&at(i))).collect());
         self.0.push((expr.clone(), table.clone()));
         table
     }
@@ -169,23 +263,43 @@ pub struct Env<'a> {
     pub vars: &'a [i64],
 }
 
+impl Env<'_> {
+    /// The value of `by`: the rank, or the peer if one is bound.
+    #[inline]
+    fn index(&self, by: Axis) -> Option<i64> {
+        match by {
+            Axis::Rank => Some(self.rank),
+            Axis::Peer => self.peer,
+        }
+    }
+}
+
+/// Which variables an expression reads ([`Expr::reads`]).
+#[derive(Debug, Clone, Copy, Default)]
+struct Reads {
+    rank: bool,
+    peer: bool,
+    var: bool,
+}
+
 impl Expr {
     /// Evaluate against `env`.
     ///
-    /// Constants, the rank and tabulated rank-only subtrees are answered
-    /// inline: after [`CommPlan::specialize`](crate::CommPlan::specialize)
-    /// almost every plan expression is one of them, and the plan cursor
-    /// evaluates expressions on every step. Every other node takes the
-    /// recursive walk, whose children come back through here. This
-    /// function never calls itself, or it would not be inlined.
+    /// Constants, the rank and tabulated subtrees are answered inline:
+    /// after [`CommPlan::specialize`](crate::CommPlan::specialize) almost
+    /// every plan expression is one of them or a product of a few, and the
+    /// plan cursor evaluates expressions on every step. Every other node
+    /// takes the recursive walk, whose children come back through here.
+    /// This function never calls itself, or it would not be inlined.
     #[inline]
     pub fn eval(&self, env: &Env) -> Result<i64, EvalError> {
         match self {
             Self::Const(v) => Ok(*v),
             Self::Rank => Ok(env.rank),
-            Self::ByRank { expr, table } => {
-                table.get(env.rank).unwrap_or_else(|| expr.eval_node(env))
-            }
+            Self::Tabulated { by, expr, table } => env
+                .index(*by)
+                .and_then(|i| table.get(i))
+                .unwrap_or_else(|| expr.eval_node(env)),
             _ => self.eval_node(env),
         }
     }
@@ -198,7 +312,10 @@ impl Expr {
             Self::P => Ok(env.p),
             Self::Rank => Ok(env.rank),
             Self::Peer => env.peer.ok_or(EvalError::PeerUnavailable),
-            Self::ByRank { expr, table } => table.get(env.rank).unwrap_or_else(|| expr.eval(env)),
+            Self::Tabulated { by, expr, table } => env
+                .index(*by)
+                .and_then(|i| table.get(i))
+                .unwrap_or_else(|| expr.eval(env)),
             Self::Var(d) => {
                 let n = env.vars.len();
                 if *d < n {
@@ -264,6 +381,69 @@ impl Expr {
         }
     }
 
+    /// `self` at `env`'s rank and loop variables, with the peer bound to
+    /// any `q` of `0..env.p`, as `scale · f(q)` ([`PeerProduct`]), when
+    /// that is exactly what [`Expr::eval`] gives and it gives a
+    /// non-negative value at every peer. That holds when `self` is a
+    /// product (a tree of `Mul`) of factors that do not read the peer and
+    /// evaluate to non-negative values at `env`, and of at most one
+    /// factor that reads only the peer: `Peer`, or a peer table of a
+    /// specialized plan whose entries are all non-negative `Ok`s; and the
+    /// product of the factors' largest values, each at least 1, fits an
+    /// `i64`, so that no partial product of any evaluation order
+    /// overflows. `None` otherwise.
+    #[must_use]
+    pub fn peer_product(&self, env: &Env) -> Option<PeerProduct<'_>> {
+        let mut out = PeerProduct {
+            scale: 1,
+            peer: PeerFactor::One,
+            p: u64::try_from(env.p).ok().filter(|&p| p > 0)?,
+        };
+        let mut bound = 1i64;
+        self.split_product(env, &mut out, &mut bound)?;
+        Some(out)
+    }
+
+    /// Multiply `self`'s factors into `out`, and their largest values
+    /// (each at least 1) into `bound`.
+    fn split_product<'e>(
+        &'e self,
+        env: &Env,
+        out: &mut PeerProduct<'e>,
+        bound: &mut i64,
+    ) -> Option<()> {
+        // The factor's largest value, and its value if it reads no peer.
+        let (max, value) = match self {
+            Self::Mul(a, b) => {
+                a.split_product(env, out, bound)?;
+                return b.split_product(env, out, bound);
+            }
+            Self::Peer if matches!(out.peer, PeerFactor::One) => {
+                out.peer = PeerFactor::Peer;
+                (env.p - 1, 1)
+            }
+            Self::Tabulated {
+                by: Axis::Peer,
+                table,
+                ..
+            } if matches!(out.peer, PeerFactor::One)
+                && table.values.len() == usize::try_from(env.p).ok()? =>
+            {
+                out.peer = PeerFactor::Table(table);
+                (i64::try_from(table.totals?.1).ok()?, 1)
+            }
+            _ if !self.reads().peer => {
+                let v = self.eval(env).ok().filter(|v| *v >= 0)?;
+                (v, v)
+            }
+            _ => return None,
+        };
+        *bound = bound.checked_mul(max.max(1))?;
+        // `scale` is at most `bound`.
+        out.scale *= value.unsigned_abs();
+        Some(())
+    }
+
     /// Specialize to world size `p`: replace [`Expr::P`] with `Const(p)`,
     /// then collapse every node whose children are all constants into its
     /// value — but only when that evaluation succeeds. A failing subtree
@@ -278,7 +458,7 @@ impl Expr {
         };
         let folded = match self {
             Self::P => return Self::Const(p),
-            Self::Const(_) | Self::Rank | Self::Peer | Self::Var(_) | Self::ByRank { .. } => {
+            Self::Const(_) | Self::Rank | Self::Peer | Self::Var(_) | Self::Tabulated { .. } => {
                 return self.clone()
             }
             Self::Add(a, b) => bin(Self::Add, a, b),
@@ -314,7 +494,7 @@ impl Expr {
             | Self::Rank
             | Self::Peer
             | Self::Var(_)
-            | Self::ByRank { .. } => false,
+            | Self::Tabulated { .. } => false,
         };
         // With constant children the node reads nothing from the
         // environment, so any `Env` gives the value every rank would see.
@@ -330,37 +510,66 @@ impl Expr {
         }
     }
 
-    /// Replace each maximal compound subtree that reads the rank and no
-    /// peer or loop variable by its [`Expr::ByRank`] table over `0..p`,
-    /// the second half of [`CommPlan::specialize`](crate::CommPlan::specialize)
-    /// after [`Expr::fold`]. The result evaluates exactly like `self` in
-    /// every environment with `env.p == p`: a table entry is the
-    /// subtree's own `Ok` value or [`EvalError`] on that rank, and ranks
-    /// outside the table walk the subtree.
-    pub(crate) fn tabulate(self, p: i64, tables: &mut RankTables) -> Expr {
-        let (rank, other) = self.reads();
-        let compound = !matches!(
-            self,
-            Self::Const(_) | Self::P | Self::Rank | Self::Peer | Self::Var(_) | Self::ByRank { .. }
-        );
-        if !(compound && rank && !other) {
+    /// Replace each maximal compound subtree that reads exactly one of the
+    /// rank and the peer, and no loop variable, by its [`Expr::Tabulated`]
+    /// table over `0..p`, the second half of
+    /// [`CommPlan::specialize`](crate::CommPlan::specialize) after
+    /// [`Expr::fold`]. The result evaluates exactly like `self` in every
+    /// environment with `env.p == p`: a table entry is the subtree's own
+    /// `Ok` value or [`EvalError`] at that index, and an index outside the
+    /// table, or an unbound peer, walks the subtree.
+    pub(crate) fn tabulate(self, p: i64, tables: &mut Tables) -> Expr {
+        let by = match self.reads() {
+            _ if !self.is_compound() => None,
+            Reads {
+                rank: true,
+                peer: false,
+                var: false,
+            } => Some(Axis::Rank),
+            Reads {
+                rank: false,
+                peer: true,
+                var: false,
+            } => Some(Axis::Peer),
+            _ => None,
+        };
+        let Some(by) = by else {
             return self.map_children(|child| child.tabulate(p, tables));
-        }
-        let table = tables.get_or_build(&self, p);
-        Self::ByRank {
+        };
+        let table = tables.get_or_build(by, &self, p);
+        Self::Tabulated {
+            by,
             expr: Box::new(self),
             table,
         }
     }
 
-    /// Whether evaluating `self` reads the rank, and whether it reads a
-    /// peer or loop variable.
-    fn reads(&self) -> (bool, bool) {
-        let or = |(a, b): (bool, bool), (c, d): (bool, bool)| (a || c, b || d);
+    /// Whether `self` is an operator node, not a leaf or a table.
+    fn is_compound(&self) -> bool {
+        !matches!(
+            self,
+            Self::Const(_)
+                | Self::P
+                | Self::Rank
+                | Self::Peer
+                | Self::Var(_)
+                | Self::Tabulated { .. }
+        )
+    }
+
+    /// Which variables evaluating `self` reads.
+    fn reads(&self) -> Reads {
+        let or = |a: Reads, b: Reads| Reads {
+            rank: a.rank || b.rank,
+            peer: a.peer || b.peer,
+            var: a.var || b.var,
+        };
+        let none = Reads::default();
         match self {
-            Self::Const(_) | Self::P => (false, false),
-            Self::Rank | Self::ByRank { .. } => (true, false),
-            Self::Peer | Self::Var(_) => (false, true),
+            Self::Const(_) | Self::P => none,
+            Self::Rank | Self::Tabulated { by: Axis::Rank, .. } => Reads { rank: true, ..none },
+            Self::Peer | Self::Tabulated { by: Axis::Peer, .. } => Reads { peer: true, ..none },
+            Self::Var(_) => Reads { var: true, ..none },
             Self::Add(a, b)
             | Self::Sub(a, b)
             | Self::Mul(a, b)
@@ -380,7 +589,7 @@ impl Expr {
     pub(crate) fn reads_var(&self, depth: usize) -> bool {
         match self {
             Self::Var(d) => *d == depth,
-            Self::Const(_) | Self::P | Self::Rank | Self::Peer | Self::ByRank { .. } => false,
+            Self::Const(_) | Self::P | Self::Rank | Self::Peer | Self::Tabulated { .. } => false,
             Self::Add(a, b)
             | Self::Sub(a, b)
             | Self::Mul(a, b)
@@ -420,7 +629,7 @@ impl Expr {
             | Self::Rank
             | Self::Peer
             | Self::Var(_)
-            | Self::ByRank { .. }) => leaf,
+            | Self::Tabulated { .. }) => leaf,
         }
     }
 
@@ -548,7 +757,7 @@ impl Cond {
     }
 
     /// [`Expr::tabulate`] applied to every operand.
-    pub(crate) fn tabulate(self, p: i64, tables: &mut RankTables) -> Cond {
+    pub(crate) fn tabulate(self, p: i64, tables: &mut Tables) -> Cond {
         match self {
             Self::Eq(a, b) => Self::Eq(a.tabulate(p, tables), b.tabulate(p, tables)),
             Self::Ne(a, b) => Self::Ne(a.tabulate(p, tables), b.tabulate(p, tables)),
@@ -668,10 +877,11 @@ mod tests {
 
     #[test]
     fn tabulate_replaces_rank_only_subtrees_and_keeps_their_errors() {
-        let tab = |e: &Expr, p: i64| e.fold(p).tabulate(p, &mut RankTables::default());
+        let tab = |e: &Expr, p: i64| e.fold(p).tabulate(p, &mut Tables::default());
+        let by_rank = |e: &Expr| matches!(e, Expr::Tabulated { by: Axis::Rank, .. });
         let slab = Expr::block_len(Expr::Const(16), Expr::P, Expr::Rank) * Expr::Const(256);
         let t = tab(&slab, 64);
-        assert!(matches!(t, Expr::ByRank { .. }), "{t:?}");
+        assert!(by_rank(&t), "{t:?}");
         for rank in [-1, 0, 15, 16, 63, 64] {
             assert_eq!(
                 t.eval(&env(64, rank)),
@@ -684,15 +894,46 @@ mod tests {
         let Expr::Xor(a, b) = tab(&partner, 16) else {
             panic!("the loop-variable node stays")
         };
-        assert!(matches!(*a, Expr::ByRank { .. }));
+        assert!(by_rank(&a));
         assert_eq!(*b, Expr::Var(0));
         // A subtree failing on every rank keeps its error, per rank.
         let bad = Expr::Rank / (Expr::P - Expr::Const(4));
         let t = tab(&bad, 4);
-        assert!(matches!(t, Expr::ByRank { .. }), "{t:?}");
+        assert!(by_rank(&t), "{t:?}");
         assert_eq!(t.eval(&env(4, 2)), Err(EvalError::DivByZero));
         // A bare rank is already a leaf.
         assert_eq!(tab(&Expr::Rank, 8), Expr::Rank);
+    }
+
+    #[test]
+    fn tabulate_gives_peer_only_subtrees_their_own_table() {
+        let tab = |e: &Expr, p: i64| e.fold(p).tabulate(p, &mut Tables::default());
+        // FT's inverse transpose size: a peer-only factor times a
+        // rank-only one.
+        let my_nx = Expr::block_len(Expr::Const(64), Expr::P, Expr::Rank);
+        let size = Expr::block_len(Expr::Const(64), Expr::P, Expr::Peer) * Expr::Const(64) * my_nx;
+        let Expr::Mul(a, b) = tab(&size, 12) else {
+            panic!("the mixed product stays")
+        };
+        assert!(matches!(*a, Expr::Tabulated { by: Axis::Peer, .. }));
+        assert!(matches!(*b, Expr::Tabulated { by: Axis::Rank, .. }));
+        let t = Expr::Mul(a, b);
+        for rank in [0, 5, 11] {
+            for peer in [None, Some(-1), Some(0), Some(7), Some(11), Some(12)] {
+                let e = Env {
+                    p: 12,
+                    rank,
+                    peer,
+                    vars: &[],
+                };
+                assert_eq!(t.eval(&e), size.eval(&e), "rank {rank} peer {peer:?}");
+            }
+        }
+        assert_eq!(
+            t.eval(&env(12, 0)),
+            Err(EvalError::PeerUnavailable),
+            "an unbound peer walks the subtree"
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use mps::ReduceOp;
 
-use crate::expr::{Cond, Expr, RankTables};
+use crate::expr::{Cond, Expr, Tables};
 
 /// How a point-to-point op's tag is produced.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -185,10 +185,10 @@ impl CommPlan {
     /// condition is [`Expr::fold`]ed, so `p`-only subtrees (process-grid
     /// shapes, block lengths) become constants that the per-rank cursors
     /// no longer re-evaluate on every step. Then every subtree that reads
-    /// the rank but no peer or loop variable becomes an
-    /// [`Expr::ByRank`] table of its value on each rank, shared by the
-    /// identical subtrees of the plan, so a cursor reads its entry
-    /// instead of walking the tree. The result streams exactly like
+    /// the rank but no peer or loop variable, or the peer but no rank or
+    /// loop variable, becomes an [`Expr::Tabulated`] table of its value on
+    /// each rank or peer, shared by the identical subtrees of the plan, so
+    /// a cursor reads its entry instead of walking the tree. The result streams exactly like
     /// `self` at this `p` — same ops, same costs, and the same
     /// [`crate::EvalError`] on the same rank at the same op — and is
     /// meaningless at any other `p`. Cost: one pass over the plan plus
@@ -200,7 +200,7 @@ impl CommPlan {
             name: self.name.clone(),
             body: Specializer {
                 p,
-                tables: RankTables::default(),
+                tables: Tables::default(),
             }
             .ops(&self.body),
         }
@@ -239,10 +239,10 @@ impl CommPlan {
 }
 
 /// One plan's specialization to world size `p` (see
-/// [`CommPlan::specialize`]), with the rank tables built so far.
+/// [`CommPlan::specialize`]), with the tables built so far.
 struct Specializer {
     p: i64,
-    tables: RankTables,
+    tables: Tables,
 }
 
 impl Specializer {

@@ -67,7 +67,7 @@ pub use check::{
     PlanWaitEdge, RankCost, ShapeIssue,
 };
 pub use coll::{CollKind, CollStats, COLL_KINDS};
-pub use expr::{Cond, Env, EvalError, Expr, RankTable};
+pub use expr::{Axis, Cond, Env, EvalError, Expr, PeerProduct, Table};
 pub use ir::{CommPlan, Op, TagExpr};
 pub use lower::lower;
 pub use sched::{Effects, Envelope, Load, Schedule, WaitFor};

@@ -20,12 +20,14 @@
 //!   it. Wildcard-free plans match the same envelopes under any order;
 //!   for wildcard plans this order and rule are *the* schedule.
 //! * **Parking.** A rank whose effects report it at a loop head
-//!   ([`Step::LoopHead`]) parks there until no rank is ready. Then the
-//!   schedule hands the parked ranks to [`Effects::cut`], saying whether
-//!   they form a *repeat cut* — every rank parked, no message in flight —
-//!   and releases them in rank order. The checker and the simrt engine
-//!   fold repeated loop iterations at repeat cuts (see [`crate::check`]);
-//!   without loop heads the order is the one above.
+//!   ([`Step::LoopHead`]) or at the entrance of an all-gather or
+//!   all-to-all ([`Step::CollHead`]) parks there until no rank is ready.
+//!   Then the schedule hands the parked ranks to [`Effects::cut`], saying
+//!   whether the cut is *clean* — every rank parked, no message in flight
+//!   — and releases them in rank order. At clean cuts the checker and the
+//!   simrt engine fold repeated loop iterations and price whole
+//!   collectives (see [`crate::check`]); without heads the order is the
+//!   one above.
 //! * **Terminal analysis.** A rank still blocked when none is ready waits
 //!   forever; [`Schedule::wait_for`] walks that wait-for graph once. A
 //!   parked rank is never left behind: it is released first.
@@ -53,8 +55,9 @@ pub trait Effects<'p> {
     type Body;
 
     /// Rank `r`'s next message step (`Send`, `Recv` or `RecvAny`), with
-    /// every step before it applied, or a [`Step::LoopHead`] at which the
-    /// rank parks; `Ok(None)` once its program is complete.
+    /// every step before it applied, or a [`Step::LoopHead`] or
+    /// [`Step::CollHead`] at which the rank parks; `Ok(None)` once its
+    /// program is complete.
     ///
     /// # Errors
     /// The shape issue that stops the rank, handed to [`Effects::fault`].
@@ -77,11 +80,11 @@ pub trait Effects<'p> {
     fn paused(&mut self, _r: usize, _load: Load) {}
 
     /// No rank is ready and the ranks `parked` (ascending, at least one)
-    /// wait at loop heads; the schedule releases them in rank order once
-    /// this returns. `clean`: every rank is parked and no message is in
-    /// flight — a repeat cut. `steps` and `wakes` are [`Schedule::steps`]
-    /// and [`Schedule::wakes`], for effects that account for iterations
-    /// they skip.
+    /// wait at loop heads or collective entrances; the schedule releases
+    /// them in rank order once this returns. `clean`: every rank is parked
+    /// and no message is in flight. `steps` and `wakes` are
+    /// [`Schedule::steps`] and [`Schedule::wakes`], for effects that
+    /// account for the iterations and exchanges they skip.
     fn cut(&mut self, _parked: &[usize], _clean: bool, _steps: &mut u64, _wakes: &mut u64) {}
 }
 
@@ -101,7 +104,7 @@ enum Status {
     /// Runnable; first retries the wildcard receive of this tag, if any.
     Ready(Option<u64>),
     Blocked(WaitEdge),
-    /// At a loop head, until no rank is ready.
+    /// At a loop head or a collective's entrance, until no rank is ready.
     Parked,
     Finished,
     Faulted,
@@ -202,7 +205,7 @@ impl<B> Schedule<B> {
                 }
                 Ok(Some(Step::Recv { from, tag })) => (Some(from), tag),
                 Ok(Some(Step::RecvAny { tag })) => (None, tag),
-                Ok(Some(Step::LoopHead(_))) => {
+                Ok(Some(Step::LoopHead(_) | Step::CollHead)) => {
                     self.status[r] = Status::Parked;
                     return;
                 }

@@ -601,7 +601,7 @@ fn uses(e: &Expr, target: &dyn Fn(&Expr) -> bool) -> bool {
         | Expr::Min(a, b)
         | Expr::Max(a, b)
         | Expr::Xor(a, b) => uses(a, target) || uses(b, target),
-        Expr::Pow2(x) | Expr::Log2(x) | Expr::ByRank { expr: x, .. } => uses(x, target),
+        Expr::Pow2(x) | Expr::Log2(x) | Expr::Tabulated { expr: x, .. } => uses(x, target),
         Expr::BlockLen { total, parts, idx } => {
             uses(total, target) || uses(parts, target) || uses(idx, target)
         }
@@ -1346,7 +1346,7 @@ fn range_of(e: &Expr, cx: &Cx) -> RRes {
         Expr::Xor(a, b) => r_xor(range_of(a, cx)?, range_of(b, cx)?),
         Expr::Pow2(x) => r_pow2(range_of(x, cx)?),
         Expr::Log2(x) => r_log2(range_of(x, cx)?),
-        Expr::ByRank { expr, .. } => range_of(expr, cx),
+        Expr::Tabulated { expr, .. } => range_of(expr, cx),
         Expr::BlockLen { total, parts, idx } => r_block_len(
             range_of(total, cx)?,
             range_of(parts, cx)?,

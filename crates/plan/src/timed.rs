@@ -26,11 +26,15 @@
 //!
 //! A cursor built with [`TimedCursor::with_heads`] also yields a
 //! [`Step::LoopHead`] at the head of every iteration of the loops it is
-//! given, before any of the iteration's steps. The checker and the simrt
-//! engine park ranks there to find repeat cuts, and after folding a loop's
-//! remaining iterations move each cursor past the loop with its tag and
-//! collective counters advanced ([`TimedCursor::leave_loop`]); see
-//! [`crate::check`].
+//! given, before any of the iteration's steps, and, if asked, a
+//! [`Step::CollHead`] at the entrance of every all-gather and all-to-all,
+//! after its span opens and before its first exchange. The checker and the
+//! simrt engine park ranks there. After folding a loop's remaining
+//! iterations they move each cursor past the loop with its tag and
+//! collective counters advanced ([`TimedCursor::leave_loop`]); after
+//! pricing a collective whole from every rank's sizes
+//! ([`TimedCursor::coll_bytes`]) they move it past the exchanges
+//! ([`TimedCursor::leave_collective`]). See [`crate::check`].
 //!
 //! A shape violation — a failed expression, an out-of-range peer, a
 //! self-message, a negative size or count, an oversized or unbumped tag
@@ -111,6 +115,10 @@ pub enum Step<'p> {
     /// [`TimedCursor::with_heads`] watches, before any of the iteration's
     /// steps. One built by [`TimedCursor::new`] never yields it.
     LoopHead(usize),
+    /// The entrance of an all-gather or all-to-all, after its
+    /// [`Step::CollBegin`] and before its first exchange, in a cursor built
+    /// by [`TimedCursor::with_heads`] with `colls` set.
+    CollHead,
 }
 
 /// A frame of the cursor's explicit interpreter stack.
@@ -147,33 +155,51 @@ pub struct TimedCursor<'p> {
     vars: Vec<i64>,
     /// Expanded-but-unconsumed steps (small collectives, exchanges).
     micro: VecDeque<Step<'p>>,
-    /// In-flight O(p) collective and its per-peer size, streamed into
-    /// `micro` on demand.
-    big: Option<(BigColl, &'p Expr)>,
+    /// In-flight O(p) collective, streamed into `micro` on demand.
+    big: Option<Big<'p>>,
     tags_taken: u64,
     coll_seq: u64,
     /// The loops whose iteration heads this cursor yields.
     heads: &'p [&'p Op],
+    /// Whether it yields [`Step::CollHead`] at O(p) collectives.
+    colls: bool,
+}
+
+/// An O(p)-message collective in flight.
+struct Big<'p> {
+    gen: BigColl,
+    kind: CollKind,
+    /// Its per-peer size.
+    bytes: &'p Expr,
+    /// No exchange streamed yet.
+    fresh: bool,
 }
 
 impl<'p> TimedCursor<'p> {
     /// A cursor over `plan` for `rank` of `p`.
     #[must_use]
     pub fn new(plan: &'p CommPlan, p: usize, rank: usize) -> Self {
-        Self::with_heads(plan, p, rank, &[])
+        Self::with_heads(plan, p, rank, &[], false)
     }
 
     /// A cursor that also yields [`Step::LoopHead`]`(i)` at the head of
     /// every iteration of the loop op `heads[i]` of `plan` (compared by
     /// address, so `heads` come from `plan` itself, as
-    /// [`crate::foldable_loops`] returns them). The checker and the simrt
-    /// engine park a rank there to detect a repeat cut (see
-    /// [`crate::analyze_plan`]).
+    /// [`crate::foldable_loops`] returns them), and with `colls` a
+    /// [`Step::CollHead`] at the entrance of every all-gather and
+    /// all-to-all. The checker and the simrt engine park a rank there to
+    /// find a repeat cut or a collective cut (see [`crate::analyze_plan`]).
     ///
     /// # Panics
     /// Panics when `p == 0` or `rank >= p`.
     #[must_use]
-    pub fn with_heads(plan: &'p CommPlan, p: usize, rank: usize, heads: &'p [&'p Op]) -> Self {
+    pub fn with_heads(
+        plan: &'p CommPlan,
+        p: usize,
+        rank: usize,
+        heads: &'p [&'p Op],
+        colls: bool,
+    ) -> Self {
         assert!(p > 0, "need at least one rank");
         assert!(rank < p, "rank {rank} out of range for p = {p}");
         Self {
@@ -189,6 +215,7 @@ impl<'p> TimedCursor<'p> {
             tags_taken: 0,
             coll_seq: 0,
             heads,
+            colls,
         }
     }
 
@@ -211,7 +238,65 @@ impl<'p> TimedCursor<'p> {
     /// (with [`Env::peer`] bound to each exchange's peer).
     #[must_use]
     pub fn big_collective(&self) -> Option<(&'p Expr, &[i64])> {
-        self.big.as_ref().map(|&(_, bytes)| (bytes, &self.vars[..]))
+        self.big.as_ref().map(|big| (big.bytes, &self.vars[..]))
+    }
+
+    /// The kind and sequence number of the all-gather or all-to-all whose
+    /// entrance the cursor stands at, if any: its span is open and none of
+    /// its exchanges has been streamed. Ranks at equal ones are at the
+    /// same collective: its messages carry the same tags.
+    #[must_use]
+    pub fn coll_head(&self) -> Option<(CollKind, u64)> {
+        match &self.big {
+            Some(big) if big.fresh && self.micro.is_empty() => Some((big.kind, self.coll_seq - 1)),
+            _ => None,
+        }
+    }
+
+    /// The bytes this rank sends in the collective whose entrance the
+    /// cursor stands at: its size evaluated at the peer of each of its
+    /// [`BigColl`] exchanges, summed. `None` when a size fails to evaluate
+    /// to a `u64` or the sum overflows; streaming the exchanges then
+    /// stops at the failing one, as [`TimedCursor::next_step`] does.
+    ///
+    /// The exchanges send every peer's chunk but the kept one
+    /// ([`BigColl::kept`]), so a size that is a [`crate::PeerProduct`] sums in
+    /// O(1) from its peer table's total; any other size is evaluated at
+    /// each peer.
+    ///
+    /// # Panics
+    /// Panics off a collective's entrance.
+    #[must_use]
+    pub fn coll_bytes(&self) -> Option<u64> {
+        assert!(
+            self.coll_head().is_some(),
+            "coll_bytes off a collective head"
+        );
+        let big = self.big.as_ref().expect("at a collective head");
+        if let Some(size) = big.bytes.peer_product(&self.env(None)) {
+            return size.sum_except(big.gen.kept(self.p, self.rank));
+        }
+        let mut gen = big.gen.clone();
+        let mut sum = 0u64;
+        while let Some(x) = gen.next(self.p, self.rank) {
+            let peer = i64::try_from(x.peer).expect("rank fits i64");
+            sum = sum.checked_add(self.eval_count(big.bytes, Some(peer)).ok()?)?;
+        }
+        Some(sum)
+    }
+
+    /// Leave the collective whose entrance the cursor stands at, as if
+    /// its exchanges had been streamed: the next step closes its span.
+    ///
+    /// # Panics
+    /// Panics off a collective's entrance.
+    pub fn leave_collective(&mut self) {
+        assert!(
+            self.coll_head().is_some(),
+            "leave_collective off a collective head"
+        );
+        self.big = None;
+        self.micro.push_back(Step::CollEnd);
     }
 
     /// Auto-tag draws and collective sequence numbers taken so far.
@@ -524,17 +609,26 @@ impl<'p> TimedCursor<'p> {
     }
 
     /// Open an O(p) collective's span and start streaming it.
-    fn start_big(&mut self, kind: CollKind, big: BigColl, bytes: &'p Expr) {
+    fn start_big(&mut self, kind: CollKind, gen: BigColl, bytes: &'p Expr) {
         self.micro.push_back(Step::CollBegin(kind));
-        self.big = Some((big, bytes));
+        if self.colls {
+            self.micro.push_back(Step::CollHead);
+        }
+        self.big = Some(Big {
+            gen,
+            kind,
+            bytes,
+            fresh: true,
+        });
     }
 
     /// Stream the next exchange of the in-flight O(p) collective into
     /// `micro`, closing the collective when its iterations are exhausted.
     fn refill_big(&mut self) -> Result<(), ShapeIssue> {
-        let (big, bytes) = self.big.as_mut().expect("big collective in flight");
-        let bytes: &'p Expr = bytes;
-        let Some(x) = big.next(self.p, self.rank) else {
+        let big = self.big.as_mut().expect("big collective in flight");
+        big.fresh = false;
+        let bytes = big.bytes;
+        let Some(x) = big.gen.next(self.p, self.rank) else {
             self.big = None;
             self.micro.push_back(Step::CollEnd);
             return Ok(());

@@ -2,14 +2,18 @@
 //! `analyze_plan` on the same plan with its loops unrolled, in every
 //! field but `folded_iterations`. The unrolled plan has no loop left that
 //! could fold, so the oracle interprets every iteration. Covers the NPB
-//! plans, random generator plans, and each reason a fold is refused.
+//! plans, random generator plans, each reason a fold is refused, and each
+//! reason an all-gather or all-to-all is not priced whole at a collective
+//! cut.
 
 mod common;
+mod cuts;
 mod unroll;
 
 use common::{draw_domain, draw_plan, Stream};
+use cuts::{collective_cuts, faulting_sizes};
 use npb::{cg_plan, ep_plan, ft_plan, CgConfig, Class, EpConfig, FtConfig};
-use plan::{analyze_plan, CommPlan, Cond, Expr, Op, PlanAnalysis, TagExpr};
+use plan::{analyze_plan, CommPlan, Cond, Expr, Op, PlanAnalysis, PlanFinding, TagExpr};
 use proptest::prelude::*;
 use unroll::unroll;
 
@@ -238,6 +242,33 @@ fn refusal_cases_fold_once_the_reason_is_removed() {
         )],
     );
     assert_eq!(folds_exactly(&plan, 4).folded_iterations, 3);
+}
+
+#[test]
+fn collective_cuts_equal_the_unrolled_plan() {
+    for (why, plan, p) in collective_cuts() {
+        let a = folds_exactly(&plan, p);
+        assert_eq!(a.p, p, "{why}");
+    }
+}
+
+#[test]
+fn a_size_fault_surfaces_at_its_exchange() {
+    for (plan, rank, issue, waiter) in faulting_sizes() {
+        let a = folds_exactly(&plan, 4);
+        let shape = PlanFinding::Shape {
+            rank,
+            issue: issue.clone(),
+        };
+        assert_eq!(a.findings.first(), Some(&shape), "{issue:?}");
+        let waits = PlanFinding::UnmatchedRecv {
+            rank: waiter,
+            from: Some(rank),
+            tag: mps::internal_tag(0, 3),
+        };
+        assert!(a.findings.contains(&waits), "{issue:?}: {:?}", a.findings);
+        assert_eq!(a.per_rank[rank].messages, 2, "{issue:?}: op index");
+    }
 }
 
 proptest! {

@@ -10,8 +10,8 @@ mod common;
 use common::{draw_domain, draw_plan, Stream};
 use npb::{cg_plan, ep_plan, ft_plan, CgConfig, Class, EpConfig, FtConfig};
 use plan::{
-    analyze_plan, CommPlan, Cond, Env, EvalError, Expr, Op, PlanFinding, ReduceOp, ShapeIssue,
-    Step, TimedCursor,
+    analyze_plan, Axis, CommPlan, Cond, Env, EvalError, Expr, Op, PlanFinding, ReduceOp,
+    ShapeIssue, Step, TimedCursor,
 };
 use proptest::prelude::*;
 
@@ -61,12 +61,14 @@ fn draw_expr(s: &mut Stream, depth: u32) -> Expr {
     }
 }
 
-/// Every environment the properties quantify over at world size `p`.
+/// Every environment the properties quantify over at world size `p`:
+/// every rank, an unbound peer, peers inside the tables and peers just
+/// outside them.
 fn for_each_env(p: usize, mut f: impl FnMut(&Env)) {
     let var_stacks: [&[i64]; 4] = [&[], &[4], &[1, 7], &[0, 2, 9]];
     let pi = i64::try_from(p).expect("small p");
     for rank in 0..pi {
-        for peer in [None, Some(0), Some(pi - 1)] {
+        for peer in [None, Some(-1), Some(0), Some(pi - 1), Some(pi)] {
             for vars in var_stacks {
                 f(&Env {
                     p: pi,
@@ -168,6 +170,145 @@ proptest! {
             prop_assert_eq!(cond.eval(env), c.eval(env), "{:?} at {:?}", c, env);
         });
     }
+}
+
+/// Which of the rank, the peer and a loop variable `e` reads, tables
+/// included.
+fn reads(e: &Expr) -> [bool; 3] {
+    let or = |a: [bool; 3], b: [bool; 3]| [a[0] || b[0], a[1] || b[1], a[2] || b[2]];
+    match e {
+        Expr::Const(_) | Expr::P => [false; 3],
+        Expr::Rank => [true, false, false],
+        Expr::Peer => [false, true, false],
+        Expr::Var(_) => [false, false, true],
+        Expr::Add(a, b)
+        | Expr::Sub(a, b)
+        | Expr::Mul(a, b)
+        | Expr::Div(a, b)
+        | Expr::Mod(a, b)
+        | Expr::Min(a, b)
+        | Expr::Max(a, b)
+        | Expr::Xor(a, b) => or(reads(a), reads(b)),
+        Expr::Pow2(x) | Expr::Log2(x) | Expr::Tabulated { expr: x, .. } => reads(x),
+        Expr::BlockLen { total, parts, idx } => or(or(reads(total), reads(parts)), reads(idx)),
+    }
+}
+
+/// Every table of `e` tabulates a subtree that reads its own axis and
+/// nothing else: a subtree reading the peer with the rank or a loop
+/// variable stays a tree.
+fn tables_read_one_axis(e: &Expr) -> bool {
+    match e {
+        Expr::Tabulated { by, expr, .. } => {
+            let want = match by {
+                Axis::Rank => [true, false, false],
+                Axis::Peer => [false, true, false],
+            };
+            reads(expr) == want
+        }
+        Expr::Add(a, b)
+        | Expr::Sub(a, b)
+        | Expr::Mul(a, b)
+        | Expr::Div(a, b)
+        | Expr::Mod(a, b)
+        | Expr::Min(a, b)
+        | Expr::Max(a, b)
+        | Expr::Xor(a, b) => tables_read_one_axis(a) && tables_read_one_axis(b),
+        Expr::Pow2(x) | Expr::Log2(x) => tables_read_one_axis(x),
+        Expr::BlockLen { total, parts, idx } => {
+            tables_read_one_axis(total) && tables_read_one_axis(parts) && tables_read_one_axis(idx)
+        }
+        Expr::Const(_) | Expr::P | Expr::Rank | Expr::Peer | Expr::Var(_) => true,
+    }
+}
+
+/// The size expression of a plan's first op, specialized to `p`.
+fn specialized_size(e: &Expr, p: usize) -> Expr {
+    let plan = CommPlan::new("size", vec![Op::AllToAll { bytes: e.clone() }]);
+    let Op::AllToAll { bytes } = &plan.specialize(p).body[0] else {
+        panic!("the all-to-all survives specialization");
+    };
+    bytes.clone()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Peer-only subtrees become peer tables and rank-only ones rank
+    /// tables; a subtree that mixes the peer with the rank or a loop
+    /// variable is never tabulated. A size that splits into a rank factor
+    /// and a peer factor (`Expr::peer_product`) gives what evaluating it
+    /// at each peer gives, and so does its sum.
+    #[test]
+    fn peer_tables_and_products_evaluate_like_the_original(
+        words in proptest::collection::vec(any::<u64>(), 48),
+        p_index in 0usize..6,
+    ) {
+        let mut s = Stream { words: &words, at: 0 };
+        let e = draw_expr(&mut s, 5);
+        let p = PS[p_index];
+        let spec = specialized_size(&e, p);
+        prop_assert!(tables_read_one_axis(&spec), "{:?}", spec);
+        for_each_env(p, |env| {
+            prop_assert_eq!(spec.eval(env), e.eval(env), "{:?} became {:?} at {:?}", e, spec, env);
+        });
+        for_each_env(p, |env| {
+            let Some(product) = spec.peer_product(env) else { return };
+            for q in 0..p {
+                let at_q = Env { peer: Some(i64::try_from(q).expect("small")), ..*env };
+                let want = e.eval(&at_q).map(|v| u64::try_from(v).expect("non-negative"));
+                prop_assert_eq!(Ok(product.at(q)), want, "{:?} at {:?}", e, at_q);
+            }
+            for skip in 0..p {
+                let sum = (0..p)
+                    .filter(|&q| q != skip)
+                    .try_fold(0u64, |sum, q| sum.checked_add(product.at(q)));
+                prop_assert_eq!(product.sum_except(skip), sum, "{:?} skip {}", spec, skip);
+            }
+        });
+    }
+}
+
+#[test]
+fn peer_only_subtrees_become_tables_and_mixed_ones_do_not() {
+    let p = 12;
+    let peer_only = Expr::block_len(Expr::Const(64), Expr::P, Expr::Peer) * Expr::Const(16);
+    let spec = specialized_size(&peer_only, p);
+    assert!(
+        matches!(spec, Expr::Tabulated { by: Axis::Peer, .. }),
+        "{spec:?}"
+    );
+    for mixed in [
+        Expr::block_len(Expr::Const(64), Expr::P, Expr::Peer + Expr::Rank),
+        Expr::block_len(Expr::Const(64), Expr::P, Expr::Peer) * Expr::Var(0),
+    ] {
+        let spec = specialized_size(&mixed, p);
+        assert!(
+            !matches!(spec, Expr::Tabulated { .. }),
+            "{mixed:?} became {spec:?}"
+        );
+        assert!(tables_read_one_axis(&spec), "{spec:?}");
+    }
+    // Outside the table and with no peer bound, the subtree is walked.
+    let env = |peer| Env {
+        p: 12,
+        rank: 3,
+        peer,
+        vars: &[],
+    };
+    assert_eq!(spec.eval(&env(None)), Err(EvalError::PeerUnavailable));
+    for peer in [-1, 0, 11, 12, 40] {
+        assert_eq!(
+            spec.eval(&env(Some(peer))),
+            peer_only.eval(&env(Some(peer))),
+            "peer {peer}"
+        );
+    }
+    assert_eq!(
+        spec.eval(&env(Some(-1))),
+        Err(EvalError::BadBlock),
+        "a negative block index"
+    );
 }
 
 proptest! {

@@ -14,9 +14,12 @@ fn shift(e: &Expr, depth: usize) -> Option<Expr> {
     Some(match e {
         Expr::Var(d) if *d == depth => return None,
         Expr::Var(d) if *d > depth => Expr::Var(d - 1),
-        Expr::Var(_) | Expr::Const(_) | Expr::P | Expr::Rank | Expr::Peer | Expr::ByRank { .. } => {
-            e.clone()
-        }
+        Expr::Var(_)
+        | Expr::Const(_)
+        | Expr::P
+        | Expr::Rank
+        | Expr::Peer
+        | Expr::Tabulated { .. } => e.clone(),
         Expr::Add(a, b) => bin(Expr::Add, a, b)?,
         Expr::Sub(a, b) => bin(Expr::Sub, a, b)?,
         Expr::Mul(a, b) => bin(Expr::Mul, a, b)?,

@@ -44,7 +44,11 @@
 //! replay's own order differs too — an all-gather or all-to-all is
 //! replayed round by round across all ranks — and the same argument
 //! applies: each rank sees its own calls in its own order, and each
-//! receive the arrival of the send it matched.
+//! receive the arrival of the send it matched. In the same runs, and in
+//! wildcard-free plans only, ranks also park at every all-gather's and
+//! all-to-all's entrance, and at a clean cut there the engine plays the
+//! whole collective round by round instead of stepping its messages
+//! ([`EngineStats::whole_collectives`]).
 
 use mps::{DeadlockInfo, RunError, RunReport, World};
 use netsim::Hockney;
@@ -72,7 +76,7 @@ struct Engine<'a> {
     next_sample: u64,
     /// The latest virtual time a task reached when its run ended.
     t_hi: f64,
-    /// Loop folding, in a run that folds.
+    /// Loop folding and whole collectives, in a run that folds.
     fold: Option<Folder<'a>>,
     /// The lowest rank a shape violation stopped, and the violation.
     fault: Option<(usize, ShapeIssue)>,
@@ -118,6 +122,7 @@ impl<'a> Effects<'a> for Engine<'a> {
 
     fn cut(&mut self, parked: &[usize], clean: bool, steps: &mut u64, wakes: &mut u64) {
         let fold = self.fold.as_mut().expect("only a folding run parks");
+        // A collective's messages go over the link among all `p` ranks.
         let counts = [&mut self.stats.steps, &mut self.stats.sends, steps, wakes];
         fold.cut(&mut self.tasks, parked, clean, &self.links[1], counts);
     }
@@ -140,9 +145,15 @@ pub(crate) fn run(
 ) -> Result<EngineReport, Error> {
     let t0 = std::time::Instant::now();
     let detail = cfg.resolve_detail(p);
-    // Folding replays a rank's accounting calls, which is all that changes
-    // its state only without segment logs, samples and observers.
-    let folds = !detail && cfg.timeline_every == 0 && !world.obs.trace && !world.obs.metrics;
+    // Folding and whole collectives replay a rank's accounting calls in
+    // another order, which is all that changes its state only without
+    // segment logs, samples and observers, and gives the same bits only
+    // without wildcards.
+    let folds = !detail
+        && cfg.timeline_every == 0
+        && !world.obs.trace
+        && !world.obs.metrics
+        && !plan.has_wildcard();
     let loops = if folds {
         plan::foldable_loops(plan)
     } else {
@@ -151,7 +162,7 @@ pub(crate) fn run(
     let heads: Vec<&Op> = loops.iter().map(|l| l.op).collect();
     let mut engine = Engine {
         tasks: (0..p)
-            .map(|r| RankTask::new(r, p, world, plan, &heads, detail))
+            .map(|r| RankTask::new(r, p, world, plan, &heads, folds, detail))
             .collect(),
         links: [2, p].map(|n| world.contention.effective(&world.hockney(), n)),
         stats: EngineStats::default(),
@@ -159,7 +170,7 @@ pub(crate) fn run(
         every: cfg.timeline_every,
         next_sample: cfg.timeline_every,
         t_hi: 0.0,
-        fold: (!loops.is_empty()).then(|| Folder::new(&loops)),
+        fold: folds.then(|| Folder::new(&loops)),
         fault: None,
     };
     let sched = Schedule::run(p, &mut engine);
@@ -167,7 +178,10 @@ pub(crate) fn run(
         return Err(Error::Shape { rank, issue });
     }
     engine.stats.wakes = sched.wakes;
-    engine.stats.folded_iterations = engine.fold.as_ref().map_or(0, |f| f.folded_iterations);
+    if let Some(fold) = &engine.fold {
+        engine.stats.folded_iterations = fold.folded_iterations;
+        engine.stats.whole_collectives = fold.whole_collectives;
+    }
     engine.stats.wall_s = t0.elapsed().as_secs_f64();
     // What is left in an inbox was sent but never received: it goes to
     // the rank's `unconsumed` list, where the analyzer flags it, on a

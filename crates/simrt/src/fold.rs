@@ -35,8 +35,9 @@
 //! the rank has entered in the iteration, and the tape notes each rank's
 //! size expression and loop variables for collective `k`. Replay plays
 //! segment `k` in schedule order, then collective `k` round by round:
-//! every rank's send of the round, bytes evaluated from the size
-//! expression at `(rank, peer)`, then every rank's receive of its `from`
+//! every rank's send of the round, bytes read from the size's
+//! [`plan::PeerProduct`] when it splits into one and evaluated at
+//! `(rank, peer)` otherwise, then every rank's receive of its `from`
 //! peer's arrival. That keeps each rank's own order, and every receive
 //! still follows the send it matched, given what the recording checks:
 //! a taped receive matched a send of its own or an earlier segment, a
@@ -46,6 +47,23 @@
 //! recording that fails a check is never replayed. No rank can finish
 //! such a collective before every rank entered it, so the NPB plans pass
 //! them all. Memory stays `O(p)` per collective.
+//!
+//! ## Whole collectives at a cut
+//!
+//! The same round-by-round play ([`play_collective`]) prices a live
+//! collective. Ranks park at every all-gather's and all-to-all's entrance
+//! ([`plan::Step::CollHead`]); at a clean cut — every rank parked there, no
+//! message in flight — with every rank at the same kind and sequence
+//! number, and every rank's size evaluating at each of its peers
+//! ([`plan::TimedCursor::coll_bytes`]), the engine plays it whole and
+//! moves the cursors past its exchanges. Each rank still makes one
+//! `account_send` and one `account_recv` per message, in its own order, and
+//! each receive reads the arrival of the send it matches, so the clocks
+//! come out bit for bit as stepping every message leaves them. Any other
+//! collective cut changes nothing, and the ranks step the collective. A
+//! recording under way is unaffected: the ranks tell the tape where the
+//! collective begins and ends, as when they step it, and its replay plays
+//! it round by round again.
 //!
 //! ## Nested loops
 //!
@@ -382,50 +400,69 @@ impl<'p> Tape<'p> {
                     }
                 }
                 if let Some(call) = self.calls.get(k) {
-                    self.replay_call(call, tasks, link);
+                    let size = |r: usize| {
+                        let Size { bytes, vars } = &self.sizes.items[call.sizes[r] as usize];
+                        (*bytes, &vars[..])
+                    };
+                    play_collective(call.kind, size, tasks, link);
                 }
             }
         }
     }
+}
 
-    /// Make the sends and receives of one O(p)-message collective, round
-    /// by round: every rank's send, then every rank's receive.
-    fn replay_call(&self, call: &BigCall, tasks: &mut [RankTask<'p>], link: &Hockney) {
-        let p = tasks.len();
-        let mut gens: Vec<BigColl> = (0..p)
-            .map(|_| match call.kind {
-                CollKind::AllGather => BigColl::allgather(&mut 0),
-                _ => BigColl::alltoall(&mut 0),
-            })
-            .collect();
-        // Each rank's source and the arrival of its send, this round.
-        let mut round = vec![(0usize, 0.0f64); p];
-        #[allow(clippy::cast_possible_wrap)]
-        let p64 = p as i64;
-        loop {
-            for (r, (gen, task)) in gens.iter_mut().zip(tasks.iter_mut()).enumerate() {
-                let Some(x) = gen.next(p, r) else {
-                    return;
-                };
-                let Size { bytes, vars } = &self.sizes.items[call.sizes[r] as usize];
-                #[allow(clippy::cast_possible_wrap)]
-                let env = Env {
-                    p: p64,
-                    rank: r as i64,
-                    peer: Some(x.peer as i64),
-                    vars,
-                };
-                let bytes = bytes
-                    .eval(&env)
+/// Make the sends and receives of one all-gather or all-to-all of `kind`
+/// over `link`, round by round: every rank's send, then every rank's
+/// receive of its `from` peer's arrival. `size(r)` is rank `r`'s size
+/// expression and loop variables, which must evaluate at every peer; a
+/// size that is a [`plan::PeerProduct`] is read from its factors.
+fn play_collective<'s>(
+    kind: CollKind,
+    size: impl Fn(usize) -> (&'s Expr, &'s [i64]),
+    tasks: &mut [RankTask],
+    link: &Hockney,
+) {
+    let p = tasks.len();
+    #[allow(clippy::cast_possible_wrap)]
+    let env = |r: usize, peer: Option<usize>| {
+        let (_, vars) = size(r);
+        Env {
+            p: p as i64,
+            rank: r as i64,
+            peer: peer.map(|q| q as i64),
+            vars,
+        }
+    };
+    let products: Vec<_> = (0..p)
+        .map(|r| size(r).0.peer_product(&env(r, None)))
+        .collect();
+    let mut gens: Vec<BigColl> = (0..p)
+        .map(|_| match kind {
+            CollKind::AllGather => BigColl::allgather(&mut 0),
+            _ => BigColl::alltoall(&mut 0),
+        })
+        .collect();
+    // Each rank's source and the arrival of its send, this round.
+    let mut round = vec![(0usize, 0.0f64); p];
+    loop {
+        for (r, (gen, task)) in gens.iter_mut().zip(tasks.iter_mut()).enumerate() {
+            let Some(x) = gen.next(p, r) else {
+                return;
+            };
+            let bytes = match &products[r] {
+                Some(product) => product.at(x.peer),
+                None => size(r)
+                    .0
+                    .eval(&env(r, Some(x.peer)))
                     .ok()
                     .and_then(|b| u64::try_from(b).ok())
-                    .expect("a size that evaluated when it was recorded");
-                let t_net = Seconds::new(link.p2p(bytes));
-                round[r] = (x.from, task.core.account_send(bytes, t_net).raw());
-            }
-            for (task, &(from, _)) in tasks.iter_mut().zip(&round) {
-                task.core.account_recv(round[from].1);
-            }
+                    .expect("a size that evaluates at every peer"),
+            };
+            let t_net = Seconds::new(link.p2p(bytes));
+            round[r] = (x.from, task.core.account_send(bytes, t_net).raw());
+        }
+        for (task, &(from, _)) in tasks.iter_mut().zip(&round) {
+            task.core.account_recv(round[from].1);
         }
     }
 }
@@ -458,6 +495,8 @@ pub(crate) struct Folder<'p> {
     /// Iterations added at a repeat cut rather than interpreted; those
     /// replayed inside an enclosing loop's replay are not counted again.
     pub(crate) folded_iterations: u64,
+    /// Collectives played whole at a collective cut.
+    pub(crate) whole_collectives: u64,
 }
 
 impl<'p> Folder<'p> {
@@ -467,6 +506,7 @@ impl<'p> Folder<'p> {
             parking: vec![true; loops.len()],
             stack: Vec::new(),
             folded_iterations: 0,
+            whole_collectives: 0,
         }
     }
 
@@ -475,14 +515,17 @@ impl<'p> Folder<'p> {
         self.stack.last_mut().map(|r| &mut r.tape)
     }
 
-    /// The schedule's cut with the ranks `parked` at loop heads (see
-    /// [`plan::Effects::cut`]). At a repeat cut before iteration 0, start
-    /// recording; at the one before iteration 1 of the same instance,
-    /// replay the tape for the remaining iterations over `link` (the
-    /// collectives' link), move every rank past the loop, and hand the
-    /// tape to the enclosing recording. Any other cut drops every
-    /// recording, and the parked ranks' loops are interpreted from then
-    /// on.
+    /// The schedule's cut with the ranks `parked` at loop heads or
+    /// collective entrances (see [`plan::Effects::cut`]). At a clean cut
+    /// with every rank at the same collective, play it whole
+    /// ([`play_whole`]). At a repeat cut before iteration 0 of a
+    /// loop, start recording; at the one before iteration 1 of the same
+    /// instance, replay the tape for the remaining iterations over `link`
+    /// (the collectives' link), move every rank past the loop, and hand
+    /// the tape to the enclosing recording. Any other cut with a rank at a
+    /// loop head drops every recording, and the parked ranks' loops are
+    /// interpreted from then on; one with ranks at collectives only
+    /// changes nothing, and they interpret the collective.
     pub(crate) fn cut(
         &mut self,
         tasks: &mut [RankTask<'p>],
@@ -491,11 +534,18 @@ impl<'p> Folder<'p> {
         link: &Hockney,
         counts: Counts,
     ) {
-        let head = |r: usize| tasks[r].cursor.loop_head().expect("parked at a loop head");
-        let (id, vars) = head(parked[0]);
-        if !(clean && parked.iter().all(|&r| head(r) == (id, vars))) {
+        let head = |r: usize| tasks[r].cursor.loop_head();
+        let Some((id, vars)) = parked.iter().find_map(|&r| head(r)) else {
+            if clean && play_whole(tasks, link, counts) {
+                self.whole_collectives += 1;
+            }
+            return;
+        };
+        if !(clean && parked.iter().all(|&r| head(r) == Some((id, vars)))) {
             for &r in parked {
-                self.parking[head(r).0] = false;
+                if let Some((i, _)) = head(r) {
+                    self.parking[i] = false;
+                }
             }
             self.stack.clear();
             return;
@@ -573,6 +623,43 @@ impl Recording<'_> {
             })
             .collect()
     }
+}
+
+/// At a clean cut with every rank at a collective's entrance: when all
+/// stand at the same all-gather or all-to-all (kind and sequence number)
+/// and every rank's sizes evaluate, play its exchanges round by round over
+/// `link`, advance `counts` by them as if they had been stepped, move the
+/// cursors past it, and say so. Otherwise change nothing: the ranks
+/// interpret it, and a size fault stops its rank at its exchange. While a
+/// loop is recorded, its tape already holds the collective as it holds an
+/// interpreted one: the ranks told it where it begins, and tell it where
+/// it ends.
+fn play_whole(tasks: &mut [RankTask], link: &Hockney, counts: Counts) -> bool {
+    let first = tasks[0].cursor.coll_head();
+    let Some((kind, _)) = first else { return false };
+    if !tasks
+        .iter()
+        .all(|t| t.cursor.coll_head() == first && t.cursor.coll_bytes().is_some())
+    {
+        return false;
+    }
+    let sizes: Vec<(&Expr, Vec<i64>)> = tasks
+        .iter()
+        .map(|t| {
+            let (bytes, vars) = t.cursor.big_collective().expect("at a collective");
+            (bytes, vars.to_vec())
+        })
+        .collect();
+    play_collective(kind, |r| (sizes[r].0, &sizes[r].1[..]), tasks, link);
+    for task in tasks.iter_mut() {
+        task.cursor.leave_collective();
+    }
+    let n = tasks.len() as u64 - 1;
+    let [steps, sends, sched_steps, _wakes] = counts;
+    *steps += 2 * n * (n + 1);
+    *sends += n * (n + 1);
+    *sched_steps += 2 * n * (n + 1);
+    true
 }
 
 /// `now + m·(now − start)` for each counter; `None` on overflow.

@@ -57,6 +57,13 @@
 //! replays 3 of its 4 iterations and CG 7 of its 8 outer ones, each with
 //! all 25 inner iterations. [`EngineStats::folded_iterations`] counts the
 //! iterations added at a repeat cut, as [`plan::PlanAnalysis`] does.
+//!
+//! In the same runs, when every rank stands at the entrance of the same
+//! all-gather or all-to-all with no message in flight, the engine plays
+//! it whole, round by round, through the same per-message accounting
+//! calls ([`EngineStats::whole_collectives`]): FT's forward transpose and
+//! its first iteration's, the two it would otherwise step message by
+//! message.
 
 #![forbid(unsafe_code)]
 
@@ -145,6 +152,12 @@ pub struct EngineStats {
     /// same loops. `steps`, `sends` and `wakes` count every replayed
     /// iteration as if it had been interpreted.
     pub folded_iterations: u64,
+    /// All-gathers and all-to-alls priced whole at a clean cut, every
+    /// rank's exchanges played round by round, rather than stepped
+    /// message by message (see the crate docs). Those replayed inside a
+    /// folded loop are not counted; `steps` and `sends` count the
+    /// exchanges as if they had been stepped.
+    pub whole_collectives: u64,
     /// Host wall-clock time of the run, seconds.
     pub wall_s: f64,
 }

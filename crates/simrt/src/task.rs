@@ -56,11 +56,12 @@ impl<'a> RankTask<'a> {
         world: &'a World,
         plan: &'a CommPlan,
         heads: &'a [&'a Op],
+        colls: bool,
         detail: bool,
     ) -> Self {
         Self {
             core: RankCore::new(rank, p, world, detail),
-            cursor: TimedCursor::with_heads(plan, p, rank, heads),
+            cursor: TimedCursor::with_heads(plan, p, rank, heads, colls),
             scopes: Vec::new(),
             vclock: if detail { vec![0; p] } else { Vec::new() },
             comm: CommLog::new(rank),
@@ -69,8 +70,8 @@ impl<'a> RankTask<'a> {
     }
 
     /// Apply the rank's steps up to its next message step (`Send`, `Recv`
-    /// or `RecvAny`) or loop head and return it, adding the steps applied
-    /// to `steps`; `Ok(None)` once the plan is exhausted.
+    /// or `RecvAny`), loop head or collective head and return it, adding
+    /// the steps applied to `steps`; `Ok(None)` once the plan is exhausted.
     ///
     /// # Errors
     /// The plan shape violation that stops the rank.
@@ -92,7 +93,8 @@ impl<'a> RankTask<'a> {
             if let Step::Send { .. }
             | Step::Recv { .. }
             | Step::RecvAny { .. }
-            | Step::LoopHead(_) = step
+            | Step::LoopHead(_)
+            | Step::CollHead = step
             {
                 return Ok(Some(step));
             }
@@ -101,7 +103,7 @@ impl<'a> RankTask<'a> {
         }
     }
 
-    /// Apply one step that is not a message step or a loop head, and
+    /// Apply one step that is not a message step or a head, and
     /// record its accounting calls on `tape` if one is given. Out of line:
     /// most steps are messages, and the loop above stays small enough to
     /// inline into the schedule.
@@ -153,9 +155,11 @@ impl<'a> RankTask<'a> {
                     tape.coll_end(rank);
                 }
             }
-            Step::Send { .. } | Step::Recv { .. } | Step::RecvAny { .. } | Step::LoopHead(_) => {
-                unreachable!("not a local step")
-            }
+            Step::Send { .. }
+            | Step::Recv { .. }
+            | Step::RecvAny { .. }
+            | Step::LoopHead(_)
+            | Step::CollHead => unreachable!("not a local step"),
         }
     }
 

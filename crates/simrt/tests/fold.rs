@@ -5,13 +5,17 @@
 //! has no loop left that could fold, so that run interprets every
 //! iteration. Covers the NPB plans, hand-written plans whose folded
 //! bodies hold all-gathers, all-to-alls, messages across them and nested
-//! loops, and the plan checker's random generator plans.
+//! loops, plans whose collectives must not be played whole at a
+//! collective cut, and the plan checker's random generator plans.
 
+#[path = "../../plan/tests/cuts/mod.rs"]
+mod cuts;
 #[path = "../../plan/tests/common/mod.rs"]
 mod generator;
 #[path = "../../plan/tests/unroll/mod.rs"]
 mod unroll;
 
+use cuts::{collective_cuts, faulting_sizes};
 use generator::{draw_domain, draw_plan, Stream};
 use mps::World;
 use npb::{cg_plan, ep_plan, ft_plan, CgConfig, Class, EpConfig, FtConfig};
@@ -85,17 +89,20 @@ fn cg_folds_exactly_at_p_1024() {
 
 /// The engine adds iterations at repeat cuts where the checker does: FT
 /// folds 3 of its 4 iterations, CG 24 inner iterations inside its first
-/// outer one and then 7 outer ones, EP has no loop.
+/// outer one and then 7 outer ones, EP has no loop. FT's forward
+/// all-to-all and iteration 0's are played whole; EP and CG have no
+/// all-gather or all-to-all.
 #[test]
 fn engine_folds_what_the_checker_folds_at_p_256() {
     let plans = [
-        (ft_plan(&FtConfig::class(Class::S)), 3),
-        (ep_plan(&EpConfig::class(Class::S)), 0),
-        (cg_plan(&CgConfig::class(Class::S)), 24 + 7),
+        (ft_plan(&FtConfig::class(Class::S)), 3, 2),
+        (ep_plan(&EpConfig::class(Class::S)), 0, 0),
+        (cg_plan(&CgConfig::class(Class::S)), 24 + 7, 0),
     ];
-    for (plan, want) in &plans {
+    for (plan, want, whole) in &plans {
         let out = run(plan, 256).expect("runs");
         assert_eq!(out.stats.folded_iterations, *want, "{}", plan.name);
+        assert_eq!(out.stats.whole_collectives, *whole, "{}", plan.name);
         let analysis = analyze_plan(plan, 256);
         assert_eq!(analysis.folded_iterations, *want, "{}", plan.name);
     }
@@ -237,6 +244,31 @@ fn collectives_segments_and_nested_loops_fold_exactly() {
             let out = folds_exactly(&plan, p).expect("runs");
             assert_eq!(out.stats.folded_iterations, want, "{} p={p}", plan.name);
         }
+    }
+}
+
+/// A collective cut is refused with a message in flight and with ranks
+/// at different collectives, and a size reading the peer and a loop
+/// variable is played from per-peer sizes, once per outer iteration.
+#[test]
+fn collective_cuts_equal_the_unrolled_plan() {
+    let whole = [Some(0), None, Some(3)];
+    for ((why, plan, p), whole) in collective_cuts().into_iter().zip(whole) {
+        let out = folds_exactly(&plan, p);
+        assert_eq!(out.ok().map(|o| o.stats.whole_collectives), whole, "{why}");
+    }
+}
+
+/// A size that faults at one `(rank, peer)` stops that rank at that
+/// exchange, as interpreting every message does.
+#[test]
+fn a_size_fault_stops_its_rank() {
+    for (plan, rank, issue, _) in faulting_sizes() {
+        let err = folds_exactly(&plan, 4).expect_err("the size faults");
+        let simrt::Error::Shape { rank: r, issue: i } = err else {
+            panic!("expected a shape error, got {err}");
+        };
+        assert_eq!((r, i), (rank, issue));
     }
 }
 

@@ -9,6 +9,9 @@
 //! the iterations it replayed included, and `simrt_folded` counts the
 //! iterations it added at a repeat cut, as `folded` does (an inner loop
 //! replayed inside an enclosing loop's replay is not counted again).
+//! `whole` counts the all-gathers and all-to-alls the engine priced whole
+//! at a collective cut instead of stepping them message by message (FT: 2,
+//! CG: 0); the checker prices the same ones.
 //!
 //! Run with `cargo run --release --example plan_pricing_timing`.
 
@@ -42,7 +45,7 @@ fn main() {
     let world = World::new(simcluster::system_g(), 2.8e9);
     let engine = EngineConfig::default().with_detail(Detail::Off);
     println!(
-        "kernel      p  specialize_ms  analyze_ms  abstract_steps  folded  simrt_ms  simrt_steps  simrt_folded"
+        "kernel      p  specialize_ms  analyze_ms  abstract_steps  folded  simrt_ms  simrt_steps  simrt_folded  whole"
     );
     for p in [256usize, 1024] {
         for (name, plan) in &plans {
@@ -57,11 +60,12 @@ fn main() {
                 simrt::try_run_plan_with(&engine, &world, p, plan).expect("run completes")
             });
             println!(
-                "{name:>6} {p:>6} {spec_ms:>14.3} {analyze_ms:>11.1} {:>15} {:>7} {run_ms:>9.1} {:>12} {:>13}",
+                "{name:>6} {p:>6} {spec_ms:>14.3} {analyze_ms:>11.1} {:>15} {:>7} {run_ms:>9.1} {:>12} {:>13} {:>6}",
                 analysis.steps,
                 analysis.folded_iterations,
                 run.stats.steps,
-                run.stats.folded_iterations
+                run.stats.folded_iterations,
+                run.stats.whole_collectives
             );
         }
     }
